@@ -28,7 +28,6 @@ from arbfscaffold import (
     marching_squares,
     perturb_mesh,
     sample_field,
-    sample_tpms,
     solid_fraction,
     export_obj,
     export_pgm,
@@ -78,8 +77,8 @@ def perturbed_blocks(outdir, rows, resolution):
 def tpms_quartet(outdir, rows, resolution):
     lo, hi = np.zeros(3), np.full(3, 2.0 * np.pi)
     for kind in ("p", "d", "g", "iwp"):
-        vol = sample_tpms(TpmsField(kind), make_grid(lo, hi, resolution, 0.0),
-                          workers=0)
+        vol = sample_field(TpmsField(kind), make_grid(lo, hi, resolution, 0.0),
+                           workers=0)
         put(rows, outdir, f"tpms_{kind}.obj", marching_cubes(vol, 0.0),
             solid_fraction(vol, 0.0))
 

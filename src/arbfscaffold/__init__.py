@@ -21,8 +21,7 @@ from .errors import (
 )
 from .distance import dist_point_point, dist_point_segment, dist_segment_segment
 from .mesh import (
-    CenterSegment,
-    NodalValue,
+    CenterSet,
     VolumetricMesh,
     assemble_center_set,
     build_segments,
@@ -36,11 +35,9 @@ from .rbf import (
     InterpolationModel,
     assemble_matrix,
     eval_basis,
-    fit,
     fit_mesh,
     fit_with_report,
     load_model,
-    pairwise_distance,
     save_model,
     solve_weights,
 )
@@ -64,21 +61,20 @@ from .isosurface import (
     marching_squares,
     surface_area,
 )
-from .tpms import TpmsField, eval_tpms, sample_tpms
+from .tpms import TpmsField
 from .perturb import PerturbSpec, perturb_mesh
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Basis",
-    "CenterSegment",
+    "CenterSet",
     "ContourSet",
     "DegenerateResultError",
     "DuplicateCenterError",
     "HeaderMismatchError",
     "InterpolationModel",
     "InvalidBBoxError",
-    "NodalValue",
     "ParseError",
     "PerturbSpec",
     "ScaffoldError",
@@ -97,10 +93,8 @@ __all__ = [
     "dist_segment_segment",
     "euler_characteristic",
     "eval_basis",
-    "eval_tpms",
     "export_obj",
     "export_pgm",
-    "fit",
     "fit_mesh",
     "fit_with_report",
     "load_mesh",
@@ -111,11 +105,9 @@ __all__ = [
     "make_mesh",
     "marching_cubes",
     "marching_squares",
-    "pairwise_distance",
     "perturb_mesh",
     "read_volume",
     "sample_field",
-    "sample_tpms",
     "save_mesh",
     "save_model",
     "solid_fraction",

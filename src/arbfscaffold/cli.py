@@ -18,7 +18,7 @@ from .isosurface import export_obj, marching_cubes
 from .mesh import load_mesh, save_mesh
 from .perturb import PerturbSpec, perturb_mesh
 from .rbf import Basis, fit_mesh, load_model, save_model
-from .tpms import DEFAULT_DOMAIN, TpmsField, sample_tpms
+from .tpms import DEFAULT_DOMAIN, TpmsField
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -31,6 +31,14 @@ _MODE_NAMES = {"iso": "isotropic", "aniso": "anisotropic",
 def _parse_float_list(text: str) -> list[float]:
     items = [t for t in text.split(",") if t.strip()]
     return [float(t) for t in items]
+
+
+def _iso_list(text: str) -> list[float]:
+    """argparse type for --iso: one or more comma-separated floats."""
+    values = _parse_float_list(text)
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
 
 
 def _stem(path: str) -> str:
@@ -62,25 +70,36 @@ def _write_surfaces(grid, iso_values, out_stem) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
+def _fit_and_save(args, out: str):
+    """Fit the --mesh model, write it to ``out`` and print the fit summary."""
     mesh = load_mesh(args.mesh, args.format)
     basis = Basis(kind=args.basis, c=args.c)
     model, report = fit_mesh(mesh, basis, _MODE_NAMES[args.mode], args.lam)
-    out = args.out or _stem(args.mesh) + ".arbf"
     save_model(model, out)
     print(f"N={report.n_centers} cond={report.condition_estimate:.6g} "
           f"residual={report.residual_inf:.6g}")
+    return model
+
+
+def _sample_and_write(model, args, out: str):
+    """Sample ``model`` over its padded bbox and write the volume to ``out``."""
+    lo, hi = model.bbox()
+    grid = make_grid(lo, hi, args.resolution, args.pad)
+    volume = sample_field(model, grid, workers=args.workers)
+    write_volume(volume, out)
+    return volume
+
+
+def cmd_fit(args) -> int:
+    out = args.out or _stem(args.mesh) + ".arbf"
+    _fit_and_save(args, out)
     print(f"model -> {out}")
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    model = load_model(args.model)
-    lo, hi = model.bbox()
-    grid = make_grid(lo, hi, args.resolution, args.pad)
-    volume = sample_field(model, grid, workers=args.workers)
     out = args.out or _stem(args.model)
-    write_volume(volume, out)
+    volume = _sample_and_write(load_model(args.model), args, out)
     nx, ny, nz = volume.dims
     print(f"volume {nx}x{ny}x{nz} range [{volume.values.min():.6g}, "
           f"{volume.values.max():.6g}] -> {out}.vhdr/.raw")
@@ -88,20 +107,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    iso_values = _parse_float_list(args.iso)
-    if not iso_values:
-        print("error: --iso needs at least one value", file=sys.stderr)
-        return EXIT_INPUT
     grid = read_volume(args.volume)
     out = args.out or _stem(args.volume)
-    return _write_surfaces(grid, iso_values, out)
+    return _write_surfaces(grid, args.iso, out)
 
 
 def cmd_tpms(args) -> int:
-    iso_values = _parse_float_list(args.iso)
-    if not iso_values:
-        print("error: --iso needs at least one value", file=sys.stderr)
-        return EXIT_INPUT
     periods = _parse_float_list(args.periods)
     if len(periods) != 3:
         print("error: --periods needs three comma-separated values", file=sys.stderr)
@@ -109,10 +120,10 @@ def cmd_tpms(args) -> int:
     field = TpmsField(kind=args.kind, periods=tuple(periods))
     lo, hi = DEFAULT_DOMAIN
     grid = make_grid((lo, lo, lo), (hi, hi, hi), args.resolution, 0.0)
-    volume = sample_tpms(field, grid, workers=args.workers)
+    volume = sample_field(field, grid, workers=args.workers)
     out = args.out or f"tpms_{args.kind}"
     write_volume(volume, out)
-    return _write_surfaces(volume, iso_values, out)
+    return _write_surfaces(volume, args.iso, out)
 
 
 def cmd_perturb(args) -> int:
@@ -129,22 +140,10 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    iso_values = _parse_float_list(args.iso)
-    if not iso_values:
-        print("error: --iso needs at least one value", file=sys.stderr)
-        return EXIT_INPUT
-    mesh = load_mesh(args.mesh, args.format)
-    basis = Basis(kind=args.basis, c=args.c)
-    model, report = fit_mesh(mesh, basis, _MODE_NAMES[args.mode], args.lam)
     out = args.out or _stem(args.mesh)
-    save_model(model, out + ".arbf")
-    print(f"N={report.n_centers} cond={report.condition_estimate:.6g} "
-          f"residual={report.residual_inf:.6g}")
-    lo, hi = model.bbox()
-    grid = make_grid(lo, hi, args.resolution, args.pad)
-    volume = sample_field(model, grid, workers=args.workers)
-    write_volume(volume, out)
-    return _write_surfaces(volume, iso_values, out)
+    model = _fit_and_save(args, out + ".arbf")
+    volume = _sample_and_write(model, args, out)
+    return _write_surfaces(volume, args.iso, out)
 
 
 def _add_mesh_flags(p):
@@ -196,14 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iso", help="extract iso-surfaces from a sampled volume")
     p.add_argument("--volume", required=True, help="volume stem or .vhdr path")
-    p.add_argument("--iso", required=True,
+    p.add_argument("--iso", type=_iso_list, required=True,
                    help="comma-separated iso values (use --iso=-0.5,0,0.5)")
     p.add_argument("--out", help="output OBJ stem (default: volume stem)")
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("tpms", help="sample a TPMS baseline field")
     p.add_argument("--kind", choices=["p", "d", "g", "iwp"], required=True)
-    p.add_argument("--iso", default="0", help="comma-separated iso values (default: 0)")
+    p.add_argument("--iso", type=_iso_list, default="0",
+                   help="comma-separated iso values (default: 0)")
     p.add_argument("--periods", default="1,1,1",
                    help="per-axis frequency multipliers (default: 1,1,1)")
     _add_grid_flags(p)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_flags(p)
     _add_fit_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--iso", required=True,
+    p.add_argument("--iso", type=_iso_list, required=True,
                    help="comma-separated iso values (use --iso=-0.5,0,0.5)")
     p.add_argument("--out", help="output stem (default: mesh stem)")
     p.set_defaults(func=cmd_pipeline)

@@ -59,14 +59,13 @@ def _empty_values(dims) -> np.ndarray:
     return np.zeros(nx * ny * nz, dtype=np.float32)
 
 
-def make_grid(bbox_min, bbox_max, resolution: int, pad_fraction: float = 0.0) -> VoxelGrid:
-    """Grid over a padded bbox; the longest axis gets ``resolution`` samples.
+def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: float):
+    """Validated (origin, spacing, dims) over the axes of ``lo``/``hi``.
 
-    The box grows by pad_fraction x diagonal on every side.  Shorter axes
-    get proportionally fewer samples, never fewer than 2.
+    The box grows by pad_fraction x diagonal on every side; the longest
+    axis gets ``resolution`` samples and shorter axes proportionally fewer,
+    never fewer than 2.
     """
-    lo = np.asarray(bbox_min, dtype=np.float64).reshape(3)
-    hi = np.asarray(bbox_max, dtype=np.float64).reshape(3)
     if not np.all(hi > lo):
         raise InvalidBBoxError(f"bbox must have positive extent, got {lo} .. {hi}")
     if resolution < 2:
@@ -75,48 +74,37 @@ def make_grid(bbox_min, bbox_max, resolution: int, pad_fraction: float = 0.0) ->
         raise ValidationError(f"pad_fraction must be >= 0, got {pad_fraction}")
     pad = pad_fraction * float(np.linalg.norm(hi - lo))
     lo = lo - pad
-    hi = hi + pad
-    extent = hi - lo
+    extent = (hi + pad) - lo
     longest = float(extent.max())
     dims = tuple(max(2, int(round(resolution * float(e) / longest))) for e in extent)
     # Rounding must not shave the longest axis itself.
     dims = tuple(
         resolution if e == longest else d for d, e in zip(dims, map(float, extent))
     )
-    spacing = extent / (np.array(dims, dtype=np.float64) - 1.0)
-    return VoxelGrid(origin=lo, spacing=spacing, dims=dims, values=_empty_values(dims))
+    return lo, extent / (np.array(dims, dtype=np.float64) - 1.0), dims
+
+
+def make_grid(bbox_min, bbox_max, resolution: int, pad_fraction: float = 0.0) -> VoxelGrid:
+    """Grid over a padded bbox; the longest axis gets ``resolution`` samples."""
+    lo = np.asarray(bbox_min, dtype=np.float64).reshape(3)
+    hi = np.asarray(bbox_max, dtype=np.float64).reshape(3)
+    origin, spacing, dims = _padded_axes(lo, hi, resolution, pad_fraction)
+    return VoxelGrid(origin=origin, spacing=spacing, dims=dims, values=_empty_values(dims))
 
 
 def make_grid_2d(bbox_min, bbox_max, resolution: int, pad_fraction: float = 0.0) -> VoxelGrid:
     """Single-slice grid (nz = 1) over a planar bbox, for contour extraction.
 
     bbox_min/bbox_max are (x, y) pairs or (x, y, z) with equal z; the slice
-    sits at that z (0 by default).
+    sits at that z (0 by default).  Padding and dims follow make_grid.
     """
     lo = np.asarray(bbox_min, dtype=np.float64).ravel()
     hi = np.asarray(bbox_max, dtype=np.float64).ravel()
     z = float(lo[2]) if lo.size == 3 else 0.0
-    lo2, hi2 = lo[:2].copy(), hi[:2].copy()
-    if not np.all(hi2 > lo2):
-        raise InvalidBBoxError(f"bbox must have positive extent, got {lo2} .. {hi2}")
-    if resolution < 2:
-        raise ValidationError(f"resolution must be at least 2, got {resolution}")
-    if pad_fraction < 0.0:
-        raise ValidationError(f"pad_fraction must be >= 0, got {pad_fraction}")
-    pad = pad_fraction * float(np.linalg.norm(hi2 - lo2))
-    lo2 -= pad
-    hi2 += pad
-    extent = hi2 - lo2
-    longest = float(extent.max())
-    dims2 = tuple(max(2, int(round(resolution * float(e) / longest))) for e in extent)
-    dims2 = tuple(
-        resolution if e == longest else d for d, e in zip(dims2, map(float, extent))
-    )
-    dims = (dims2[0], dims2[1], 1)
-    spacing2 = extent / (np.array(dims2, dtype=np.float64) - 1.0)
-    origin = np.array([lo2[0], lo2[1], z])
-    spacing = np.array([spacing2[0], spacing2[1], 1.0])
-    return VoxelGrid(origin=origin, spacing=spacing, dims=dims, values=_empty_values(dims))
+    origin, spacing, (nx, ny) = _padded_axes(lo[:2], hi[:2], resolution, pad_fraction)
+    dims = (nx, ny, 1)
+    return VoxelGrid(origin=np.append(origin, z), spacing=np.append(spacing, 1.0),
+                     dims=dims, values=_empty_values(dims))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -208,6 +196,17 @@ def write_volume(grid: VoxelGrid, stem: str) -> None:
     grid.values.astype("<f4").tofile(raw_path)
 
 
+def _header_triple(fields, key: str, convert, hdr_path: str) -> list:
+    tokens, lineno = fields[key]
+    try:
+        vals = [convert(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"malformed {key} value in {tokens!r}", hdr_path, lineno) from None
+    if len(vals) != 3:
+        raise ParseError(f"{key} must have 3 fields, got {len(vals)}", hdr_path, lineno)
+    return vals
+
+
 def read_volume(stem: str) -> VoxelGrid:
     hdr_path, raw_path = _volume_paths(stem)
     fields = {}
@@ -220,14 +219,16 @@ def read_volume(stem: str) -> VoxelGrid:
     for key in ("DIMS", "ORIGIN", "SPACING", "DTYPE"):
         if key not in fields:
             raise ParseError(f"missing {key} line", hdr_path)
-    try:
-        dims = tuple(int(t) for t in fields["DIMS"][0])
-        origin = np.array([float(t) for t in fields["ORIGIN"][0]])
-        spacing = np.array([float(t) for t in fields["SPACING"][0]])
-    except ValueError as exc:
-        raise ParseError(f"malformed header value: {exc}", hdr_path) from None
-    if len(dims) != 3 or len(origin) != 3 or len(spacing) != 3:
-        raise ParseError("DIMS/ORIGIN/SPACING must each have 3 fields", hdr_path)
+    dims = tuple(_header_triple(fields, "DIMS", int, hdr_path))
+    origin = np.array(_header_triple(fields, "ORIGIN", float, hdr_path))
+    spacing = np.array(_header_triple(fields, "SPACING", float, hdr_path))
+    if min(dims) < 1:
+        raise ParseError(f"DIMS must be at least 1, got {dims}", hdr_path, fields["DIMS"][1])
+    if not np.all(np.isfinite(origin)):
+        raise ParseError(f"ORIGIN must be finite, got {origin}", hdr_path, fields["ORIGIN"][1])
+    if not np.all(np.isfinite(spacing) & (spacing > 0.0)):
+        raise ParseError(f"SPACING must be finite and positive, got {spacing}", hdr_path,
+                         fields["SPACING"][1])
     if fields["DTYPE"][0] != [_DTYPE_TAG]:
         raise ParseError(f"unsupported dtype {fields['DTYPE'][0]}", hdr_path,
                          fields["DTYPE"][1])
@@ -237,5 +238,8 @@ def read_volume(stem: str) -> VoxelGrid:
         raise HeaderMismatchError(
             f"{raw_path}: payload holds {values.size} samples, header says {expected}"
         )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ParseError(f"non-finite sample at index {bad[0]}", raw_path)
     return VoxelGrid(origin=origin, spacing=spacing, dims=dims,
                      values=values.astype(np.float32))

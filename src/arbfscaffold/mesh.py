@@ -18,7 +18,7 @@ Supported file formats:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,31 +49,48 @@ _HEX_FACES = (
 
 _EDGES = {"tri2d": _TRI_EDGES, "tet": _TET_EDGES, "hex": _HEX_EDGES}
 _FACES = {"tet": _TET_FACES, "hex": _HEX_FACES}
+_WHOLE = {kind: (tuple(range(n)),) for kind, n in _CELL_ARITY.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class NodalValue:
-    """A point center with its prescribed field value (+1 or -1)."""
+@dataclass(eq=False)
+class CenterSet:
+    """Interpolation centers as arrays: ``p`` points first, then ``s`` segments.
 
-    position: np.ndarray
-    value: float
+    ``points`` (p, 3) carry ``point_values`` (p,) of +1 or -1.  Segment ``k``
+    runs from the face/edge center ``seg_a[k]`` to the cell/tile center
+    ``seg_b[k]``; every segment carries -1, so segments have no value array.
+    """
 
-    def __post_init__(self):
-        if self.value not in (1.0, -1.0):
-            raise ValidationError(f"nodal value must be +1 or -1, got {self.value}")
-
-
-@dataclass(frozen=True, eq=False)
-class CenterSegment:
-    """A segment center from a face/edge center ``a`` to the cell/tile center ``b``."""
-
-    a: np.ndarray
-    b: np.ndarray
-    value: float = -1.0
+    points: np.ndarray
+    point_values: np.ndarray
+    seg_a: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    seg_b: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
     def __post_init__(self):
-        if self.value != -1.0:
-            raise ValidationError(f"segment centers carry value -1, got {self.value}")
+        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        self.point_values = np.asarray(self.point_values, dtype=np.float64).reshape(-1)
+        self.seg_a = np.asarray(self.seg_a, dtype=np.float64).reshape(-1, 3)
+        self.seg_b = np.asarray(self.seg_b, dtype=np.float64).reshape(-1, 3)
+        if len(self.point_values) != len(self.points):
+            raise ValidationError("one value per point center required")
+        if len(self.seg_a) != len(self.seg_b):
+            raise ValidationError("seg_a and seg_b must have the same length")
+        if len(self) == 0:
+            raise ValidationError("center set is empty")
+        if not np.all(np.isin(self.point_values, (1.0, -1.0))):
+            raise ValidationError(f"point values must be +1 or -1, got {self.point_values}")
+
+    def __len__(self) -> int:
+        return len(self.points) + len(self.seg_a)
+
+    @property
+    def mode(self) -> str:
+        return "anisotropic" if len(self.seg_a) else "isotropic"
+
+    @property
+    def values(self) -> np.ndarray:
+        """Prescribed field value of every center, points then segments."""
+        return np.concatenate([self.point_values, np.full(len(self.seg_a), -1.0)])
 
 
 @dataclass(eq=False)
@@ -167,85 +184,61 @@ def make_mesh(kind: str, vertices, cells) -> VolumetricMesh:
 # Interpolation centers
 # ---------------------------------------------------------------------------
 
-def _index_mean(verts: np.ndarray, idx) -> np.ndarray:
-    # Summing in sorted index order makes shared centers bit-identical
-    # across the cells that own them, so the quantized dedup is exact.
-    return verts[np.sort(np.asarray(idx))].mean(axis=0)
+def _corner_means(mesh: VolumetricMesh, groups) -> np.ndarray:
+    """(nc, len(groups), 3) means of each cell's listed corners.
 
-
-def _dedup_positions(positions: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    seen = set()
-    out = []
-    for p in positions:
-        key = tuple(np.round(p / tol).astype(np.int64))
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
-
-
-def compute_centers(
-    mesh: VolumetricMesh,
-) -> tuple[list[NodalValue], list[NodalValue], list[NodalValue], list[NodalValue]]:
-    """Nodal values for a mesh: (vertex nodes, edge centers, tile centers, cell centers).
-
-    Vertices carry +1; every derived center carries -1.  Edge and face
-    centers shared between adjacent cells appear exactly once (dedup by
-    coordinates quantized at 1e-9 x bbox diagonal).  For tri2d meshes the
-    tile centers are the triangle centers and the cell list is empty; for
-    tet/hex meshes the tile centers are the face centers and the cell
-    centers are the cell centroids.
+    Summing in sorted vertex-index order makes shared centers bit-identical
+    across the cells that own them, so the quantized dedup is exact.
     """
-    verts = mesh.vertices
+    idx = np.sort(mesh.cells[:, np.asarray(groups)], axis=-1)
+    return mesh.vertices[idx].mean(axis=-2)
+
+
+def _dedup_rows(positions: np.ndarray, tol: float) -> np.ndarray:
+    """First occurrence of each position, keyed by coordinates quantized at ``tol``."""
+    positions = positions.reshape(-1, 3)
+    keys = np.round(positions / tol).astype(np.int64)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return positions[np.sort(first)]
+
+
+def compute_centers(mesh: VolumetricMesh):
+    """Point-center positions: (vertices, edge centers, tile centers, cell centers).
+
+    Each entry is a (k, 3) array in cell-major order.  Vertices carry +1;
+    every derived center carries -1.  Edge and face centers shared between
+    adjacent cells appear exactly once (dedup by coordinates quantized at
+    1e-9 x bbox diagonal).  For tri2d meshes the tile centers are the
+    triangle centers and the cell array is empty; for tet/hex meshes the
+    tile centers are the face centers and the cell centers are the cell
+    centroids.
+    """
     tol = CENTER_DEDUP_TOL * mesh.bbox_diagonal()
-
-    vertex_nodes = [NodalValue(position=v.copy(), value=1.0) for v in verts]
-
-    edge_pos = []
-    for cell in mesh.cells:
-        for e in _EDGES[mesh.kind]:
-            edge_pos.append(_index_mean(verts, cell[list(e)]))
-    edge_centers = [NodalValue(p, -1.0) for p in _dedup_positions(edge_pos, tol)]
-
-    tile_pos = []
-    cell_pos = []
+    edges = _dedup_rows(_corner_means(mesh, _EDGES[mesh.kind]), tol)
+    whole = _dedup_rows(_corner_means(mesh, _WHOLE[mesh.kind]), tol)
     if mesh.kind == "tri2d":
-        for cell in mesh.cells:
-            tile_pos.append(_index_mean(verts, cell))
-    else:
-        for cell in mesh.cells:
-            for f in _FACES[mesh.kind]:
-                tile_pos.append(_index_mean(verts, cell[list(f)]))
-            cell_pos.append(_index_mean(verts, cell))
-    tile_centers = [NodalValue(p, -1.0) for p in _dedup_positions(tile_pos, tol)]
-    cell_centers = [NodalValue(p, -1.0) for p in _dedup_positions(cell_pos, tol)]
-
-    return vertex_nodes, edge_centers, tile_centers, cell_centers
+        return mesh.vertices.copy(), edges, whole, np.empty((0, 3))
+    faces = _dedup_rows(_corner_means(mesh, _FACES[mesh.kind]), tol)
+    return mesh.vertices.copy(), edges, faces, whole
 
 
-def build_segments(mesh: VolumetricMesh) -> list[CenterSegment]:
-    """Anisotropic segment centers, per cell (no dedup across cells).
+def build_segments(mesh: VolumetricMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Anisotropic segment centers (seg_a, seg_b), cell-major, no dedup across cells.
 
     tri2d: edge center -> triangle center (3 per cell);
     tet:   face center -> cell centroid   (4 per cell);
     hex:   face center -> cell centroid   (6 per cell).
     """
-    verts = mesh.vertices
     tol = CENTER_DEDUP_TOL * mesh.bbox_diagonal()
-    segments = []
-    for cell in mesh.cells:
-        inner = _index_mean(verts, cell)
-        outers = _EDGES["tri2d"] if mesh.kind == "tri2d" else _FACES[mesh.kind]
-        for f in outers:
-            outer = _index_mean(verts, cell[list(f)])
-            if np.linalg.norm(outer - inner) <= tol:
-                raise ValidationError("degenerate cell: face center meets cell center")
-            segments.append(CenterSegment(a=outer, b=inner))
-    return segments
+    outer = _corner_means(mesh, _FACES.get(mesh.kind, _TRI_EDGES))
+    inner = np.broadcast_to(_corner_means(mesh, _WHOLE[mesh.kind]), outer.shape)
+    if np.any(np.linalg.norm(outer - inner, axis=-1) <= tol):
+        raise ValidationError("degenerate cell: face center meets cell center")
+    return outer.reshape(-1, 3), inner.reshape(-1, 3)
 
 
-def assemble_center_set(mesh: VolumetricMesh, mode: str):
-    """Full interpolation center list for a mesh.
+def assemble_center_set(mesh: VolumetricMesh, mode: str) -> CenterSet:
+    """Full interpolation center set for a mesh.
 
     ``mode`` is "isotropic" (every nodal value as a point center) or
     "anisotropic" (vertex nodes and edge centers as points, plus the
@@ -254,13 +247,16 @@ def assemble_center_set(mesh: VolumetricMesh, mode: str):
     """
     if mode not in ("isotropic", "anisotropic"):
         raise ValidationError(f"unknown mode {mode!r}")
-    vertex_nodes, edge_centers, tile_centers, cell_centers = compute_centers(mesh)
-    centers: list = list(vertex_nodes) + list(edge_centers)
+    verts, edges, tiles, cells = compute_centers(mesh)
     if mode == "isotropic":
-        centers += list(tile_centers) + list(cell_centers)
+        points = np.concatenate([verts, edges, tiles, cells])
+        seg_a = seg_b = np.empty((0, 3))
     else:
-        centers += build_segments(mesh)
-    return centers
+        points = np.concatenate([verts, edges])
+        seg_a, seg_b = build_segments(mesh)
+    values = np.full(len(points), -1.0)
+    values[:len(verts)] = 1.0
+    return CenterSet(points, values, seg_a, seg_b)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +294,12 @@ def _parse_ints(tokens, n, path, lineno):
         raise ParseError(f"malformed integer in {tokens!r}", path, lineno) from None
 
 
+def _check_counts(path, lineno, **counts):
+    for name, value in counts.items():
+        if value < 1:
+            raise ParseError(f"{name} count must be positive, got {value}", path, lineno)
+
+
 def _load_off(path: str) -> VolumetricMesh:
     lines = _data_lines(path)
     try:
@@ -310,6 +312,7 @@ def _load_off(path: str) -> VolumetricMesh:
     if tokens is None:
         raise ParseError("missing count line", path)
     nv, nf, _ = _parse_ints(tokens, 3, path, lineno)
+    _check_counts(path, lineno, vertex=nv, face=nf)
     verts = np.empty((nv, 3))
     for i in range(nv):
         lineno, tokens = next(lines, (None, None))
@@ -344,6 +347,7 @@ def _load_node_ele(path: str) -> VolumetricMesh:
         raise ParseError("empty file", node_path)
     header = _parse_ints(tokens, 4, node_path, lineno)
     nv, dim = header[0], header[1]
+    _check_counts(node_path, lineno, node=nv)
     if dim != 3:
         raise ParseError(f"expected dimension 3, got {dim}", node_path, lineno)
     verts = np.empty((nv, 3))
@@ -369,6 +373,7 @@ def _load_node_ele(path: str) -> VolumetricMesh:
         raise ParseError("empty file", ele_path)
     header = _parse_ints(tokens, 3, ele_path, lineno)
     nc, arity = header[0], header[1]
+    _check_counts(ele_path, lineno, cell=nc)
     if arity != 4:
         raise ParseError(f"expected 4 nodes per tet, got {arity}", ele_path, lineno)
     cells = np.empty((nc, 4), dtype=np.int64)
@@ -389,6 +394,7 @@ def _load_hex_ascii(path: str) -> VolumetricMesh:
     if len(tokens) != 3 or tokens[0] != "HEX":
         raise ParseError("missing 'HEX <nv> <nc>' header", path, lineno)
     nv, nc = _parse_ints(tokens[1:], 2, path, lineno)
+    _check_counts(path, lineno, vertex=nv, cell=nc)
     verts = np.empty((nv, 3))
     for i in range(nv):
         lineno, tokens = next(lines, (None, None))

@@ -11,24 +11,18 @@ basis/shape combination turns out near-singular.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .distance import (
-    dist_point_point,
-    dist_point_segment,
-    dist_segment_segment,
-    points_to_point,
-    points_to_segment,
-)
+from .distance import points_to_point, points_to_segment
 from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError
-from .mesh import CenterSegment, NodalValue, VolumetricMesh, assemble_center_set
+from .mesh import CenterSet, VolumetricMesh, assemble_center_set
 
 BASIS_KINDS = ("gaussian", "mq", "imq", "tps")
-MODES = ("isotropic", "anisotropic")
 
 # Pairwise center distances below this are checked for duplicate geometry.
 DUPLICATE_TOL = 1e-12
@@ -76,73 +70,50 @@ def eval_basis(basis: Basis, r):
     return float(out) if out.ndim == 0 else out
 
 
-def center_value(center) -> float:
-    return center.value
+def _endpoint_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(len(p), len(q)) Euclidean distances, rounded as dist_point_point rounds them."""
+    diff = p[:, None, :] - q[None, :, :]
+    diff *= diff
+    return np.sqrt(diff.sum(axis=-1))
 
 
-def center_positions(centers) -> np.ndarray:
-    """All positions touched by a center list (segment endpoints included)."""
-    pts = []
-    for c in centers:
-        if isinstance(c, NodalValue):
-            pts.append(c.position)
-        else:
-            pts.append(c.a)
-            pts.append(c.b)
-    return np.asarray(pts)
+def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
+    """Dense collocation system (A, rhs) for a center set.
 
-
-def pairwise_distance(ci, cj) -> float:
-    """Distance between two centers, dispatching on point/segment variants."""
-    pi = isinstance(ci, NodalValue)
-    pj = isinstance(cj, NodalValue)
-    if pi and pj:
-        return dist_point_point(ci.position, cj.position)
-    if pi:
-        return dist_point_segment(ci.position, cj.a, cj.b)
-    if pj:
-        return dist_point_segment(cj.position, ci.a, ci.b)
-    return dist_segment_segment(ci.a, ci.b, cj.a, cj.b)
-
-
-def _same_geometry(ci, cj) -> bool:
-    # Segments that merely touch (shared face center) are legitimate; only
-    # identical geometry would duplicate a matrix row.
-    if isinstance(ci, NodalValue) and isinstance(cj, NodalValue):
-        return True  # distance already below DUPLICATE_TOL
-    if isinstance(ci, CenterSegment) and isinstance(cj, CenterSegment):
-        same = (dist_point_point(ci.a, cj.a) < DUPLICATE_TOL
-                and dist_point_point(ci.b, cj.b) < DUPLICATE_TOL)
-        flipped = (dist_point_point(ci.a, cj.b) < DUPLICATE_TOL
-                   and dist_point_point(ci.b, cj.a) < DUPLICATE_TOL)
-        return same or flipped
-    return False
-
-
-def assemble_matrix(centers, basis: Basis, lam: float = 0.0):
-    """Dense collocation system (A, rhs) for a center list.
-
-    Raises DuplicateCenterError when two centers coincide geometrically,
-    which almost always means the input mesh was degenerate.
+    The distance matrix is built in three blocks: point-point, point-segment
+    (one points_to_segment call per segment) and segment-segment (the
+    minimum over the four endpoint-distance blocks).  Raises
+    DuplicateCenterError when two centers coincide geometrically, which
+    almost always means the input mesh was degenerate.
     """
-    n = len(centers)
-    if n == 0:
-        raise ValidationError("center list is empty")
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pairwise_distance(centers[i], centers[j])
-            if d < DUPLICATE_TOL and _same_geometry(centers[i], centers[j]):
-                raise DuplicateCenterError(
-                    f"centers {i} and {j} coincide; check the mesh for degenerate cells"
-                )
-            dist[i, j] = d
-            dist[j, i] = d
+    pts, sa, sb = centers.points, centers.seg_a, centers.seg_b
+    p, n = len(pts), len(centers)
+    dist = np.empty((n, n))
+    dist[:p, :p] = _endpoint_distances(pts, pts)
+    for k in range(n - p):
+        dist[:p, p + k] = points_to_segment(pts, sa[k], sb[k])
+    dist[p:, :p] = dist[:p, p:].T
+    aa, bb = _endpoint_distances(sa, sa), _endpoint_distances(sb, sb)
+    ab = _endpoint_distances(sa, sb)
+    ba = ab.T  # |b_i - a_j| rounds exactly as |a_j - b_i|
+    dist[p:, p:] = np.minimum(np.minimum(aa, ab), np.minimum(ba, bb))
+
+    # Segments that merely touch (shared face center) are legitimate; only
+    # identical geometry, in either orientation, duplicates a matrix row.
+    dup = np.zeros((n, n), dtype=bool)
+    dup[:p, :p] = dist[:p, :p] < DUPLICATE_TOL
+    dup[p:, p:] = ((aa < DUPLICATE_TOL) & (bb < DUPLICATE_TOL)) | (
+        (ab < DUPLICATE_TOL) & (ba < DUPLICATE_TOL))
+    hits = np.argwhere(np.triu(dup, 1))
+    if len(hits):
+        i, j = hits[0]
+        raise DuplicateCenterError(
+            f"centers {i} and {j} coincide; check the mesh for degenerate cells"
+        )
     a = eval_basis(basis, dist)
     if lam != 0.0:
         a = a + lam * np.eye(n)
-    rhs = np.array([center_value(c) for c in centers], dtype=np.float64)
-    return a, rhs
+    return a, centers.values
 
 
 def _lu_solve_checked(a: np.ndarray, rhs: np.ndarray):
@@ -175,11 +146,10 @@ def solve_weights(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class InterpolationModel:
-    """A fitted field: centers, basis, mode label, lambda, and solved weights."""
+    """A fitted field: center set, basis, lambda, and solved weights."""
 
-    centers: list
+    centers: CenterSet
     basis: Basis
-    mode: str
     lam: float
     weights: np.ndarray
 
@@ -189,23 +159,28 @@ class InterpolationModel:
         if not np.all(np.isfinite(self.weights)):
             raise ValidationError("weights must be finite")
 
+    @property
+    def mode(self) -> str:
+        return self.centers.mode
+
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         """Field values at each row of ``pts`` (n, 3)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        c = self.centers
+        p = len(c.points)
         acc = np.zeros(len(pts))
-        for w, c in zip(self.weights, self.centers):
-            if isinstance(c, NodalValue):
-                d = points_to_point(pts, c.position)
-            else:
-                d = points_to_segment(pts, c.a, c.b)
-            acc += w * eval_basis(self.basis, d)
+        for w, q in zip(self.weights[:p], c.points):
+            acc += w * eval_basis(self.basis, points_to_point(pts, q))
+        for w, a, b in zip(self.weights[p:], c.seg_a, c.seg_b):
+            acc += w * eval_basis(self.basis, points_to_segment(pts, a, b))
         return acc
 
     def evaluate(self, x) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=np.float64).reshape(1, 3))[0])
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        pos = center_positions(self.centers)
+        c = self.centers
+        pos = np.concatenate([c.points, c.seg_a, c.seg_b])
         return pos.min(axis=0), pos.max(axis=0)
 
 
@@ -218,15 +193,8 @@ class FitReport:
     residual_inf: float
 
 
-def fit(centers, basis: Basis, mode: str, lam: float = 0.0) -> InterpolationModel:
-    """Assemble and solve the collocation system for a center list."""
-    model, _ = fit_with_report(centers, basis, mode, lam)
-    return model
-
-
-def fit_with_report(centers, basis: Basis, mode: str, lam: float = 0.0):
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}")
+def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
+    """Assemble and solve the collocation system, returning (model, report)."""
     a, rhs = assemble_matrix(centers, basis, lam)
     w, piv_min, piv_max = _lu_solve_checked(a, rhs)
     residual = float(np.abs(a @ w - rhs).max())
@@ -235,14 +203,13 @@ def fit_with_report(centers, basis: Basis, mode: str, lam: float = 0.0):
             f"solve residual {residual:.3e} exceeds tolerance; "
             "the system is too ill-conditioned at this shape parameter"
         )
-    model = InterpolationModel(centers=list(centers), basis=basis, mode=mode,
-                               lam=lam, weights=w)
+    model = InterpolationModel(centers=centers, basis=basis, lam=lam, weights=w)
     return model, FitReport(len(centers), piv_max / piv_min, residual)
 
 
 def fit_mesh(mesh: VolumetricMesh, basis: Basis, mode: str, lam: float = 0.0):
     """Center construction plus fit, returning (model, report)."""
-    return fit_with_report(assemble_center_set(mesh, mode), basis, mode, lam)
+    return fit_with_report(assemble_center_set(mesh, mode), basis, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -254,70 +221,81 @@ def _f17(x: float) -> str:
 
 
 def save_model(model: InterpolationModel, path: str) -> None:
-    """Write a model as ASCII: magic, basis, lambda, N, centers, weights."""
-    import os
-
+    """Write a model as ASCII: magic, basis, lambda, N, P lines, S lines, weights."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+    c = model.centers
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_MODEL_MAGIC}\n")
         fh.write(f"basis {model.basis.kind} {_f17(model.basis.c)}\n")
         fh.write(f"lambda {_f17(model.lam)}\n")
-        fh.write(f"{len(model.centers)}\n")
-        for c in model.centers:
-            if isinstance(c, NodalValue):
-                p = c.position
-                fh.write(f"P {_f17(p[0])} {_f17(p[1])} {_f17(p[2])} {_f17(c.value)}\n")
-            else:
-                a, b = c.a, c.b
-                fh.write(
-                    "S "
-                    + " ".join(_f17(v) for v in (a[0], a[1], a[2], b[0], b[1], b[2]))
-                    + f" {_f17(c.value)}\n"
-                )
+        fh.write(f"{len(c)}\n")
+        for q, v in zip(c.points, c.point_values):
+            fh.write(f"P {_f17(q[0])} {_f17(q[1])} {_f17(q[2])} {_f17(v)}\n")
+        for a, b in zip(c.seg_a, c.seg_b):
+            fh.write("S " + " ".join(_f17(x) for x in (*a, *b)) + " -1\n")
         for w in model.weights:
             fh.write(f"{_f17(w)}\n")
 
 
+def _finite_floats(tokens, path: str, lineno: int) -> list[float]:
+    try:
+        vals = [float(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"malformed number in {tokens!r}", path, lineno) from None
+    if not all(np.isfinite(vals)):
+        raise ParseError(f"non-finite number in {tokens!r}", path, lineno)
+    return vals
+
+
 def load_model(path: str) -> InterpolationModel:
-    """Read a model written by save_model; the mode is inferred from the centers."""
+    """Read a model written by save_model.
+
+    Center lines of each kind are gathered, with their weights, in file
+    order: P lines (``P x y z value``, value +1 or -1) before S lines
+    (``S ax ay az bx by bz -1``).
+    """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+        lines = fh.read().splitlines()
     if not lines or lines[0].strip() != _MODEL_MAGIC:
         raise ParseError(f"missing {_MODEL_MAGIC} magic", path, 1)
-    try:
-        basis_tokens = lines[1].split()
-        lam_tokens = lines[2].split()
-        n = int(lines[3].strip())
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"malformed header: {exc}", path) from None
+    if len(lines) < 4:
+        raise ParseError("truncated header", path)
+    basis_tokens = lines[1].split()
+    lam_tokens = lines[2].split()
     if len(basis_tokens) != 3 or basis_tokens[0] != "basis":
         raise ParseError("expected 'basis <kind> <c>'", path, 2)
     if len(lam_tokens) != 2 or lam_tokens[0] != "lambda":
         raise ParseError("expected 'lambda <value>'", path, 3)
-    basis = Basis(kind=basis_tokens[1], c=float(basis_tokens[2]))
-    lam = float(lam_tokens[1])
+    try:
+        basis = Basis(kind=basis_tokens[1], c=_finite_floats(basis_tokens[2:], path, 2)[0])
+    except ValidationError as exc:
+        raise ParseError(str(exc), path, 2) from None
+    lam = _finite_floats(lam_tokens[1:], path, 3)[0]
+    try:
+        n = int(lines[3])
+    except ValueError:
+        raise ParseError(f"malformed center count {lines[3]!r}", path, 4) from None
+    if n < 1:
+        raise ParseError(f"center count must be positive, got {n}", path, 4)
     if len(lines) < 4 + 2 * n:
         raise ParseError(f"expected {n} centers and {n} weights", path)
-    centers = []
+    rows = {"P": [], "S": []}  # center fields, value, then weight
     for i in range(n):
         lineno = 5 + i
         tokens = lines[4 + i].split()
-        try:
-            if tokens[0] == "P" and len(tokens) == 5:
-                vals = [float(t) for t in tokens[1:]]
-                centers.append(NodalValue(np.array(vals[:3]), vals[3]))
-            elif tokens[0] == "S" and len(tokens) == 8:
-                vals = [float(t) for t in tokens[1:]]
-                centers.append(CenterSegment(np.array(vals[:3]), np.array(vals[3:6]), vals[6]))
-            else:
-                raise ParseError(f"malformed center line {tokens!r}", path, lineno)
-        except (ValueError, ValidationError) as exc:
-            raise ParseError(f"malformed center: {exc}", path, lineno) from None
-    try:
-        weights = np.array([float(lines[4 + n + i]) for i in range(n)])
-    except ValueError as exc:
-        raise ParseError(f"malformed weight: {exc}", path) from None
-    mode = "anisotropic" if any(isinstance(c, CenterSegment) for c in centers) else "isotropic"
-    return InterpolationModel(centers=centers, basis=basis, mode=mode, lam=lam, weights=weights)
+        kind = tokens[0] if tokens else None
+        if (kind, len(tokens)) not in (("P", 5), ("S", 8)):
+            raise ParseError(f"malformed center line {lines[4 + i]!r}", path, lineno)
+        vals = _finite_floats(tokens[1:], path, lineno)
+        if kind == "P" and vals[3] not in (1.0, -1.0):
+            raise ParseError(f"point value must be +1 or -1, got {vals[3]}", path, lineno)
+        if kind == "S" and vals[6] != -1.0:
+            raise ParseError(f"segment value must be -1, got {vals[6]}", path, lineno)
+        rows[kind].append(vals + _finite_floats([lines[4 + n + i]], path, 5 + n + i))
+    pts = np.array(rows["P"]).reshape(-1, 5)
+    segs = np.array(rows["S"]).reshape(-1, 8)
+    centers = CenterSet(pts[:, :3], pts[:, 3], segs[:, :3], segs[:, 3:6])
+    return InterpolationModel(centers=centers, basis=basis, lam=lam,
+                              weights=np.concatenate([pts[:, 4], segs[:, 7]]))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import VoxelGrid, sample_field
 
 TPMS_KINDS = ("p", "d", "g", "iwp")
 DEFAULT_DOMAIN = (0.0, 2.0 * np.pi)
@@ -67,10 +66,3 @@ class TpmsField:
     def evaluate(self, p) -> float:
         return float(self.evaluate_many(np.asarray(p, dtype=np.float64).reshape(1, 3))[0])
 
-
-def eval_tpms(field: TpmsField, p) -> float:
-    return field.evaluate(p)
-
-
-def sample_tpms(field: TpmsField, grid: VoxelGrid, workers: int | None = None) -> VoxelGrid:
-    return sample_field(field, grid, workers=workers)

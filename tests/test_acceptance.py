@@ -24,8 +24,15 @@ from arbfscaffold.isosurface import (
 )
 from arbfscaffold.mesh import build_segments, cell_measures
 from arbfscaffold.perturb import PerturbSpec, perturb_mesh, shortest_incident_edge
-from arbfscaffold.rbf import Basis, assemble_matrix, fit, fit_mesh, load_model, save_model
-from arbfscaffold.tpms import TpmsField, sample_tpms
+from arbfscaffold.rbf import (
+    Basis,
+    assemble_matrix,
+    fit_mesh,
+    fit_with_report,
+    load_model,
+    save_model,
+)
+from arbfscaffold.tpms import TpmsField
 
 IMQ = Basis("imq", 0.1)
 
@@ -45,9 +52,8 @@ def test_criterion_01_nodal_exactness(capsys):
     for mesh in meshes:
         for mode in ("isotropic", "anisotropic"):
             model = fit_mesh(mesh, IMQ, mode, lam=0.0)[0]
-            pts = [c for c in model.centers if hasattr(c, "position")]
-            vals = model.evaluate_many(np.array([c.position for c in pts]))
-            worst = max(worst, float(np.abs(vals - [c.value for c in pts]).max()))
+            vals = model.evaluate_many(model.centers.points)
+            worst = max(worst, float(np.abs(vals - model.centers.point_values).max()))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-6 and dt < 10.0
     report(capsys, 1, "nodal exactness", ok,
@@ -79,10 +85,11 @@ def test_criterion_03_isotropic_equivalence(capsys):
     centers = ax.assemble_center_set(samples.unit_tet_mesh(), "isotropic")
     a1, r1 = assemble_matrix(centers, IMQ)
     a2, r2 = assemble_matrix(centers, IMQ)
-    w_iso = fit(centers, IMQ, "isotropic").weights
-    w_aniso = fit(centers, IMQ, "anisotropic").weights
+    m1 = fit_with_report(centers, IMQ)[0]
+    m2 = fit_with_report(centers, IMQ)[0]
     ok = (a1.shape == (15, 15) and np.array_equal(a1, a2)
-          and np.array_equal(r1, r2) and np.array_equal(w_iso, w_aniso))
+          and np.array_equal(r1, r2) and np.array_equal(m1.weights, m2.weights)
+          and m1.mode == "isotropic")
     report(capsys, 3, "isotropic mode equivalence", ok,
            "15x15 single-tet point system bit-identical under both modes")
 
@@ -90,11 +97,11 @@ def test_criterion_03_isotropic_equivalence(capsys):
 def test_criterion_04_sign_structure(capsys):
     mesh = samples.regular_tet_mesh()
     model = fit_mesh(mesh, IMQ, "anisotropic", lam=0.0)[0]
-    segs = build_segments(mesh)
-    mids = np.array([0.5 * (s.a + s.b) for s in segs])
+    seg_a, seg_b = build_segments(mesh)
+    mids = 0.5 * (seg_a + seg_b)
     mid_vals = model.evaluate_many(mids)
     vert_vals = model.evaluate_many(mesh.vertices)
-    ok = len(segs) == 4 and np.all(mid_vals < 0.0) and np.all(vert_vals > 0.0)
+    ok = len(seg_a) == 4 and np.all(mid_vals < 0.0) and np.all(vert_vals > 0.0)
     report(capsys, 4, "single-tet sign structure", ok,
            f"4 segment midpoints in [{mid_vals.min():.3f}, {mid_vals.max():.3f}] < 0, "
            f"4 vertices in [{vert_vals.min():.3f}, {vert_vals.max():.3f}] > 0")
@@ -146,9 +153,9 @@ def test_criterion_07_tpms_baselines(capsys):
     nonempty = {}
     for kind in ("p", "d", "g", "iwp"):
         grid = make_grid(lo, hi, 64, 0.0)
-        vol = sample_tpms(TpmsField(kind), grid)
+        vol = sample_field(TpmsField(kind), grid)
         nonempty[kind] = len(marching_cubes(vol, 0.0).triangles) > 0
-    p_frac = solid_fraction(sample_tpms(TpmsField("p"), make_grid(lo, hi, 64, 0.0)), 0.0)
+    p_frac = solid_fraction(sample_field(TpmsField("p"), make_grid(lo, hi, 64, 0.0)), 0.0)
     rng = np.random.default_rng(23)
     pts = rng.uniform(-10.0, 10.0, size=(1000, 3))
     per_err = 0.0

@@ -161,3 +161,53 @@ def test_mode_aliases(mesh_dir, tmp_path):
                    "--out", out])
         assert rc == EXIT_OK
         assert ax.load_model(out).mode == "isotropic"
+
+
+MODEL_HEADER = "ARBF1\nbasis imq 0.1\nlambda 0\n"
+
+
+@pytest.mark.parametrize("body,line", [
+    ("2\nP 0 0 0 1\n\n1.5\n2.5\n", 6),     # empty center line
+    ("0\n", 4),                             # no centers
+    ("-3\nP 0 0 0 1\n1.5\n", 4),           # negative center count
+    ("1\nP 0 0 0 0.5\n1.5\n", 5),          # point value neither +1 nor -1
+    ("1\nS 0 0 0 1 0 0 1\n1.5\n", 5),      # segment value other than -1
+], ids=["empty-center-line", "zero-count", "negative-count", "point-value", "segment-value"])
+def test_malformed_model_is_input_error(tmp_path, capsys, body, line):
+    path = tmp_path / "bad.arbf"
+    path.write_text(MODEL_HEADER + body)
+    rc = main(["sample", "--model", str(path), "--resolution", "4"])
+    assert rc == EXIT_INPUT
+    assert f"bad.arbf:{line}:" in capsys.readouterr().err
+
+
+def test_interleaved_model_lines_are_gathered(mesh_dir, tmp_path):
+    # P and S lines in any order load as points first, then segments,
+    # each with its own weight; sampling matches the file fit wrote
+    ordered = str(tmp_path / "ordered.arbf")
+    assert main(["fit", "--mesh", mesh_dir["tet1.node"], "--out", ordered]) == EXIT_OK
+    lines = open(ordered, encoding="ascii").read().splitlines()
+    n = int(lines[3])
+    rows = list(zip(lines[4:4 + n], lines[4 + n:4 + 2 * n]))
+    assert [r[0][0] for r in rows] == ["P"] * 10 + ["S"] * 4
+    mixed = rows[10:11] + rows[:5] + rows[11:] + rows[5:10]
+    shuffled = str(tmp_path / "shuffled.arbf")
+    with open(shuffled, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines[:4] + [r[0] for r in mixed] + [r[1] for r in mixed]) + "\n")
+    for stem in ("ordered", "shuffled"):
+        assert main(["sample", "--model", str(tmp_path / f"{stem}.arbf"),
+                     "--resolution", "12"]) == EXIT_OK
+    assert read(str(tmp_path / "ordered.raw")) == read(str(tmp_path / "shuffled.raw"))
+    a, b = ax.load_model(ordered), ax.load_model(shuffled)
+    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.centers.seg_a, b.centers.seg_a)
+
+
+@pytest.mark.parametrize("argv", [
+    ["iso", "--volume", "unused", "--iso", ","],
+    ["tpms", "--kind", "p", "--iso", ","],
+    ["tpms", "--kind", "p", "--iso", "0,abc"],
+])
+def test_bad_iso_list_is_input_error(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    assert "--iso" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import arbfscaffold as ax
-from arbfscaffold.errors import HeaderMismatchError, InvalidBBoxError, ValidationError
+from arbfscaffold.errors import HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError
 from arbfscaffold.grid import (
     VoxelGrid,
     make_grid,
@@ -166,3 +166,31 @@ def test_volume_accepts_header_path(tmp_path):
     write_volume(g, stem)
     back = read_volume(stem + ".vhdr")
     assert np.array_equal(back.values, g.values)
+
+
+@pytest.mark.parametrize("line,text", [
+    (1, "DIMS 0 4 4"),
+    (2, "ORIGIN 0 nan 0"),
+    (3, "SPACING 0.1 -0.1 0.1"),
+    (3, "SPACING 0.1 0 0.1"),
+    (3, "SPACING inf 0.1 0.1"),
+], ids=["dims-zero", "origin-nan", "spacing-negative", "spacing-zero", "spacing-inf"])
+def test_volume_header_rejects_impossible_values(tmp_path, line, text):
+    g = make_grid(np.zeros(3), np.ones(3), 4, 0.0)
+    stem = str(tmp_path / "vol")
+    write_volume(g, stem)
+    hdr = open(stem + ".vhdr").read().splitlines()
+    hdr[line - 1] = text
+    open(stem + ".vhdr", "w").write("\n".join(hdr) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_volume(stem)
+    assert f"vol.vhdr:{line}:" in str(err.value)
+
+
+def test_volume_rejects_non_finite_payload(tmp_path):
+    g = make_grid(np.zeros(3), np.ones(3), 4, 0.0)
+    g.values[5] = np.nan
+    stem = str(tmp_path / "vol")
+    write_volume(g, stem)
+    with pytest.raises(ParseError, match="index 5"):
+        read_volume(stem)

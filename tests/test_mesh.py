@@ -7,8 +7,7 @@ import arbfscaffold as ax
 from arbfscaffold import samples
 from arbfscaffold.errors import ParseError, ValidationError
 from arbfscaffold.mesh import (
-    CenterSegment,
-    NodalValue,
+    CenterSet,
     build_segments,
     cell_measures,
     compute_centers,
@@ -62,9 +61,10 @@ def test_make_mesh_rejects_degenerate_cell():
 
 def test_nodal_value_signs_are_constrained():
     with pytest.raises(ValidationError):
-        NodalValue(np.zeros(3), 0.5)
-    with pytest.raises(ValidationError):
-        CenterSegment(np.zeros(3), np.ones(3), 1.0)
+        CenterSet(np.zeros((1, 3)), [0.5])
+    # segments have no value array: they carry -1 by construction
+    cs = CenterSet(np.zeros((1, 3)), [1.0], np.zeros((1, 3)), np.ones((1, 3)))
+    assert cs.values.tolist() == [1.0, -1.0]
 
 
 # --- center extraction ---------------------------------------------------
@@ -95,7 +95,7 @@ def test_center_set_sizes():
     ]:
         iso = ax.assemble_center_set(mesh, "isotropic")
         aniso = ax.assemble_center_set(mesh, "anisotropic")
-        nseg = sum(isinstance(c, CenterSegment) for c in aniso)
+        nseg = len(aniso.seg_a)
         sizes[name] = (len(iso), len(aniso), nseg)
     assert sizes == {
         "tri": (7, 9, 3),
@@ -109,9 +109,13 @@ def test_center_set_sizes():
 def test_all_nodal_signs():
     mesh = samples.hex_block_mesh()
     vn, ec, tc, cc = compute_centers(mesh)
-    assert all(c.value == 1.0 for c in vn)
-    assert all(c.value == -1.0 for c in ec + tc + cc)
-    assert all(s.value == -1.0 for s in build_segments(mesh))
+    iso = ax.assemble_center_set(mesh, "isotropic")
+    assert len(iso.points) == len(vn) + len(ec) + len(tc) + len(cc)
+    assert np.all(iso.point_values[:len(vn)] == 1.0)
+    assert np.all(iso.point_values[len(vn):] == -1.0)
+    aniso = ax.assemble_center_set(mesh, "anisotropic")
+    assert len(aniso.seg_a) == len(build_segments(mesh)[0])
+    assert np.all(aniso.values[len(aniso.points):] == -1.0)
 
 
 def test_shared_centers_are_deduplicated():
@@ -125,24 +129,24 @@ def test_shared_face_center_is_bit_identical():
     mesh = two_tet_mesh()
     _, _, tc, _ = compute_centers(mesh)
     shared = np.array([1.0, 1.0, 0.0]) / 3.0
-    hits = [c for c in tc if np.array_equal(c.position, shared)]
+    hits = [c for c in tc if np.array_equal(c, shared)]
     assert len(hits) == 1
 
 
 def test_segments_run_from_face_to_cell_center(tet_mesh):
-    segs = build_segments(tet_mesh)
+    seg_a, seg_b = build_segments(tet_mesh)
     cell = tet_mesh.vertices.mean(axis=0)
-    assert len(segs) == 4
-    for s in segs:
-        assert np.allclose(s.b, cell)
+    assert len(seg_a) == len(seg_b) == 4
+    for b in seg_b:
+        assert np.allclose(b, cell)
 
 
 def test_centers_lie_inside_bbox(icosa_mesh):
     lo, hi = icosa_mesh.bbox()
     for group in compute_centers(icosa_mesh):
         for c in group:
-            assert np.all(c.position >= lo - 1e-12)
-            assert np.all(c.position <= hi + 1e-12)
+            assert np.all(c >= lo - 1e-12)
+            assert np.all(c <= hi + 1e-12)
 
 
 # --- file formats --------------------------------------------------------
@@ -205,6 +209,21 @@ def test_truncated_hexmesh(tmp_path):
     p.write_text("8 1\n0 0 0\n")
     with pytest.raises(ParseError):
         ax.load_mesh(str(p))
+
+
+@pytest.mark.parametrize("files,load,where", [
+    ({"neg.off": "OFF\n-3 1 0\n"}, "neg.off", "neg.off:2"),
+    ({"neg.node": "-4 3 0 0\n"}, "neg.node", "neg.node:1"),
+    ({"neg.node": "4 3 0 0\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n",
+      "neg.ele": "# cells\n0 4 0\n"}, "neg.ele", "neg.ele:2"),
+    ({"neg.hexmesh": "HEX -1 2\n"}, "neg.hexmesh", "neg.hexmesh:1"),
+], ids=["off", "node", "ele", "hexmesh"])
+def test_impossible_header_counts(tmp_path, files, load, where):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(ParseError, match="count must be positive") as err:
+        ax.load_mesh(str(tmp_path / load))
+    assert where in str(err.value)
 
 
 def test_comments_and_blank_lines_are_skipped(tmp_path):

@@ -10,12 +10,11 @@ from arbfscaffold.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from arbfscaffold.mesh import build_segments
+from arbfscaffold.mesh import CenterSet, build_segments
 from arbfscaffold.rbf import (
     Basis,
     assemble_matrix,
     eval_basis,
-    fit,
     fit_mesh,
     fit_with_report,
     load_model,
@@ -105,8 +104,7 @@ def test_lambda_shifts_diagonal(tet_mesh):
 
 
 def test_duplicate_point_centers_raise():
-    from arbfscaffold.mesh import NodalValue
-    centers = [NodalValue(np.zeros(3), 1.0), NodalValue(np.zeros(3), -1.0)]
+    centers = CenterSet(np.zeros((2, 3)), [1.0, -1.0])
     with pytest.raises(DuplicateCenterError):
         assemble_matrix(centers, Basis("imq", 0.1))
 
@@ -157,26 +155,29 @@ def test_hex_tps_recovers_with_lambda(hex_mesh):
 def test_nodal_exactness(name, mode):
     mesh = ALL_MESHES[name]()
     model = fit_mesh(mesh, Basis("imq", 0.1), mode)[0]
-    for c in model.centers:
-        if hasattr(c, "position"):
-            assert model.evaluate(c.position) == pytest.approx(c.value, abs=1e-6)
+    for q, v in zip(model.centers.points, model.centers.point_values):
+        assert model.evaluate(q) == pytest.approx(v, abs=1e-6)
 
 
 def test_isotropic_point_set_mode_equivalence(tet_mesh):
-    # same point-only center list assembled under both mode labels
+    # a point-only center set is isotropic whatever built it: the mode is
+    # derived from the arrays, and a rebuilt copy fits to the same bits
     centers = ax.assemble_center_set(tet_mesh, "isotropic")
     assert len(centers) == 15
+    copy = CenterSet(centers.points.copy(), centers.point_values.copy())
     a_iso, r_iso = assemble_matrix(centers, Basis("imq", 0.1))
-    a_aniso, r_aniso = assemble_matrix(list(centers), Basis("imq", 0.1))
-    assert np.array_equal(a_iso, a_aniso)
-    w_iso = fit(centers, Basis("imq", 0.1), "isotropic").weights
-    w_aniso = fit(centers, Basis("imq", 0.1), "anisotropic").weights
-    assert np.array_equal(w_iso, w_aniso)
+    a_copy, r_copy = assemble_matrix(copy, Basis("imq", 0.1))
+    assert np.array_equal(a_iso, a_copy) and np.array_equal(r_iso, r_copy)
+    m_iso = fit_with_report(centers, Basis("imq", 0.1))[0]
+    m_copy = fit_with_report(copy, Basis("imq", 0.1))[0]
+    assert m_iso.mode == m_copy.mode == "isotropic"
+    assert np.array_equal(m_iso.weights, m_copy.weights)
 
 
 def test_regular_tet_sign_structure(regular_tet):
     model = fit_mesh(regular_tet, Basis("imq", 0.1), "anisotropic")[0]
-    mids = np.array([0.5 * (s.a + s.b) for s in build_segments(regular_tet)])
+    seg_a, seg_b = build_segments(regular_tet)
+    mids = 0.5 * (seg_a + seg_b)
     vals = model.evaluate_many(mids)
     assert np.allclose(vals, -0.7579543325824778, atol=1e-9)
     assert np.all(model.evaluate_many(regular_tet.vertices) > 0)
@@ -188,7 +189,8 @@ def test_corner_tet_diagonal_channel(tet_mesh):
     # takes a positive weight: the field stays positive along that channel.
     # Rederived independently by dense sampling + a reference linear solve.
     model = fit_mesh(tet_mesh, Basis("imq", 0.1), "anisotropic")[0]
-    mids = np.array([0.5 * (s.a + s.b) for s in build_segments(tet_mesh)])
+    seg_a, seg_b = build_segments(tet_mesh)
+    mids = 0.5 * (seg_a + seg_b)
     vals = model.evaluate_many(mids)
     assert np.allclose(vals[:3], -4.153083975028432, atol=1e-9)
     assert vals[3] == pytest.approx(4.083241112880295, abs=1e-9)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from arbfscaffold.errors import ValidationError
-from arbfscaffold.grid import make_grid, solid_fraction
+from arbfscaffold.grid import make_grid, sample_field, solid_fraction
 from arbfscaffold.isosurface import marching_cubes
-from arbfscaffold.tpms import DEFAULT_DOMAIN, TPMS_KINDS, TpmsField, eval_tpms, sample_tpms
+from arbfscaffold.tpms import DEFAULT_DOMAIN, TPMS_KINDS, TpmsField
 
 TAU = 2.0 * np.pi
 
@@ -20,17 +20,17 @@ def test_kinds_and_validation():
 
 
 def test_values_at_origin():
-    assert eval_tpms(TpmsField("p"), np.zeros(3)) == pytest.approx(3.0)
-    assert eval_tpms(TpmsField("d"), np.zeros(3)) == pytest.approx(0.0)
-    assert eval_tpms(TpmsField("g"), np.zeros(3)) == pytest.approx(0.0)
-    assert eval_tpms(TpmsField("iwp"), np.zeros(3)) == pytest.approx(3.0)
+    assert TpmsField("p").evaluate(np.zeros(3)) == pytest.approx(3.0)
+    assert TpmsField("d").evaluate(np.zeros(3)) == pytest.approx(0.0)
+    assert TpmsField("g").evaluate(np.zeros(3)) == pytest.approx(0.0)
+    assert TpmsField("iwp").evaluate(np.zeros(3)) == pytest.approx(3.0)
 
 
 def test_p_surface_closed_form():
     f = TpmsField("p")
-    assert eval_tpms(f, np.array([np.pi, 0.0, 0.0])) == pytest.approx(1.0)
-    assert eval_tpms(f, np.array([np.pi, np.pi, 0.0])) == pytest.approx(-1.0)
-    assert eval_tpms(f, np.array([np.pi, np.pi, np.pi])) == pytest.approx(-3.0)
+    assert f.evaluate(np.array([np.pi, 0.0, 0.0])) == pytest.approx(1.0)
+    assert f.evaluate(np.array([np.pi, np.pi, 0.0])) == pytest.approx(-1.0)
+    assert f.evaluate(np.array([np.pi, np.pi, np.pi])) == pytest.approx(-3.0)
 
 
 def test_gyroid_is_odd():
@@ -72,9 +72,9 @@ def test_sampled_period_cube():
     # coarser grids overweight the duplicated periodic boundary plane,
     # so the half-half split is only recovered near 64 samples per axis
     g = make_grid(np.full(3, DEFAULT_DOMAIN[0]), np.full(3, DEFAULT_DOMAIN[1]), 64, 0.0)
-    vol = sample_tpms(TpmsField("p"), g)
+    vol = sample_field(TpmsField("p"), g)
     assert solid_fraction(vol, 0.0) == pytest.approx(0.5, abs=0.02)
     g32 = make_grid(np.full(3, DEFAULT_DOMAIN[0]), np.full(3, DEFAULT_DOMAIN[1]), 32, 0.0)
     for kind in TPMS_KINDS:
-        vol = sample_tpms(TpmsField(kind), g32)
+        vol = sample_field(TpmsField(kind), g32)
         assert len(marching_cubes(vol, 0.0).triangles) > 0
