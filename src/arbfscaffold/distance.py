@@ -1,10 +1,16 @@
 """Distance kernels between points and line segments.
 
-All kernels accept array-likes of shape (3,) (or (n, 3) for the batched
-variants) and return plain floats / 1-d arrays.  The segment-segment
-distance is deliberately the minimum over the four endpoint pairs, not
-the true geometric distance between the segments; closed-form distances
-involving a whole segment are only ever needed with a point on one side.
+``points_to_points`` and ``points_to_segments`` fill whole (n, m) blocks
+axis by axis with elementwise operations only, never a dot or matrix
+product whose rounding depends on the block shape; the other kernels are
+views of them, so a scalar distance is bit-identical to the same entry of
+any batched call.  The private ``_fill_*`` forms write into caller-owned
+arrays, so a tiled caller allocates once.
+
+The segment-segment distance is deliberately the minimum over the four
+endpoint pairs, not the true geometric distance between the segments;
+closed-form distances involving a whole segment are only ever needed with
+a point on one side.
 """
 
 from __future__ import annotations
@@ -16,60 +22,107 @@ import numpy as np
 ON_SEGMENT_TOL = 1e-12
 
 
-def _as_point(p) -> np.ndarray:
-    return np.asarray(p, dtype=np.float64).reshape(3)
+def _as_rows(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).reshape(-1, 3)
+
+
+def _fill_point_block(pts, q, out, work) -> None:
+    """out[i, j] = |pts_i - q_j|, summed as (dx² + dy²) + dz².
+
+    ``work`` holds at least out.size floats.
+    """
+    tmp = work[:out.size].reshape(out.shape)
+    np.subtract(pts[:, 0, None], q[:, 0], out=out)
+    out *= out
+    for k in (1, 2):
+        np.subtract(pts[:, k, None], q[:, k], out=tmp)
+        tmp *= tmp
+        out += tmp
+    np.sqrt(out, out=out)
+
+
+def _segment_frame(a, b):
+    """Per-segment start, direction and squared length, endpoints ordered.
+
+    Each segment's endpoints are put in lexicographic order, so [a, b] and
+    [b, a] give bit-identical frames and distances.
+    """
+    a, b = _as_rows(a), _as_rows(b)
+    d = b - a
+    first = (d != 0.0).argmax(axis=1)  # first axis where the endpoints differ
+    swap = (d[np.arange(len(d)), first] < 0.0)[:, None]
+    a = np.where(swap, b, a)
+    d = np.where(swap, -d, d)  # exact: a - b == -(b - a)
+    return a, d, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+
+
+def _fill_segment_block(pts, frame, out, work) -> None:
+    """out[i, j] = |pts_i - segment j|; ``work`` holds at least 5 * out.size floats."""
+    a, d, dd = frame
+    buf = work[:5 * out.size].reshape((5,) + out.shape)
+    diff, t, tmp = buf[:3], buf[3], buf[4]
+    np.subtract(pts.T[:, :, None], a.T[:, None, :], out=diff)
+    np.multiply(diff[0], d[:, 0], out=t)
+    for k in (1, 2):
+        np.multiply(diff[k], d[:, k], out=tmp)
+        t += tmp
+    t /= np.where(dd == 0.0, 1.0, dd)  # d == 0 there, so t == 0
+    tc = np.clip(t, 0.0, 1.0, out=out)
+    for k in range(3):
+        np.multiply(tc, d[:, k], out=tmp)
+        diff[k] -= tmp
+        diff[k] *= diff[k]
+    np.add(diff[0], diff[1], out=out)
+    out += diff[2]
+    np.sqrt(out, out=out)
+    snap = out < ON_SEGMENT_TOL
+    if snap.any():
+        snap &= (t >= 0.0) & (t <= 1.0) & (dd > 0.0)
+        out[snap] = 0.0
+
+
+def points_to_points(p, q) -> np.ndarray:
+    """(len(p), len(q)) Euclidean distances between the rows of p and q."""
+    p, q = _as_rows(p), _as_rows(q)
+    out = np.empty((len(p), len(q)))
+    _fill_point_block(p, q, out, np.empty(out.size))
+    return out
+
+
+def points_to_segments(pts, a, b) -> np.ndarray:
+    """(n, s) distances from each row of ``pts`` to each segment [a_j, b_j].
+
+    The distance is measured to the foot of the perpendicular, with its
+    parameter t clamped to [0, 1], so a point beyond an end measures to
+    that endpoint.  A point whose foot lies inside [a, b] and whose
+    distance falls below ON_SEGMENT_TOL counts as on the segment and gets
+    exactly 0.  A degenerate segment (a == b) gives the point distance.
+    """
+    pts = _as_rows(pts)
+    frame = _segment_frame(a, b)
+    out = np.empty((len(pts), len(frame[0])))
+    _fill_segment_block(pts, frame, out, np.empty(5 * out.size))
+    return out
+
+
+def points_to_point(pts, q) -> np.ndarray:
+    """Distances from each row of ``pts`` (n, 3) to the point ``q``."""
+    return points_to_points(pts, q)[:, 0]
+
+
+def points_to_segment(pts, a, b) -> np.ndarray:
+    """Distances from each row of ``pts`` (n, 3) to the segment [a, b]."""
+    return points_to_segments(pts, a, b)[:, 0]
 
 
 def dist_point_point(p, q) -> float:
-    """Euclidean distance between two points.
-
-    Computed as sqrt of the componentwise squared sum so the scalar and
-    batched paths round identically (np.linalg.norm on a 1-d input goes
-    through dot and can differ in the last ulp).
-    """
-    diff = _as_point(p) - _as_point(q)
-    return float(np.sqrt((diff * diff).sum()))
-
-
-def points_to_point(pts: np.ndarray, q) -> np.ndarray:
-    """Distances from each row of ``pts`` (n, 3) to the point ``q``."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    diff = pts - _as_point(q)
-    return np.sqrt((diff * diff).sum(axis=1))
-
-
-def points_to_segment(pts: np.ndarray, a, b) -> np.ndarray:
-    """Distances from each row of ``pts`` (n, 3) to the segment [a, b].
-
-    Three cases per point: exactly on the segment (residual below
-    ON_SEGMENT_TOL) gives 0, a perpendicular foot inside [a, b] gives the
-    perpendicular distance, otherwise the nearer endpoint distance.
-    A degenerate segment (a == b) reduces to the point distance.
-
-    Endpoints are ordered canonically before any arithmetic so the result
-    is bit-identical under endpoint swap.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    a = _as_point(a)
-    b = _as_point(b)
-    if tuple(b) < tuple(a):
-        a, b = b, a
-    d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        return points_to_point(pts, a)
-    t = ((pts - a) @ d) / dd
-    inside = (t >= 0.0) & (t <= 1.0)
-    perp = np.linalg.norm(pts - (a + t[:, None] * d), axis=1)
-    ends = np.minimum(points_to_point(pts, a), points_to_point(pts, b))
-    out = np.where(inside, perp, ends)
-    out[inside & (perp < ON_SEGMENT_TOL)] = 0.0
-    return out
+    """Euclidean distance between two points."""
+    return float(points_to_points(p, q)[0, 0])
 
 
 def dist_point_segment(x, a, b) -> float:
     """Distance from the point ``x`` to the segment [a, b]."""
-    return float(points_to_segment(np.asarray(x, dtype=np.float64).reshape(1, 3), a, b)[0])
+    return float(points_to_segments(x, a, b)[0, 0])
 
 
 def dist_segment_segment(a, b, c, d) -> float:
@@ -80,9 +133,4 @@ def dist_segment_segment(a, b, c, d) -> float:
     every segment pair produced by the center construction (all segments
     meet, if at all, at shared face centers).
     """
-    return min(
-        dist_point_point(a, c),
-        dist_point_point(a, d),
-        dist_point_point(b, c),
-        dist_point_point(b, d),
-    )
+    return float(points_to_points([a, b], [c, d]).min())

@@ -129,8 +129,10 @@ def sample_field(source, grid: VoxelGrid, workers: int | None = None) -> VoxelGr
 
     ``source`` is anything with evaluate_many((n, 3)) -> (n,), or a bare
     callable with the same signature.  Voxels are partitioned into
-    contiguous chunks across workers; each voxel's value depends only on
-    its own position, so the result is identical for any worker count.
+    contiguous chunks across workers, the last one possibly a single voxel.
+    InterpolationModel and TpmsField compute each row on its own, never
+    through a BLAS product whose rounding depends on the row count, so the
+    volume is identical for any worker count or chunking by construction.
     """
     eval_many = getattr(source, "evaluate_many", source)
     if not callable(eval_many):

@@ -351,6 +351,7 @@ def _load_node_ele(path: str) -> VolumetricMesh:
     if dim != 3:
         raise ParseError(f"expected dimension 3, got {dim}", node_path, lineno)
     verts = np.empty((nv, 3))
+    first_line = np.zeros(nv, dtype=np.int64)  # line of each node index, 0 = unseen
     base = None
     for i in range(nv):
         lineno, tokens = next(lines, (None, None))
@@ -365,6 +366,10 @@ def _load_node_ele(path: str) -> VolumetricMesh:
         slot = idx - base
         if not 0 <= slot < nv:
             raise ParseError(f"node index {idx} out of range", node_path, lineno)
+        if first_line[slot]:
+            raise ParseError(f"node index {idx} repeats line {first_line[slot]}; each index "
+                             f"from {base} to {base + nv - 1} must appear once", node_path, lineno)
+        first_line[slot] = lineno
         verts[slot] = vals[1:]
 
     lines = _data_lines(ele_path)

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgecon
 
-from .distance import points_to_point, points_to_segment
+from .distance import (_fill_point_block, _fill_segment_block, _segment_frame,
+                       points_to_points, points_to_segments)
 from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError
 from .mesh import CenterSet, VolumetricMesh, assemble_center_set
 
@@ -30,6 +32,8 @@ DUPLICATE_TOL = 1e-12
 PIVOT_TOL = 1e-12
 # Post-solve residual bound: ||A w - f||_inf <= RESIDUAL_TOL * (1 + ||f||_inf).
 RESIDUAL_TOL = 1e-8
+# Field evaluation works on tiles of about this many point-center pairs.
+TILE_ELEMS = 2**17
 
 _MODEL_MAGIC = "ARBF1"
 
@@ -52,49 +56,50 @@ class Basis:
             raise ValidationError(f"shape parameter must be positive, got {self.c}")
 
 
+def _fill_basis(basis: Basis, r: np.ndarray) -> None:
+    """Overwrite the distance array ``r`` with the basis values, in place."""
+    if basis.kind == "tps":  # r^2 ln r, defined as 0 at r = 0
+        pos = r > 0.0
+        log_r = np.log(r, out=np.zeros_like(r), where=pos)
+        r[~pos] = 0.0
+        r *= r
+        r *= log_r
+    elif basis.kind == "gaussian":  # exp(-(c r)^2)
+        r *= basis.c
+        r *= r
+        np.exp(np.negative(r, out=r), out=r)
+    else:  # mq and imq share sqrt(r^2 + c^2)
+        r *= r
+        r += basis.c * basis.c
+        np.sqrt(r, out=r)
+        if basis.kind == "imq":
+            np.divide(1.0, r, out=r)
+
+
 def eval_basis(basis: Basis, r):
     """Apply the basis to a scalar or array of distances."""
-    r = np.asarray(r, dtype=np.float64)
-    if basis.kind == "gaussian":
-        out = np.exp(-((basis.c * r) ** 2))
-    elif basis.kind == "mq":
-        out = np.sqrt(r * r + basis.c * basis.c)
-    elif basis.kind == "imq":
-        out = 1.0 / np.sqrt(r * r + basis.c * basis.c)
-    else:  # tps, defined as 0 at r = 0
-        flat = np.atleast_1d(r)
-        out = np.zeros_like(flat)
-        mask = flat > 0.0
-        out[mask] = flat[mask] * flat[mask] * np.log(flat[mask])
-        out = out.reshape(r.shape)
+    out = np.array(r, dtype=np.float64)
+    _fill_basis(basis, out)
     return float(out) if out.ndim == 0 else out
-
-
-def _endpoint_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(len(p), len(q)) Euclidean distances, rounded as dist_point_point rounds them."""
-    diff = p[:, None, :] - q[None, :, :]
-    diff *= diff
-    return np.sqrt(diff.sum(axis=-1))
 
 
 def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     """Dense collocation system (A, rhs) for a center set.
 
     The distance matrix is built in three blocks: point-point, point-segment
-    (one points_to_segment call per segment) and segment-segment (the
-    minimum over the four endpoint-distance blocks).  Raises
-    DuplicateCenterError when two centers coincide geometrically, which
-    almost always means the input mesh was degenerate.
+    (one points_to_segments call) and segment-segment (the minimum over the
+    four endpoint-distance blocks); the basis values then overwrite it in
+    place.  Raises DuplicateCenterError when two centers coincide
+    geometrically, which almost always means the input mesh was degenerate.
     """
     pts, sa, sb = centers.points, centers.seg_a, centers.seg_b
     p, n = len(pts), len(centers)
     dist = np.empty((n, n))
-    dist[:p, :p] = _endpoint_distances(pts, pts)
-    for k in range(n - p):
-        dist[:p, p + k] = points_to_segment(pts, sa[k], sb[k])
+    dist[:p, :p] = points_to_points(pts, pts)
+    dist[:p, p:] = points_to_segments(pts, sa, sb)
     dist[p:, :p] = dist[:p, p:].T
-    aa, bb = _endpoint_distances(sa, sa), _endpoint_distances(sb, sb)
-    ab = _endpoint_distances(sa, sb)
+    aa, bb = points_to_points(sa, sa), points_to_points(sb, sb)
+    ab = points_to_points(sa, sb)
     ba = ab.T  # |b_i - a_j| rounds exactly as |a_j - b_i|
     dist[p:, p:] = np.minimum(np.minimum(aa, ab), np.minimum(ba, bb))
 
@@ -110,10 +115,9 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
         raise DuplicateCenterError(
             f"centers {i} and {j} coincide; check the mesh for degenerate cells"
         )
-    a = eval_basis(basis, dist)
-    if lam != 0.0:
-        a = a + lam * np.eye(n)
-    return a, centers.values
+    _fill_basis(basis, dist)
+    dist.flat[::n + 1] += lam
+    return dist, centers.values
 
 
 def _lu_solve_checked(a: np.ndarray, rhs: np.ndarray):
@@ -134,13 +138,13 @@ def _lu_solve_checked(a: np.ndarray, rhs: np.ndarray):
     w = lu_solve((lu, piv), rhs)
     # One step of iterative refinement tightens the residual cheaply.
     w = w + lu_solve((lu, piv), rhs - a @ w)
-    return w, float(pivots.min()), float(pivots.max())
+    return w, lu
 
 
 def solve_weights(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A w = rhs by dense LU with partial pivoting."""
-    w, _, _ = _lu_solve_checked(np.asarray(a, dtype=np.float64),
-                                np.asarray(rhs, dtype=np.float64))
+    w, _ = _lu_solve_checked(np.asarray(a, dtype=np.float64),
+                             np.asarray(rhs, dtype=np.float64))
     return w
 
 
@@ -164,16 +168,29 @@ class InterpolationModel:
         return self.centers.mode
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        """Field values at each row of ``pts`` (n, 3)."""
+        """Field values at each row of ``pts`` (n, 3).
+
+        Rows go in tiles of about TILE_ELEMS point-center pairs, each filled
+        with distances, then basis values, then reduced per row.  No step
+        mixes rows, so every value equals evaluate() of its row bit for bit.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         c = self.centers
-        p = len(c.points)
-        acc = np.zeros(len(pts))
-        for w, q in zip(self.weights[:p], c.points):
-            acc += w * eval_basis(self.basis, points_to_point(pts, q))
-        for w, a, b in zip(self.weights[p:], c.seg_a, c.seg_b):
-            acc += w * eval_basis(self.basis, points_to_segment(pts, a, b))
-        return acc
+        p, n = len(c.points), len(c)
+        frame = _segment_frame(c.seg_a, c.seg_b)
+        rows = max(1, TILE_ELEMS // n)
+        phi_buf = np.empty((rows, n))
+        work = np.empty(rows * max(p, 5 * (n - p)))
+        out = np.empty(len(pts))
+        for s in range(0, len(pts), rows):
+            tile = pts[s:s + rows]
+            phi = phi_buf[:len(tile)]
+            _fill_point_block(tile, c.points, phi[:, :p], work)
+            _fill_segment_block(tile, frame, phi[:, p:], work)
+            _fill_basis(self.basis, phi)
+            phi *= self.weights
+            out[s:s + rows] = phi.sum(axis=1)
+        return out
 
     def evaluate(self, x) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=np.float64).reshape(1, 3))[0])
@@ -186,7 +203,11 @@ class InterpolationModel:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Solve diagnostics: pivot-ratio condition estimate and final residual."""
+    """Solve diagnostics: condition estimate and final residual.
+
+    ``condition_estimate`` is 1 / rcond from LAPACK dgecon on the fit's LU
+    factors: an estimate, from below, of the 1-norm condition number.
+    """
 
     n_centers: int
     condition_estimate: float
@@ -196,7 +217,8 @@ class FitReport:
 def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
     """Assemble and solve the collocation system, returning (model, report)."""
     a, rhs = assemble_matrix(centers, basis, lam)
-    w, piv_min, piv_max = _lu_solve_checked(a, rhs)
+    w, lu = _lu_solve_checked(a, rhs)
+    rcond, _ = dgecon(lu, np.abs(a).sum(axis=0).max())
     residual = float(np.abs(a @ w - rhs).max())
     if residual > RESIDUAL_TOL * (1.0 + float(np.abs(rhs).max())):
         raise SingularMatrixError(
@@ -204,7 +226,7 @@ def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
             "the system is too ill-conditioned at this shape parameter"
         )
     model = InterpolationModel(centers=centers, basis=basis, lam=lam, weights=w)
-    return model, FitReport(len(centers), piv_max / piv_min, residual)
+    return model, FitReport(len(centers), 1.0 / rcond, residual)
 
 
 def fit_mesh(mesh: VolumetricMesh, basis: Basis, mode: str, lam: float = 0.0):

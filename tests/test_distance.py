@@ -9,11 +9,14 @@ from arbfscaffold.distance import (
     dist_point_segment,
     dist_segment_segment,
     points_to_point,
+    points_to_points,
     points_to_segment,
+    points_to_segments,
 )
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord, coord).map(np.array)
+point_rows = st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=6).map(np.array)
 
 
 def brute_point_segment(p, a, b, n=10_000):
@@ -107,3 +110,19 @@ def test_segment_segment_symmetry(a, b, c, d):
     assert dist_segment_segment(c, d, a, b) == ref
     assert dist_segment_segment(b, a, d, c) == ref
     assert ref >= 0.0
+
+
+@given(pts=point_rows, ends=point_rows, flips=st.lists(st.booleans(), min_size=6, max_size=6))
+def test_batched_blocks_equal_scalar_kernels_bitwise(pts, ends, flips):
+    # segment j runs from ends[j] to ends[j + 1]; flipped ones are degenerate
+    a = ends
+    b = np.roll(ends, -1, axis=0)
+    degenerate = np.array(flips[:len(a)])
+    b[degenerate] = a[degenerate]
+    seg = points_to_segments(pts, a, b)
+    pp = points_to_points(pts, a)
+    assert seg.shape == pp.shape == (len(pts), len(a))
+    for i, p in enumerate(pts):
+        for j in range(len(a)):
+            assert seg[i, j] == dist_point_segment(p, a[j], b[j])
+            assert pp[i, j] == dist_point_point(p, a[j])

@@ -1,0 +1,69 @@
+"""Row-locality of the tiled field kernel.
+
+``evaluate_many`` fills each tile with elementwise distance and basis
+arithmetic and reduces it per row, so a value must not depend on which
+other rows share its call, its tile or its sampling chunk.  These checks
+are bitwise, not within a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+import arbfscaffold as ax
+from arbfscaffold import samples
+from arbfscaffold.grid import VoxelGrid, sample_field
+from arbfscaffold.rbf import TILE_ELEMS
+
+MESHES = {
+    "icosahedron": samples.icosahedron_tet_mesh,
+    "perturbed-block": lambda: ax.perturb_mesh(
+        samples.hex_block_mesh(), ax.PerturbSpec(magnitude=0.2, seed=3, vertex_fraction=0.7)),
+}
+
+
+def _fit(name, kind):
+    return ax.fit_mesh(MESHES[name](), ax.Basis(kind, 0.1), "anisotropic")[0]
+
+
+def _probe_points(model, n, seed):
+    """Uniform points over the padded bbox plus points on and near every center."""
+    rng = np.random.default_rng(seed)
+    c = model.centers
+    lo, hi = model.bbox()
+    t = rng.uniform(-0.2, 1.2, size=(len(c.seg_a), 1))
+    on_segments = c.seg_a + t * (c.seg_b - c.seg_a)
+    special = np.vstack([c.points, c.seg_a, c.seg_b, on_segments,
+                         on_segments + rng.normal(scale=1e-13, size=on_segments.shape)])
+    pad = 0.1 * (hi - lo)
+    uniform = rng.uniform(lo - pad, hi + pad, size=(n - len(special), 3))
+    return np.vstack([special, uniform])
+
+
+@pytest.mark.parametrize("kind", ["mq", "imq"])
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_evaluate_equals_evaluate_many_bitwise(name, kind):
+    model = _fit(name, kind)
+    pts = _probe_points(model, 2000, seed=11)
+    assert len(pts) > TILE_ELEMS // len(model.centers)  # several tiles, a partial last one
+    many = model.evaluate_many(pts)
+    single = np.array([model.evaluate(x) for x in pts])
+    assert np.array_equal(single, many)
+
+
+def test_sample_field_bytes_identical_for_any_worker_count():
+    model = _fit("perturbed-block", "imq")
+    lo, hi = model.bbox()
+    dims = (29, 113, 5)  # 16385 voxels: 4 chunks of 4096 and one of a single voxel
+    grid = VoxelGrid(origin=lo, spacing=(hi - lo) / (np.array(dims) - 1.0), dims=dims,
+                     values=np.zeros(int(np.prod(dims)), dtype=np.float32))
+    chunk_rows = []
+
+    def recorded(pts):
+        chunk_rows.append(len(pts))
+        return model.evaluate_many(pts)
+
+    volumes = [sample_field(recorded, grid, workers=w).values.tobytes() for w in (1, 2, 3)]
+    assert 1 in chunk_rows
+    assert volumes[0] == volumes[1] == volumes[2]
+    whole = model.evaluate_many(grid.positions()).astype(np.float32)
+    assert whole.tobytes() == volumes[0]

@@ -189,6 +189,16 @@ def test_node_ele_zero_based_indices(tmp_path):
     assert np.array_equal(mesh.cells, [[0, 1, 2, 3]])
 
 
+def test_node_repeated_index_is_rejected(tmp_path):
+    # indices 1, 1, 3, 4: node 2 is missing and its row would stay uninitialised
+    (tmp_path / "r.node").write_text(
+        "4 3 0 0\n1 0 0 0\n1 1 0 0\n3 0 1 0\n4 0 0 1\n")
+    (tmp_path / "r.ele").write_text("1 4 0\n1 1 2 3 4\n")
+    with pytest.raises(ParseError, match="node index 1 repeats line 2") as err:
+        ax.load_mesh(str(tmp_path / "r.node"))
+    assert "r.node:3" in str(err.value)
+
+
 def test_off_parse_error_reports_line(tmp_path):
     p = tmp_path / "bad.off"
     p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\nnot a number 0\n3 0 1 2\n")

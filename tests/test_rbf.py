@@ -210,6 +210,16 @@ def test_fit_report_fields(block_mesh):
     assert report.residual_inf < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["imq", "gaussian"])
+def test_condition_estimate_tracks_one_norm_condition(icosa_mesh, kind):
+    # dgecon estimates ||A^-1||_1 from below: never above the true value
+    centers = ax.assemble_center_set(icosa_mesh, "anisotropic")
+    a, _ = assemble_matrix(centers, Basis(kind, 0.1))
+    report = fit_with_report(centers, Basis(kind, 0.1))[1]
+    true = np.linalg.cond(a, 1)
+    assert true / 10 <= report.condition_estimate <= true * (1 + 1e-9)
+
+
 def test_model_bbox_covers_segment_endpoints(tet_mesh):
     model = fit_mesh(tet_mesh, Basis("imq", 0.1), "anisotropic")[0]
     lo, hi = model.bbox()
