@@ -9,9 +9,12 @@ Covers every experiment the library is built around:
   * a 2-d triangle field as contours and a PGM image
 
 Everything is deterministic; re-running reproduces identical files.
+``--manifest PATH`` also writes one ``sha256  filename`` line per output
+file, sorted by name, so two runs compare with ``diff``.
 """
 
 import argparse
+import hashlib
 import os
 import time
 
@@ -95,11 +98,24 @@ def triangle_panel(outdir, rows, resolution):
                  f"len {contours.total_length():.3f}"))
 
 
+def write_manifest(outdir, path):
+    lines = []
+    for name in sorted(os.listdir(outdir)):
+        full = os.path.join(outdir, name)
+        if os.path.isfile(full):
+            with open(full, "rb") as fh:
+                lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}\n")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(lines)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="gallery", help="output directory")
     ap.add_argument("--resolution", type=int, default=64,
                     help="grid samples along the longest axis (default: 64)")
+    ap.add_argument("--manifest", metavar="PATH",
+                    help="write a sorted 'sha256  filename' list of the output files")
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
     rows = []
@@ -114,6 +130,8 @@ def main() -> None:
     for name, tris, frac in rows:
         print(f"{name:<{width}}  {tris:>9}  {frac}")
     print(f"done in {time.perf_counter() - t0:.1f}s -> {args.out}/")
+    if args.manifest:
+        write_manifest(args.out, args.manifest)
 
 
 if __name__ == "__main__":

@@ -294,6 +294,15 @@ def _parse_ints(tokens, n, path, lineno):
         raise ParseError(f"malformed integer in {tokens!r}", path, lineno) from None
 
 
+def _cell_row(indices, nv, base, path, lineno):
+    """0-based vertex indices of one cell line; each must name one of the nv vertices."""
+    for v in indices:
+        if not base <= v < base + nv:
+            raise ParseError(f"vertex index {v} out of range: valid indices are "
+                             f"{base}..{base + nv - 1}", path, lineno)
+    return [v - base for v in indices]
+
+
 def _check_counts(path, lineno, **counts):
     for name, value in counts.items():
         if value < 1:
@@ -327,7 +336,7 @@ def _load_off(path: str) -> VolumetricMesh:
         vals = _parse_ints(tokens, 4, path, lineno)
         if vals[0] != 3:
             raise ParseError(f"only triangle faces supported, got arity {vals[0]}", path, lineno)
-        cells[i] = vals[1:]
+        cells[i] = _cell_row(vals[1:], nv, 0, path, lineno)
     return make_mesh("tri2d", verts, cells)
 
 
@@ -358,7 +367,11 @@ def _load_node_ele(path: str) -> VolumetricMesh:
         if tokens is None:
             raise ParseError(f"expected {nv} nodes, file ended at {i}", node_path)
         vals = _parse_floats(tokens, 4, node_path, lineno)
-        idx = int(vals[0])
+        try:
+            idx = int(tokens[0])
+        except ValueError:
+            raise ParseError(f"node index must be an integer, got {tokens[0]!r}",
+                             node_path, lineno) from None
         if base is None:
             if idx not in (0, 1):
                 raise ParseError(f"first node index must be 0 or 1, got {idx}", node_path, lineno)
@@ -387,7 +400,7 @@ def _load_node_ele(path: str) -> VolumetricMesh:
         if tokens is None:
             raise ParseError(f"expected {nc} cells, file ended at {i}", ele_path)
         vals = _parse_ints(tokens, 5, ele_path, lineno)
-        cells[i] = [v - base for v in vals[1:]]
+        cells[i] = _cell_row(vals[1:], nv, base, ele_path, lineno)
     return make_mesh("tet", verts, cells)
 
 
@@ -411,7 +424,7 @@ def _load_hex_ascii(path: str) -> VolumetricMesh:
         lineno, tokens = next(lines, (None, None))
         if tokens is None:
             raise ParseError(f"expected {nc} cells, file ended at {i}", path)
-        cells[i] = _parse_ints(tokens, 8, path, lineno)
+        cells[i] = _cell_row(_parse_ints(tokens, 8, path, lineno), nv, 0, path, lineno)
     return make_mesh("hex", verts, cells)
 
 

@@ -1,0 +1,334 @@
+"""Iso extraction and OBJ export against per-cell reference implementations.
+
+The references below are the straightforward forms of the library code:
+marching cubes interpolates all crossed edges of every active cell and welds
+the 3 x triangles corner positions with ``np.unique(axis=0)``; marching
+squares walks the cells in a Python double loop; OBJ export formats one line
+at a time.  The library computes one vertex per crossed grid edge, welds only
+those, and formats whole chunks, so vertices, triangles, polylines and file
+bytes must all match the references bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import arbfscaffold as ax
+from arbfscaffold import isosurface, samples
+from arbfscaffold._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
+from arbfscaffold.isosurface import (
+    DEGENERATE_AREA,
+    WELD_TOL,
+    TriangleSoup,
+    euler_characteristic,
+    export_obj,
+    marching_cubes,
+    marching_squares,
+    triangle_areas,
+)
+
+
+# --- references -----------------------------------------------------------
+
+
+def reference_weld(corners, tol):
+    if len(corners) == 0:
+        return TriangleSoup(), 0
+    keys = np.round(corners / tol).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    triangles = inverse.reshape(-1, 3).astype(np.int64)
+    ok = (
+        (triangles[:, 0] != triangles[:, 1])
+        & (triangles[:, 1] != triangles[:, 2])
+        & (triangles[:, 2] != triangles[:, 0])
+    )
+    soup = TriangleSoup(vertices=corners[first], triangles=triangles[ok])
+    soup.triangles = soup.triangles[triangle_areas(soup) > DEGENERATE_AREA]
+    return soup, len(triangles) - len(soup.triangles)
+
+
+def reference_marching_cubes(grid, iso):
+    """(soup, number of triangles the weld dropped)."""
+    nx, ny, nz = grid.dims
+    vol = grid.values_3d().astype(np.float64)
+    corner_vals = [vol[dz: dz + nz - 1, dy: dy + ny - 1, dx: dx + nx - 1]
+                   for dx, dy, dz in CORNER_OFFSETS]
+    case = np.zeros(corner_vals[0].shape, dtype=np.int32)
+    for n, cv in enumerate(corner_vals):
+        case |= (cv < iso).astype(np.int32) << n
+    edge_table = np.asarray(EDGE_TABLE, dtype=np.int32)
+    active = np.nonzero(edge_table[case] != 0)
+    if len(active[0]) == 0:
+        return TriangleSoup(), 0
+    kk, jj, ii = (a.astype(np.int64) for a in active)
+    acase = case[active]
+    vals = np.stack([cv[active] for cv in corner_vals], axis=1)
+    base = grid.origin + np.stack([ii, jj, kk], axis=1) * grid.spacing
+    corner_pos = (base[:, None, :]
+                  + np.asarray(CORNER_OFFSETS, dtype=np.float64)[None, :, :] * grid.spacing)
+    edge_verts = np.zeros((len(acase), 12, 3))
+    bits = edge_table[acase]
+    for e, (c0, c1) in enumerate(EDGE_CORNERS):
+        sel = (bits & (1 << e)) != 0
+        v0, v1 = vals[sel, c0], vals[sel, c1]
+        t = (iso - v0) / (v1 - v0)
+        p0, p1 = corner_pos[sel, c0], corner_pos[sel, c1]
+        edge_verts[sel, e] = p0 + t[:, None] * (p1 - p0)
+    chunks = [edge_verts[acase == ci][:, TRI_TABLE[ci], :].reshape(-1, 3)
+              for ci in np.unique(acase) if TRI_TABLE[ci]]
+    corners = np.concatenate(chunks) if chunks else np.zeros((0, 3))
+    lo, hi = grid.bbox()
+    return reference_weld(corners, WELD_TOL * float(np.linalg.norm(hi - lo)))
+
+
+def reference_euler(soup):
+    if len(soup.triangles) == 0:
+        return 0
+    tris = soup.triangles
+    edges = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    return int(len(np.unique(tris)) - len(np.unique(edges, axis=0)) + len(tris))
+
+
+def reference_obj_bytes(soup, path):
+    with open(path, "w", encoding="ascii") as fh:
+        for v in soup.vertices:
+            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        for t in soup.triangles:
+            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+    return path.read_bytes()
+
+
+_MS_SEGMENTS = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
+    11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(0, 3)],
+}
+_MS_EDGE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))
+
+
+def reference_marching_squares(grid, iso):
+    """(polylines, {(case, center solid): count} over cases 5 and 10)."""
+    nx, ny, _ = grid.dims
+    vals = grid.values_3d()[0].astype(np.float64)
+    ox, oy, z = grid.origin
+    dx, dy = grid.spacing[0], grid.spacing[1]
+    polylines, ambiguous = [], {}
+    for j in range(ny - 1):
+        for i in range(nx - 1):
+            cv = (vals[j, i], vals[j, i + 1], vals[j + 1, i + 1], vals[j + 1, i])
+            case = sum(1 << n for n in range(4) if cv[n] >= iso)
+            if case in (0, 15):
+                continue
+            if case in (5, 10):
+                solid = 0.25 * sum(cv) >= iso
+                ambiguous[case, solid] = ambiguous.get((case, solid), 0) + 1
+                if case == 5:
+                    segs = [(0, 1), (2, 3)] if solid else [(3, 0), (1, 2)]
+                else:
+                    segs = [(3, 0), (1, 2)] if solid else [(0, 1), (2, 3)]
+            else:
+                segs = _MS_SEGMENTS[case]
+            cp = ((ox + i * dx, oy + j * dy), (ox + (i + 1) * dx, oy + j * dy),
+                  (ox + (i + 1) * dx, oy + (j + 1) * dy), (ox + i * dx, oy + (j + 1) * dy))
+            for seg in segs:
+                pts = []
+                for e in seg:
+                    c0, c1 = _MS_EDGE_CORNERS[e]
+                    t = (iso - cv[c0]) / (cv[c1] - cv[c0])
+                    pts.append((cp[c0][0] + t * (cp[c1][0] - cp[c0][0]),
+                                cp[c0][1] + t * (cp[c1][1] - cp[c0][1]), z))
+                polylines.append(np.asarray(pts))
+    return polylines, ambiguous
+
+
+# --- volumes --------------------------------------------------------------
+
+
+def tpms_volume(kind, resolution=40):
+    grid = ax.make_grid(np.zeros(3), np.full(3, 2.0 * np.pi), resolution, 0.0)
+    return ax.sample_field(ax.TpmsField(kind), grid, workers=1)
+
+
+def sphere_volume(center, radius, resolution, half_extent=1.0):
+    center = np.asarray(center, dtype=np.float64)
+    g = ax.make_grid(center - half_extent, center + half_extent, resolution, 0.0)
+    g.values[:] = (radius - np.linalg.norm(g.positions() - center, axis=1)).astype(np.float32)
+    return g
+
+
+@pytest.fixture(scope="module")
+def hex_volume():
+    mesh = ax.perturb_mesh(samples.hex_block_mesh(),
+                           ax.PerturbSpec(magnitude=0.2, seed=3, vertex_fraction=0.7))
+    model = ax.fit_mesh(mesh, ax.Basis("imq", 0.1), "anisotropic")[0]
+    return ax.sample_field(model, ax.make_grid(*model.bbox(), 28, 0.05), workers=1)
+
+
+def assert_same_soup(grid, iso):
+    ref, dropped = reference_marching_cubes(grid, iso)
+    soup = marching_cubes(grid, iso)
+    assert soup.vertices.dtype == np.float64 and soup.triangles.dtype == np.int64
+    assert np.array_equal(soup.vertices, ref.vertices)
+    assert np.array_equal(soup.triangles, ref.triangles)
+    assert euler_characteristic(soup) == reference_euler(ref)
+    return soup, dropped
+
+
+# --- marching cubes -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["p", "d", "g", "iwp"])
+def test_tpms_volumes_match_reference(kind):
+    vol = tpms_volume(kind)
+    for iso in (-0.6, -0.2, 0.0, 0.4):
+        soup, _ = assert_same_soup(vol, iso)
+        assert len(soup.triangles) > 0
+
+
+def test_fitted_hex_volume_matches_reference(hex_volume):
+    for iso in (-0.3, 0.0, 0.1, 0.3):
+        assert_same_soup(hex_volume, iso)
+
+
+@pytest.mark.parametrize("center,radius,resolution,iso", [
+    ((0.05, -0.02, 0.01), 0.7, 24, 0.0),
+    ((0.0, 0.0, 0.0), 0.7, 24, 0.2),
+    ((0.0, 0.0, 0.0), 0.6, 16, 0.0),
+])
+def test_sphere_grids_match_reference(center, radius, resolution, iso):
+    assert_same_soup(sphere_volume(center, radius, resolution), iso)
+
+
+def test_empty_result_matches_reference():
+    g = ax.make_grid(np.zeros(3), np.ones(3), 4, 0.0)
+    g.values[:] = 0.5
+    for iso in (-1.0, 2.0):
+        soup, _ = assert_same_soup(g, iso)
+        assert soup.vertices.shape == (0, 3) and soup.triangles.shape == (0, 3)
+
+
+def test_every_case_of_a_single_cell_matches_reference():
+    g = ax.make_grid(np.zeros(3), np.ones(3), 2, 0.0)
+    assert g.dims == (2, 2, 2)
+    ramp = np.array([0.3, 1.7, 0.9, 2.2, 1.1, 0.6, 1.9, 0.4])
+    for case in range(256):
+        below = (case >> np.arange(8)) & 1
+        for n, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
+            g.values[g.index(dx, dy, dz)] = -ramp[n] if below[n] else ramp[n]
+        soup, _ = assert_same_soup(g, 0.0)
+        assert (len(soup.triangles) > 0) == (case not in (0, 255))
+
+
+def test_quantized_volume_merges_and_drops_like_reference():
+    # Samples on a coarse lattice of values with the iso among them: vertices
+    # land exactly on grid points (t = 0 or 1), several edges weld into one
+    # vertex and the triangles they collapse are dropped.
+    vol = tpms_volume("g", 24)
+    vol.values[:] = np.round(vol.values * 4.0) / 4.0
+    total_dropped = 0
+    for iso in (-0.5, 0.0, 0.25):
+        soup, dropped = assert_same_soup(vol, iso)
+        assert np.any(np.isin(vol.values, np.float32(iso)))
+        total_dropped += dropped
+    assert total_dropped > 0
+
+
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([-1.0, 0.0, 0.5]))
+def test_small_lattice_volumes_match_reference(nx, ny, nz, seed, iso):
+    g = ax.VoxelGrid(origin=np.array([0.1, -0.3, 2.0]), spacing=np.array([0.5, 0.25, 0.3]),
+                     dims=(nx, ny, nz), values=np.zeros(nx * ny * nz, dtype=np.float32))
+    g.values[:] = np.random.default_rng(seed).choice([-1.0, -0.5, 0.0, 0.5, 1.0], g.values.size)
+    assert_same_soup(g, iso)
+
+
+def test_far_offset_grid_takes_the_per_corner_weld(monkeypatch):
+    # At origin 1.2e4 and extent 1e-3 the weld tolerance is about one ulp of
+    # the coordinates, so one grid edge can round to different weld keys from
+    # its neighbouring cells; the per-corner weld must then reproduce the
+    # reference exactly.
+    calls = []
+    edge_points = isosurface._edge_points
+    monkeypatch.setattr(isosurface, "_edge_points",
+                        lambda *args: calls.append(len(args[3])) or edge_points(*args))
+    g = ax.make_grid(np.full(3, 1.2e4), np.full(3, 1.2e4 + 1e-3), 12, 0.0)
+    g.values[:] = np.random.default_rng(1).standard_normal(g.values.size).astype(np.float32)
+    assert_same_soup(g, 0.0)
+    assert len(calls) == 3  # edge vertices, suspect corners, then every corner
+
+
+# --- OBJ export -----------------------------------------------------------
+
+
+def test_obj_bytes_match_reference(tmp_path, hex_volume):
+    rng = np.random.default_rng(7)
+    wide = rng.standard_normal((70_000, 3)) * 10.0 ** rng.integers(-12, 12, (70_000, 3))
+    wide[:5] = [[-0.0, 0.0, 1e-300], [1e300, -1e-310, 123456789.0],
+                [0.1, 1 / 3, 2.0 ** 60], [-5e-324, 1.5, 2.5], [1e16, 1e-5, 99999.9995]]
+    soups = {
+        "empty": TriangleSoup(),
+        "tpms": marching_cubes(tpms_volume("d"), 0.1),
+        "hex": marching_cubes(hex_volume, 0.0),
+        "wide": TriangleSoup(vertices=wide,
+                             triangles=rng.integers(0, 70_000, (140_000, 3)).astype(np.int64)),
+    }
+    for name, soup in soups.items():
+        path = tmp_path / f"{name}.obj"
+        export_obj(soup, str(path))
+        assert path.read_bytes() == reference_obj_bytes(soup, tmp_path / f"{name}_ref.obj")
+
+
+# --- marching squares -----------------------------------------------------
+
+
+def assert_same_polylines(grid, iso):
+    ref, ambiguous = reference_marching_squares(grid, iso)
+    got = marching_squares(grid, iso).polylines
+    assert len(got) == len(ref)
+    for p, q in zip(got, ref):
+        assert p.shape == q.shape == (2, 3) and p.dtype == q.dtype
+        assert np.array_equal(p, q)
+    return ambiguous
+
+
+def test_marching_squares_tpms_slice_matches_reference():
+    grid = ax.make_grid_2d(np.zeros(2), np.full(2, 2.0 * np.pi), 96)
+    field = ax.sample_field(ax.TpmsField("g"), grid, workers=1)
+    for iso in (-0.5, 0.0, 0.3):
+        assert_same_polylines(field, iso)
+
+
+def test_marching_squares_both_ambiguous_resolutions_match_reference():
+    grid = ax.make_grid_2d(np.array([-0.3, 1.1]), np.array([0.9, 2.0]), 48)
+    grid.values[:] = np.random.default_rng(5).standard_normal(grid.values.size)
+    seen = {}
+    for iso in (-0.2, 0.0, 0.2):
+        for key, n in assert_same_polylines(grid, iso).items():
+            seen[key] = seen.get(key, 0) + n
+    assert set(seen) == {(5, False), (5, True), (10, False), (10, True)}
+
+
+def test_marching_squares_empty_and_single_cell():
+    grid = ax.make_grid_2d(np.zeros(2), np.ones(2), 2)
+    assert grid.dims == (2, 2, 1)
+    for case in range(16):
+        for center in (-0.1, 0.1):
+            signs = np.where((case >> np.arange(4)) & 1, 1.0, -1.0)
+            vals = signs + center   # corner order 0:(0,0) 1:(1,0) 2:(1,1) 3:(0,1)
+            grid.values[:] = [vals[0], vals[1], vals[3], vals[2]]
+            assert_same_polylines(grid, 0.0)
+
+
+@pytest.mark.parametrize("corners,case", [
+    ((1.0, -1.0, 2.0 ** -60, -(2.0 ** -61)), 5),
+    ((-1.0, 1.0, -(2.0 ** -61), 2.0 ** -60), 10),
+])
+def test_marching_squares_center_sums_corners_in_order(corners, case):
+    # ((v0 + v1) + v2) + v3 = 2^-61, so the center 2^-63 is solid at iso
+    # 2^-64; pairing the corners another way sums to 0 and splits the cell.
+    grid = ax.make_grid_2d(np.zeros(2), np.ones(2), 2)
+    v0, v1, v2, v3 = corners
+    grid.values[:] = [v0, v1, v3, v2]
+    iso = 2.0 ** -64
+    assert assert_same_polylines(grid, iso) == {(case, True): 1}

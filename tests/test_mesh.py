@@ -199,6 +199,35 @@ def test_node_repeated_index_is_rejected(tmp_path):
     assert "r.node:3" in str(err.value)
 
 
+def test_node_fractional_index_is_rejected(tmp_path):
+    # int(float("2.9")) would silently load this line as node 2
+    (tmp_path / "f.node").write_text(
+        "4 3 0 0\n1 0 0 0\n2.9 1 0 0\n3 0 1 0\n4 0 0 1\n")
+    (tmp_path / "f.ele").write_text("1 4 0\n1 1 2 3 4\n")
+    with pytest.raises(ParseError, match="node index must be an integer, got '2.9'") as err:
+        ax.load_mesh(str(tmp_path / "f.node"))
+    assert "f.node:3" in str(err.value)
+
+
+_TET_NODES = "4 3 0 0\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n"
+
+
+@pytest.mark.parametrize("files,load,where,index", [
+    ({"hi.node": _TET_NODES, "hi.ele": "1 4 0\n1 1 2 3 9\n"}, "hi.node", "hi.ele:2", "9"),
+    ({"lo.node": _TET_NODES, "lo.ele": "1 4 0\n1 0 2 3 4\n"}, "lo.node", "lo.ele:2", "0"),
+    ({"f.off": "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n"}, "f.off", "f.off:6", "3"),
+    ({"c.hexmesh": "HEX 8 1\n" + "".join(f"{x} {y} {z}\n" for z in (0, 1) for y in (0, 1)
+                                          for x in (0, 1)) + "0 1 3 2 4 5 7 -1\n"},
+     "c.hexmesh", "c.hexmesh:10", "-1"),
+], ids=["ele-above", "ele-below-base", "off", "hexmesh"])
+def test_cell_index_out_of_range_reports_line(tmp_path, files, load, where, index):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(ParseError, match=f"vertex index {index} out of range") as err:
+        ax.load_mesh(str(tmp_path / load))
+    assert where in str(err.value)
+
+
 def test_off_parse_error_reports_line(tmp_path):
     p = tmp_path / "bad.off"
     p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\nnot a number 0\n3 0 1 2\n")
