@@ -4,6 +4,8 @@ Subcommands: fit, sample, iso, tpms, perturb, pipeline.  Exit codes:
 0 on success, 2 on input errors (bad flags, missing or malformed files,
 degenerate meshes), 3 on numerical failure (singular interpolation
 system).  Identical inputs and flags produce byte-identical outputs.
+``fit`` and ``pipeline`` warn on stderr when the fit's condition estimate
+exceeds COND_WARN.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .tpms import DEFAULT_DOMAIN, TpmsField
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+# Above this 1-norm condition estimate (FitReport.condition_estimate) a fit
+# counts as near-singular: its weights may carry only a few correct digits.
+COND_WARN = 1e12
 
 _MODE_NAMES = {"iso": "isotropic", "aniso": "anisotropic",
                "isotropic": "isotropic", "anisotropic": "anisotropic"}
@@ -78,6 +84,10 @@ def _fit_and_save(args, out: str):
     save_model(model, out)
     print(f"N={report.n_centers} cond={report.condition_estimate:.6g} "
           f"residual={report.residual_inf:.6g}")
+    if report.condition_estimate > COND_WARN:
+        print(f"warning: condition estimate {report.condition_estimate:.3g} exceeds "
+              f"{COND_WARN:.0e}; the fit is near-singular (try another --c or "
+              f"--lambda)", file=sys.stderr)
     return model
 
 

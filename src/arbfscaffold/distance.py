@@ -4,8 +4,11 @@
 axis by axis with elementwise operations only, never a dot or matrix
 product whose rounding depends on the block shape; the other kernels are
 views of them, so a scalar distance is bit-identical to the same entry of
-any batched call.  The private ``_fill_*`` forms write into caller-owned
-arrays, so a tiled caller allocates once.
+any batched call.  Privately the arithmetic is split by axis: a table
+such as (x - c_x)² has the shape of its own coordinate operand, and the
+``_fill_*`` forms combine three broadcastable tables into a caller-owned
+block.  A grid thus passes a row of x values and a column of y and z
+values, and each difference is computed once per axis value, not per voxel.
 
 The segment-segment distance is deliberately the minimum over the four
 endpoint pairs, not the true geometric distance between the segments;
@@ -15,29 +18,64 @@ a point on one side.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # A point whose perpendicular residual to the carrying line falls below this
 # is treated as lying on the segment exactly.
 ON_SEGMENT_TOL = 1e-12
+# Tiled kernels work on about this many point-center pairs at a time.
+TILE_ELEMS = 2**17
 
 
 def _as_rows(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).reshape(-1, 3)
 
 
-def _fill_point_block(pts, q, out, work) -> None:
-    """out[i, j] = |pts_i - q_j|, summed as (dx² + dy²) + dz².
+class _Scratch:
+    """Float64 buffers handed out in call order and reused after reset().
 
-    ``work`` holds at least out.size floats.
+    A tiled caller resets once per tile, so from the second tile on the
+    n-th take() is a view into the n-th buffer of the first tile instead of
+    a fresh, page-faulting array.  No buffer is larger than one take.
     """
-    tmp = work[:out.size].reshape(out.shape)
-    np.subtract(pts[:, 0, None], q[:, 0], out=out)
-    out *= out
-    for k in (1, 2):
-        np.subtract(pts[:, k, None], q[:, k], out=tmp)
-        tmp *= tmp
-        out += tmp
+
+    def __init__(self):
+        self._bufs, self._next = [], 0
+
+    def reset(self) -> None:
+        self._next = 0
+
+    def take(self, shape) -> np.ndarray:
+        size, n = math.prod(shape), self._next
+        if n == len(self._bufs) or self._bufs[n].size < size:
+            self._bufs[n:n + 1] = [np.empty(size)]
+        self._next += 1
+        return self._bufs[n][:size].reshape(shape)
+
+
+def _point_table(c, qk, alloc) -> np.ndarray:
+    """(c - qk)² with shape c.shape + qk.shape: one axis of point distances."""
+    t = np.subtract(c[..., None], qk, out=alloc(c.shape + qk.shape))
+    t *= t
+    return t
+
+
+def _segment_tables(c, ak, dk, alloc):
+    """(c - ak, (c - ak) * dk): one axis of the segment-foot arithmetic."""
+    diff = np.subtract(c[..., None], ak, out=alloc(c.shape + ak.shape))
+    return diff, np.multiply(diff, dk, out=alloc(diff.shape))
+
+
+def _fill_point_block(tables, out) -> None:
+    """out = sqrt((dx² + dy²) + dz²) from three _point_table results.
+
+    Each table broadcasts to out, so a grid passes a (1, nx, m) x table and
+    (rows, 1, m) y and z tables; every entry rounds as for a single point.
+    """
+    np.add(tables[0], tables[1], out=out)
+    out += tables[2]
     np.sqrt(out, out=out)
 
 
@@ -56,24 +94,25 @@ def _segment_frame(a, b):
     return a, d, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
 
 
-def _fill_segment_block(pts, frame, out, work) -> None:
-    """out[i, j] = |pts_i - segment j|; ``work`` holds at least 5 * out.size floats."""
-    a, d, dd = frame
-    buf = work[:5 * out.size].reshape((5,) + out.shape)
-    diff, t, tmp = buf[:3], buf[3], buf[4]
-    np.subtract(pts.T[:, :, None], a.T[:, None, :], out=diff)
-    np.multiply(diff[0], d[:, 0], out=t)
-    for k in (1, 2):
-        np.multiply(diff[k], d[:, k], out=tmp)
-        t += tmp
+def _fill_segment_block(tables, frame, out, alloc) -> None:
+    """out = distances to the segments of ``frame`` from three _segment_tables results.
+
+    The tables broadcast to out as in _fill_point_block; ``alloc`` gives
+    four out-sized buffers.
+    """
+    _, d, dd = frame
+    (dx, tx), (dy, ty), (dz, tz) = tables
+    t = np.add(tx, ty, out=alloc(out.shape))
+    t += tz
     t /= np.where(dd == 0.0, 1.0, dd)  # d == 0 there, so t == 0
     tc = np.clip(t, 0.0, 1.0, out=out)
-    for k in range(3):
-        np.multiply(tc, d[:, k], out=tmp)
-        diff[k] -= tmp
-        diff[k] *= diff[k]
-    np.add(diff[0], diff[1], out=out)
-    out += diff[2]
+    sq = [alloc(out.shape) for _ in range(3)]
+    for k, (diff, r) in enumerate(zip((dx, dy, dz), sq)):
+        np.multiply(tc, d[:, k], out=r)
+        np.subtract(diff, r, out=r)
+        r *= r
+    np.add(sq[0], sq[1], out=out)
+    out += sq[2]
     np.sqrt(out, out=out)
     snap = out < ON_SEGMENT_TOL
     if snap.any():
@@ -81,12 +120,28 @@ def _fill_segment_block(pts, frame, out, work) -> None:
         out[snap] = 0.0
 
 
+def _fill_rows(n, m, fill) -> np.ndarray:
+    """(n, m) block filled by ``fill(rows, out_tile, alloc)`` in row tiles.
+
+    A segment tile needs ten temporaries of its own size, so tiles hold a
+    quarter of TILE_ELEMS entries and the temporaries, reused from tile to
+    tile, stay in cache; a large block needs no block-sized temporaries.
+    """
+    out = np.empty((n, m))
+    rows, scratch = max(1, TILE_ELEMS // 4 // max(m, 1)), _Scratch()
+    for s in range(0, n, rows):
+        scratch.reset()
+        fill(slice(s, s + rows), out[s:s + rows], scratch.take)
+    return out
+
+
 def points_to_points(p, q) -> np.ndarray:
     """(len(p), len(q)) Euclidean distances between the rows of p and q."""
     p, q = _as_rows(p), _as_rows(q)
-    out = np.empty((len(p), len(q)))
-    _fill_point_block(p, q, out, np.empty(out.size))
-    return out
+
+    def fill(rows, out, alloc):
+        _fill_point_block([_point_table(p[rows, k], q[:, k], alloc) for k in range(3)], out)
+    return _fill_rows(len(p), len(q), fill)
 
 
 def points_to_segments(pts, a, b) -> np.ndarray:
@@ -99,10 +154,12 @@ def points_to_segments(pts, a, b) -> np.ndarray:
     exactly 0.  A degenerate segment (a == b) gives the point distance.
     """
     pts = _as_rows(pts)
-    frame = _segment_frame(a, b)
-    out = np.empty((len(pts), len(frame[0])))
-    _fill_segment_block(pts, frame, out, np.empty(5 * out.size))
-    return out
+    frame = a, d, _ = _segment_frame(a, b)
+
+    def fill(rows, out, alloc):
+        tables = [_segment_tables(pts[rows, k], a[:, k], d[:, k], alloc) for k in range(3)]
+        _fill_segment_block(tables, frame, out, alloc)
+    return _fill_rows(len(pts), len(a), fill)
 
 
 def points_to_point(pts, q) -> np.ndarray:

@@ -34,15 +34,18 @@ class VoxelGrid:
     def position(self, i: int, j: int, k: int) -> np.ndarray:
         return self.origin + self.spacing * np.array([i, j, k], dtype=np.float64)
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample coordinates along each axis: origin[a] + i * spacing[a]."""
+        return tuple(self.origin[a] + np.arange(n, dtype=np.float64) * self.spacing[a]
+                     for a, n in enumerate(self.dims))
+
     def positions(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Sample positions for a flat index range, in index order."""
         nx, ny, nz = self.dims
         stop = nx * ny * nz if stop is None else stop
         idx = np.arange(start, stop, dtype=np.int64)
-        i = idx % nx
-        j = (idx // nx) % ny
-        k = idx // (nx * ny)
-        return self.origin + np.stack([i, j, k], axis=1) * self.spacing
+        xs, ys, zs = self.axes()
+        return np.stack([xs[idx % nx], ys[idx // nx % ny], zs[idx // (nx * ny)]], axis=1)
 
     def values_3d(self) -> np.ndarray:
         """View with axes (k, j, i); values_3d()[k, j, i] is sample (i, j, k)."""
@@ -127,28 +130,52 @@ def resolve_workers(workers: int | None = None) -> int:
 def sample_field(source, grid: VoxelGrid, workers: int | None = None) -> VoxelGrid:
     """Evaluate a field source at every grid sample, returning a filled copy.
 
-    ``source`` is anything with evaluate_many((n, 3)) -> (n,), or a bare
-    callable with the same signature.  Voxels are partitioned into
-    contiguous chunks across workers, the last one possibly a single voxel.
-    InterpolationModel and TpmsField compute each row on its own, never
-    through a BLAS product whose rounding depends on the row count, so the
-    volume is identical for any worker count or chunking by construction.
+    A source with ``evaluate_axes(x, y, z)`` (InterpolationModel, TpmsField)
+    is called on chunks of whole grid rows, as evaluate_axes(xs[None, :],
+    ys[rows, None], zs[rows, None]) with the axis vectors of grid.axes(), so
+    work that depends on one coordinate (point-center differences, TPMS sin
+    and cos) runs once per axis value, not once per voxel.  Any other source
+    needs evaluate_many((n, 3)) -> (n,), or is a bare callable with that
+    signature, and gets contiguous chunks of grid.positions(), the last one
+    possibly a single voxel.
+
+    InterpolationModel and TpmsField compute each voxel from its own
+    coordinates only, with the same operations for any operand shapes, and
+    the axis vectors hold the very values positions() returns, so the volume
+    equals evaluate_many(grid.positions()) bit for bit, for any worker count
+    or chunking.
     """
-    eval_many = getattr(source, "evaluate_many", source)
-    if not callable(eval_many):
-        raise ValidationError("field source must be callable or expose evaluate_many")
+    nx, ny, nz = grid.dims
+    eval_axes = getattr(source, "evaluate_axes", None)
+    if eval_axes is not None:
+        xs, ys, zs = grid.axes()
+        unit = nx  # a chunk holds whole rows
+
+        def values(s, e):
+            r = np.arange(s, e)
+            return eval_axes(xs[None, :], ys[r % ny, None], zs[r // ny, None])
+    else:
+        eval_many = getattr(source, "evaluate_many", source)
+        if not callable(eval_many):
+            raise ValidationError("field source must be callable or expose evaluate_many")
+        unit = 1
+
+        def values(s, e):
+            return eval_many(grid.positions(s, e))
     workers = resolve_workers(workers)
-    total = int(np.prod(grid.dims))
+    total = nx * ny * nz
     out = np.empty(total, dtype=np.float32)
 
     # Chunks sized for cache friendliness; small grids collapse to one chunk.
-    chunk = max(4096, (total + 4 * workers - 1) // (4 * workers))
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    # A chunk counts whole units: rows on the axis path, voxels otherwise.
+    voxels = max(4096, (total + 4 * workers - 1) // (4 * workers))
+    chunk, units = -(-voxels // unit), total // unit
+    spans = [(s, min(s + chunk, units)) for s in range(0, units, chunk)]
 
     def run(span):
         s, e = span
-        vals = eval_many(grid.positions(s, e))
-        out[s:e] = np.asarray(vals, dtype=np.float64).astype(np.float32)
+        vals = np.asarray(values(s, e), dtype=np.float64).astype(np.float32)
+        out[s * unit:e * unit] = vals.ravel()
 
     if workers == 1 or len(spans) == 1:
         for span in spans:
@@ -163,8 +190,11 @@ def sample_field(source, grid: VoxelGrid, workers: int | None = None) -> VoxelGr
 
 
 def solid_fraction(grid: VoxelGrid, iso: float) -> float:
-    """Fraction of samples with value >= iso (solid-above convention)."""
-    return float(np.count_nonzero(grid.values >= iso)) / grid.values.size
+    """Fraction of samples with value >= iso (solid-above convention).
+
+    The float32 samples are compared in float64, as marching_cubes does.
+    """
+    return float(np.count_nonzero(grid.values >= np.float64(iso))) / grid.values.size
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ Triangles come from the classic 256-case tables, cells in order of their
 case, and each triangle corner is looked up as a grid edge.  Vertices at
 t = 0 or 1 coincide across edges, so the edge vertices are still welded by
 quantized position (1e-9 x grid bbox diagonal): the output is an indexed
-mesh suitable for Euler characteristic checks.  A vertex keeps the bits of
-its first emitted cell edge, as in a per-cell extraction.
+mesh suitable for Euler characteristic checks, with no vertex that only
+dropped degenerate triangles used.  A vertex keeps the bits of its first
+emitted cell edge, as in a per-cell extraction.
 
 marching_squares does the same per cell in 2-D with a 16-case table.
 export_obj formats whole chunks of rows with one %-format each.
@@ -120,7 +121,8 @@ def _weld(points: np.ndarray, first: np.ndarray, corners: np.ndarray,
     ``points[s]`` was first emitted as corner ``first[s]``; ``corners`` holds
     the candidate of each triangle corner.  Candidates whose keys round(p / tol)
     match become one vertex, placed at the earliest emitted one; vertices come
-    in key order.  Triangles with a repeated or near-zero-area corner are dropped.
+    in key order.  Triangles with a repeated or near-zero-area corner are
+    dropped, and so are the vertices no remaining triangle uses.
     """
     keys = np.round(points / tol).astype(np.int64)
     order = np.lexsort((first, keys[:, 2], keys[:, 1], keys[:, 0]))
@@ -138,6 +140,11 @@ def _weld(points: np.ndarray, first: np.ndarray, corners: np.ndarray,
     soup = TriangleSoup(vertices=points[order[new]], triangles=triangles[ok])
     areas = triangle_areas(soup)
     soup.triangles = soup.triangles[areas > DEGENERATE_AREA]
+    used = np.zeros(len(soup.vertices), dtype=bool)
+    used[soup.triangles] = True
+    if not used.all():
+        soup.vertices = soup.vertices[used]
+        soup.triangles = (np.cumsum(used) - 1)[soup.triangles]
     return soup
 
 

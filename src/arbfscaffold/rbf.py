@@ -19,8 +19,9 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
-from .distance import (_fill_point_block, _fill_segment_block, _segment_frame,
-                       points_to_points, points_to_segments)
+from .distance import (TILE_ELEMS, _fill_point_block, _fill_segment_block, _point_table,
+                       _Scratch, _segment_frame, _segment_tables, points_to_points,
+                       points_to_segments)
 from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError
 from .mesh import CenterSet, VolumetricMesh, assemble_center_set
 
@@ -32,8 +33,6 @@ DUPLICATE_TOL = 1e-12
 PIVOT_TOL = 1e-12
 # Post-solve residual bound: ||A w - f||_inf <= RESIDUAL_TOL * (1 + ||f||_inf).
 RESIDUAL_TOL = 1e-8
-# Field evaluation works on tiles of about this many point-center pairs.
-TILE_ELEMS = 2**17
 
 _MODEL_MAGIC = "ARBF1"
 
@@ -167,30 +166,60 @@ class InterpolationModel:
     def mode(self) -> str:
         return self.centers.mode
 
-    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        """Field values at each row of ``pts`` (n, 3).
+    def evaluate_axes(self, x, y, z) -> np.ndarray:
+        """Field values over coordinate arrays that broadcast to (rows, cols).
 
-        Rows go in tiles of about TILE_ELEMS point-center pairs, each filled
-        with distances, then basis values, then reduced per row.  No step
-        mixes rows, so every value equals evaluate() of its row bit for bit.
+        x, y and z have at most two dims each; the result has their
+        broadcast shape.  A chunk of grid rows passes xs[None, :] with the
+        rows' ys[:, None] and zs[:, None]: the per-axis distance tables of
+        an operand with one row, such as (x - c_x)², are built once per
+        block of columns and shared by every row, the others once per tile.
+        Tiles hold about TILE_ELEMS point-center pairs (a row is split
+        into column blocks when cols * N exceeds it); each is filled with
+        distances, then basis values, then reduced per point.  No step mixes
+        points, so every value equals evaluate() of its point bit for bit.
         """
+        coords = [np.asarray(v, dtype=np.float64) for v in (x, y, z)]
+        shape = np.broadcast_shapes(*(v.shape for v in coords))
+        if len(shape) > 2:
+            raise ValidationError(f"coordinates must have at most 2 dims, got {shape}")
+        coords = [v.reshape((1,) * (2 - v.ndim) + v.shape) for v in coords]
+        n_rows, n_cols = (1,) * (2 - len(shape)) + shape
+        c, n = self.centers, len(self.centers)
+        p = len(c.points)
+        frame = a, d, _ = _segment_frame(c.seg_a, c.seg_b)
+
+        def tables(v, k, alloc):
+            return (_point_table(v, c.points[:, k], alloc),) + _segment_tables(
+                v, a[:, k], d[:, k], alloc)
+
+        cols = max(1, min(n_cols, TILE_ELEMS // n))
+        rows = max(1, TILE_ELEMS // (cols * n))
+        phi_buf = np.empty(min(rows, n_rows) * cols * n)
+        scratch = _Scratch()
+        out = np.empty((n_rows, n_cols))
+        for c0 in range(0, n_cols, cols):
+            c1 = min(c0 + cols, n_cols)
+            block = [v[:, c0:c1] if v.shape[1] > 1 else v for v in coords]
+            shared = {k: tables(v, k, np.empty) for k, v in enumerate(block) if len(v) == 1}
+            for r0 in range(0, n_rows, rows):
+                r1 = min(r0 + rows, n_rows)
+                scratch.reset()
+                tabs = [shared[k] if k in shared else tables(v[r0:r1], k, scratch.take)
+                        for k, v in enumerate(block)]
+                phi = phi_buf[:(r1 - r0) * (c1 - c0) * n].reshape(r1 - r0, c1 - c0, n)
+                _fill_point_block([t[0] for t in tabs], phi[..., :p])
+                _fill_segment_block([t[1:] for t in tabs], frame, phi[..., p:], scratch.take)
+                phi = phi.reshape(-1, n)
+                _fill_basis(self.basis, phi)
+                phi *= self.weights
+                out[r0:r1, c0:c1] = phi.sum(axis=1).reshape(r1 - r0, c1 - c0)
+        return out.reshape(shape)
+
+    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
+        """Field values at each row of ``pts`` (n, 3), via evaluate_axes."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        c = self.centers
-        p, n = len(c.points), len(c)
-        frame = _segment_frame(c.seg_a, c.seg_b)
-        rows = max(1, TILE_ELEMS // n)
-        phi_buf = np.empty((rows, n))
-        work = np.empty(rows * max(p, 5 * (n - p)))
-        out = np.empty(len(pts))
-        for s in range(0, len(pts), rows):
-            tile = pts[s:s + rows]
-            phi = phi_buf[:len(tile)]
-            _fill_point_block(tile, c.points, phi[:, :p], work)
-            _fill_segment_block(tile, frame, phi[:, p:], work)
-            _fill_basis(self.basis, phi)
-            phi *= self.weights
-            out[s:s + rows] = phi.sum(axis=1)
-        return out
+        return self.evaluate_axes(pts[:, 0, None], pts[:, 1, None], pts[:, 2, None])[:, 0]
 
     def evaluate(self, x) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=np.float64).reshape(1, 3))[0])

@@ -38,30 +38,28 @@ class TpmsField:
         if len(self.periods) != 3 or not all(p > 0 for p in self.periods):
             raise ValidationError(f"periods must be 3 positive values, got {self.periods}")
 
-    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        x = pts[:, 0] * self.periods[0]
-        y = pts[:, 1] * self.periods[1]
-        z = pts[:, 2] * self.periods[2]
+    def evaluate_axes(self, x, y, z) -> np.ndarray:
+        """Field values over broadcastable coordinate arrays.
+
+        sin and cos run on each operand's own shape, so a grid row chunk
+        (xs[None, :], ys[:, None], zs[:, None]) needs them once per axis
+        value; the products and sums then broadcast to the voxels.
+        """
+        x, y, z = (np.asarray(v, dtype=np.float64) * f for v, f in zip((x, y, z), self.periods))
         if self.kind == "p":
             return np.cos(x) + np.cos(y) + np.cos(z)
+        cx, cy, cz = np.cos(x), np.cos(y), np.cos(z)
+        if self.kind == "iwp":
+            return 2.0 * (cx * cy + cy * cz + cz * cx) - (
+                np.cos(2 * x) + np.cos(2 * y) + np.cos(2 * z))
+        sx, sy, sz = np.sin(x), np.sin(y), np.sin(z)
         if self.kind == "d":
-            return (
-                np.sin(x) * np.sin(y) * np.sin(z)
-                + np.sin(x) * np.cos(y) * np.cos(z)
-                + np.cos(x) * np.sin(y) * np.cos(z)
-                + np.cos(x) * np.cos(y) * np.sin(z)
-            )
-        if self.kind == "g":
-            return (
-                np.sin(x) * np.cos(y)
-                + np.sin(y) * np.cos(z)
-                + np.sin(z) * np.cos(x)
-            )
-        # iwp
-        return 2.0 * (
-            np.cos(x) * np.cos(y) + np.cos(y) * np.cos(z) + np.cos(z) * np.cos(x)
-        ) - (np.cos(2 * x) + np.cos(2 * y) + np.cos(2 * z))
+            return sx * sy * sz + sx * cy * cz + cx * sy * cz + cx * cy * sz
+        return sx * cy + sy * cz + sz * cx  # g
+
+    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        return self.evaluate_axes(pts[:, 0], pts[:, 1], pts[:, 2])
 
     def evaluate(self, p) -> float:
         return float(self.evaluate_many(np.asarray(p, dtype=np.float64).reshape(1, 3))[0])

@@ -7,7 +7,7 @@ import pytest
 
 import arbfscaffold as ax
 from arbfscaffold import samples
-from arbfscaffold.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from arbfscaffold.cli import COND_WARN, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 
 
 @pytest.fixture
@@ -141,6 +141,30 @@ def test_singular_system_recovers_with_lambda(mesh_dir, tmp_path):
     rc = main(["fit", "--mesh", mesh_dir["hex1.hexmesh"], "--basis", "tps",
                "--lambda", "1e-10", "--out", str(tmp_path / "m.arbf")])
     assert rc == EXIT_OK
+
+
+NEAR_SINGULAR = ["--basis", "gaussian", "--c", "0.1", "--lambda", "1e-10"]  # cond about 2.4e12
+
+
+@pytest.mark.parametrize("command", ["fit", "pipeline"])
+def test_near_singular_fit_warns_once_on_stderr(mesh_dir, tmp_path, capsys, command):
+    extra = ["--resolution", "12", "--iso", "0"] if command == "pipeline" else []
+    rc = main([command, "--mesh", mesh_dir["rod4.hexmesh"], *NEAR_SINGULAR, *extra,
+               "--out", str(tmp_path / "m")])
+    assert rc == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err.count("warning: condition estimate") == 1
+    assert f"exceeds {COND_WARN:.0e}" in captured.err
+    assert "warning" not in captured.out
+    assert captured.out.startswith("N=")
+    cond = float(captured.out.split("cond=")[1].split()[0])
+    assert cond > COND_WARN
+
+
+def test_well_conditioned_fit_does_not_warn(mesh_dir, tmp_path, capsys):
+    rc = main(["fit", "--mesh", mesh_dir["hex8.hexmesh"], "--out", str(tmp_path / "m.arbf")])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_empty_iso_list_is_input_error(mesh_dir, tmp_path, capsys):

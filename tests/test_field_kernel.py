@@ -2,12 +2,18 @@
 
 ``evaluate_many`` fills each tile with elementwise distance and basis
 arithmetic and reduces it per row, so a value must not depend on which
-other rows share its call, its tile or its sampling chunk.  These checks
-are bitwise, not within a tolerance.
+other rows share its call, its tile or its sampling chunk.  ``sample_field``
+feeds sources with ``evaluate_axes`` per-axis coordinates instead of points,
+which must not change a bit either.  These checks are bitwise, not within a
+tolerance.
 """
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arbfscaffold as ax
 from arbfscaffold import samples
@@ -67,3 +73,35 @@ def test_sample_field_bytes_identical_for_any_worker_count():
     assert volumes[0] == volumes[1] == volumes[2]
     whole = model.evaluate_many(grid.positions()).astype(np.float32)
     assert whole.tobytes() == volumes[0]
+
+
+@functools.cache
+def _icosahedron_model(mode, kind):
+    c = 2.0 if kind == "gaussian" else 0.1  # the isotropic gaussian is singular at 0.1
+    return ax.fit_mesh(samples.icosahedron_tet_mesh(), ax.Basis(kind, c), mode)[0]
+
+
+FIELDS = [("rbf", mode, kind) for mode in ("anisotropic", "isotropic")
+          for kind in ("gaussian", "mq", "imq", "tps")] + [("tpms", kind, "")
+                                                           for kind in ("p", "d", "g", "iwp")]
+coordinate = st.one_of(st.floats(-2.0, 2.0), st.floats(-2e4, 2e4))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: "-".join(filter(None, f)))
+@settings(max_examples=20)
+@given(st.tuples(*[st.floats(0.25, 4.0)] * 3), st.tuples(coordinate, coordinate, coordinate),
+       st.tuples(*[st.floats(1e-4, 1.0)] * 3), st.integers(1, 40), st.integers(1, 24),
+       st.one_of(st.just(1), st.integers(1, 12)), st.integers(0, 300), st.booleans())
+def test_sample_field_axes_path_equals_evaluate_many(field, periods, origin, spacing,
+                                                     nx, ny, nz, extra, long_rows):
+    kind, name, basis = field
+    source = (_icosahedron_model(name, basis) if kind == "rbf"
+              else ax.TpmsField(name, periods))
+    if long_rows:  # for a model, a grid row holds more voxels than one tile has rows
+        n = len(source.centers) if kind == "rbf" else 1
+        nx, ny, nz = max(500, TILE_ELEMS // n + 1) + extra, 1 + ny % 3, 1 + nz % 2
+    grid = VoxelGrid(origin=np.array(origin), spacing=np.array(spacing), dims=(nx, ny, nz),
+                     values=np.zeros(nx * ny * nz, dtype=np.float32))
+    expected = source.evaluate_many(grid.positions()).astype(np.float32).tobytes()
+    for workers in (1, 2, 3):
+        assert sample_field(source, grid, workers=workers).values.tobytes() == expected

@@ -136,6 +136,30 @@ def test_solid_fraction():
     assert solid_fraction(g, 0.0) == pytest.approx(0.5, abs=0.05)
 
 
+def test_solid_fraction_compares_in_float64_like_marching_cubes():
+    # float32(0.7) = 0.69999999 lies below the float64 iso 0.7, so the bottom
+    # layer is not solid, and marching cubes finds a surface above it.
+    g = make_grid(np.zeros(3), np.ones(3), 3, 0.0)
+    g.values[:] = 1.0
+    g.values_3d()[0] = np.float32(0.7)
+    assert solid_fraction(g, 0.7) == pytest.approx(18 / 27)
+    assert len(ax.marching_cubes(g, 0.7).triangles) == 8
+
+
+def test_axes_hold_the_positions_values():
+    g = VoxelGrid(origin=np.array([1.2e4, -3.7, 0.1]), spacing=np.array([1e-3, 0.37, 2.9]),
+                  dims=(5, 3, 4), values=np.zeros(60, dtype=np.float32))
+    xs, ys, zs = g.axes()
+    pos = g.positions()
+    k, j, i = np.indices((4, 3, 5)).reshape(3, -1)
+    assert np.array_equal(pos, g.origin + np.stack([i, j, k], axis=1) * g.spacing)
+    assert np.array_equal(pos[:, 0], np.tile(xs, 12))
+    assert np.array_equal(pos[:, 1], np.tile(np.repeat(ys, 5), 4))
+    assert np.array_equal(pos[:, 2], np.repeat(zs, 15))
+    assert np.array_equal(g.positions(7, 23), pos[7:23])
+    assert np.array_equal(g.position(4, 2, 3), pos[g.index(4, 2, 3)])
+
+
 def test_volume_round_trip_is_bit_exact(tmp_path):
     g = make_grid(np.array([-0.3, 0.1, 0.7]), np.array([1.1, 2.9, 3.3]), 12, 0.07)
     rng = np.random.default_rng(3)

@@ -16,6 +16,7 @@ from arbfscaffold.isosurface import (
     surface_area,
     triangle_areas,
 )
+from arbfscaffold.tpms import TpmsField
 
 
 def sphere_grid(center, radius, resolution, half_extent=1.0):
@@ -110,6 +111,17 @@ def test_welding_shares_vertices():
     assert np.all(triangle_areas(soup) > 0)  # degenerate slivers dropped
     assert soup.triangles.min() >= 0
     assert soup.triangles.max() < len(soup.vertices)
+
+
+def test_every_vertex_is_used_after_degenerate_triangles_drop():
+    # Quantized gyroid samples put vertices on grid points (t = 0 or 1); the
+    # triangles they collapse are dropped, and a vertex only those triangles
+    # used must go with them.
+    g = sample_field(TpmsField("g"), make_grid(np.zeros(3), np.full(3, 2.0 * np.pi), 24, 0.0))
+    g.values[:] = np.round(g.values * 4.0) / 4.0
+    soup = marching_cubes(g, 0.0)
+    assert len(soup.vertices) == 1452
+    assert np.array_equal(np.unique(soup.triangles), np.arange(len(soup.vertices)))
 
 
 def test_mc_requires_volume_grid():

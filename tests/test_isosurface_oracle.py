@@ -2,7 +2,8 @@
 
 The references below are the straightforward forms of the library code:
 marching cubes interpolates all crossed edges of every active cell and welds
-the 3 x triangles corner positions with ``np.unique(axis=0)``; marching
+the 3 x triangles corner positions with ``np.unique(axis=0)``, then drops
+the vertices that no triangle kept after the degenerate filter uses; marching
 squares walks the cells in a Python double loop; OBJ export formats one line
 at a time.  The library computes one vertex per crossed grid edge, welds only
 those, and formats whole chunks, so vertices, triangles, polylines and file
@@ -45,6 +46,10 @@ def reference_weld(corners, tol):
     )
     soup = TriangleSoup(vertices=corners[first], triangles=triangles[ok])
     soup.triangles = soup.triangles[triangle_areas(soup) > DEGENERATE_AREA]
+    # vertices used by no remaining triangle are dropped, the others keep their order
+    kept = np.unique(soup.triangles)
+    soup.vertices = soup.vertices[kept]
+    soup.triangles = np.searchsorted(kept, soup.triangles)
     return soup, len(triangles) - len(soup.triangles)
 
 
@@ -172,6 +177,7 @@ def assert_same_soup(grid, iso):
     assert np.array_equal(soup.vertices, ref.vertices)
     assert np.array_equal(soup.triangles, ref.triangles)
     assert euler_characteristic(soup) == reference_euler(ref)
+    assert np.array_equal(np.unique(soup.triangles), np.arange(len(soup.vertices)))
     return soup, dropped
 
 
