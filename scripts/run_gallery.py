@@ -7,6 +7,8 @@ Covers every experiment the library is built around:
   * seeded vertex perturbation of the block, two seeds
   * the four TPMS baselines over one period cube
   * a 2-d triangle field as contours and a PGM image
+  * ``arbf pipeline`` on every sample mesh in both center modes, so the
+    gallery also holds the .arbf models and .vhdr/.raw volumes the CLI writes
 
 Everything is deterministic; re-running reproduces identical files.
 ``--manifest PATH`` also writes one ``sha256  filename`` line per output
@@ -14,7 +16,9 @@ file, sorted by name, so two runs compare with ``diff``.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import time
 
@@ -35,6 +39,7 @@ from arbfscaffold import (
     export_obj,
     export_pgm,
     samples,
+    cli,
 )
 
 IMQ = Basis("imq", 0.1)
@@ -98,6 +103,27 @@ def triangle_panel(outdir, rows, resolution):
                  f"len {contours.total_length():.3f}"))
 
 
+def sample_pipelines(outdir, rows, resolution):
+    """Run the CLI in-process; its messages go to the summary row, not the console.
+
+    tri1.off is planar, so its runs write the model and then stop with exit
+    status 2 at sampling (flat bounding box).
+    """
+    meshes = samples.write_sample_meshes(os.path.join(outdir, "meshes"))
+    for name, path in sorted(meshes.items()):
+        for mode in ("iso", "aniso"):
+            stem = f"pipeline_{os.path.splitext(name)[0]}_{mode}"
+            argv = ["pipeline", "--mesh", path, "--mode", mode, "--resolution",
+                    str(resolution), "--iso=-0.3,-0.1,0,0.1,0.3",
+                    "--out", os.path.join(outdir, stem)]
+            log = io.StringIO()
+            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+                status = cli.main(argv)
+            surfaces = sum(line.startswith("iso ") for line in log.getvalue().splitlines())
+            rows.append((f"{stem}.arbf/.vhdr/.raw", "-",
+                         f"{surfaces} surfaces, exit {status}"))
+
+
 def write_manifest(outdir, path):
     lines = []
     for name in sorted(os.listdir(outdir)):
@@ -125,6 +151,7 @@ def main() -> None:
     perturbed_blocks(args.out, rows, args.resolution)
     tpms_quartet(args.out, rows, args.resolution)
     triangle_panel(args.out, rows, args.resolution)
+    sample_pipelines(args.out, rows, args.resolution)
     width = max(len(r[0]) for r in rows)
     print(f"{'output':<{width}}  {'triangles':>9}  solid fraction")
     for name, tris, frac in rows:

@@ -1,15 +1,17 @@
 """Iso-surface and iso-contour extraction plus OBJ/PGM export.
 
 marching_cubes classifies every grid sample against the iso value (solid
-when value >= iso), finds the crossed grid edges with array masks and places
-one vertex on each by linear interpolation t = (iso - v0) / (v1 - v0).
-Triangles come from the classic 256-case tables, cells in order of their
-case, and each triangle corner is looked up as a grid edge.  Vertices at
-t = 0 or 1 coincide across edges, so the edge vertices are still welded by
-quantized position (1e-9 x grid bbox diagonal): the output is an indexed
-mesh suitable for Euler characteristic checks, with no vertex that only
-dropped degenerate triangles used.  A vertex keeps the bits of its first
-emitted cell edge, as in a per-cell extraction.
+when value >= iso) and emits triangles from the classic 256-case tables,
+cells in order of their case.  Each triangle corner names a crossed grid
+edge, and that edge is the vertex's identity: its vertex is computed once,
+from the edge's low sample, by p = p_lo + t * (p_hi - p_lo) with
+t = (iso - v_lo) / (v_hi - v_lo).  When min(t, 1 - t) <= SNAP_T the vertex
+is the nearer sample instead, with that sample's id and exact position, so
+the edges that meet at a sample on the iso value share one vertex.  Only
+triangles that repeat a vertex are dropped.  The result is an indexed mesh
+whose vertices come in grid-edge order (by low sample, then axis), all of
+them used; identities are exact integers, so closedness does not depend on
+where the grid lies or how large it is.
 
 marching_squares does the same per cell in 2-D with a 16-case table.
 export_obj formats whole chunks of rows with one %-format each.
@@ -22,12 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
+from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from .errors import ValidationError
 from .grid import VoxelGrid
+from .mesh import _cell_row, _data_lines, _parse_floats, _parse_ints
 
-WELD_TOL = 1e-9
-DEGENERATE_AREA = 1e-14
+# A vertex whose edge parameter t lies within SNAP_T of 0 or 1 is the nearer
+# sample.  It is relative, so it holds at any grid offset and scale.  TPMS
+# samples that are zero in exact arithmetic land at t <= 1e-14, and the next
+# t above them on the tested surfaces is 2.2e-6.
+SNAP_T = float(np.finfo(np.float32).eps)
 
 
 @dataclass(eq=False)
@@ -72,15 +78,13 @@ def euler_characteristic(soup: TriangleSoup) -> int:
     return int(n_verts - n_edges + len(tris))
 
 
-# Cell edge e runs from corner _EDGE_C0[e] to corner _EDGE_C1[e] along axis
-# _EDGE_AXIS[e]; _EDGE_LOW[e] is the offset of its lower grid point.
+# Cell edge e runs along axis _EDGE_AXIS[e] from the cell-relative grid point
+# _EDGE_LOW[e].  TRI_TABLE as one (256, 15) array, rows padded with 0, and
+# the row lengths.
 _OFFSETS = np.asarray(CORNER_OFFSETS, dtype=np.int64)
 _EDGE_C0, _EDGE_C1 = np.asarray(EDGE_CORNERS, dtype=np.int64).T
 _EDGE_AXIS = np.argmax(_OFFSETS[_EDGE_C0] != _OFFSETS[_EDGE_C1], axis=1)
 _EDGE_LOW = np.minimum(_OFFSETS[_EDGE_C0], _OFFSETS[_EDGE_C1])
-# EDGE_TABLE as an array; TRI_TABLE as one (256, 15) array, rows padded with
-# 0, and the row lengths.
-_EDGE_BITS = np.asarray(EDGE_TABLE, dtype=np.int64)
 _TRI_LEN = np.array([len(t) for t in TRI_TABLE], dtype=np.int64)
 _TRI_PAD = np.zeros((256, 15), dtype=np.int64)
 for _case, _tri in enumerate(TRI_TABLE):
@@ -91,73 +95,6 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, slot) of each item when owner g has counts[g] items, in order."""
     owner = np.repeat(np.arange(len(counts)), counts)
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _edge_points(grid: VoxelGrid, vol: np.ndarray, iso: float,
-                 ijk: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """Vertex on cell edge ``edge[n]`` of the cell with corner ``ijk[n]``.
-
-    Corners are (origin + ijk * spacing) + offset * spacing and the vertex is
-    p0 + t * (p1 - p0) with t = (iso - v0) / (v1 - v0).  One grid edge seen
-    from two cells can differ in the last bits: the base corner differs, and
-    neighbouring cells run x and y edges the other way.
-    """
-    nx, ny, _ = grid.dims
-    c0, c1 = _EDGE_C0[edge], _EDGE_C1[edge]
-    corner_pos = _OFFSETS * grid.spacing
-    corner_idx = _OFFSETS @ (1, nx, nx * ny)
-    base = grid.origin + ijk * grid.spacing
-    p0, p1 = base + corner_pos[c0], base + corner_pos[c1]
-    flat, samples = ijk @ (1, nx, nx * ny), vol.ravel()
-    v0, v1 = samples[flat + corner_idx[c0]], samples[flat + corner_idx[c1]]
-    t = (iso - v0) / (v1 - v0)  # crossed edges have v0 != v1
-    return p0 + t[:, None] * (p1 - p0)
-
-
-def _weld(points: np.ndarray, first: np.ndarray, corners: np.ndarray,
-          tol: float) -> TriangleSoup:
-    """Weld vertex candidates by quantized position and index the corners.
-
-    ``points[s]`` was first emitted as corner ``first[s]``; ``corners`` holds
-    the candidate of each triangle corner.  Candidates whose keys round(p / tol)
-    match become one vertex, placed at the earliest emitted one; vertices come
-    in key order.  Triangles with a repeated or near-zero-area corner are
-    dropped, and so are the vertices no remaining triangle uses.
-    """
-    keys = np.round(points / tol).astype(np.int64)
-    order = np.lexsort((first, keys[:, 2], keys[:, 1], keys[:, 0]))
-    sorted_keys = keys[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
-    vertex_of = np.empty(len(order), dtype=np.int64)
-    vertex_of[order] = np.cumsum(new) - 1
-    triangles = vertex_of[corners].reshape(-1, 3)
-    ok = (
-        (triangles[:, 0] != triangles[:, 1])
-        & (triangles[:, 1] != triangles[:, 2])
-        & (triangles[:, 2] != triangles[:, 0])
-    )
-    soup = TriangleSoup(vertices=points[order[new]], triangles=triangles[ok])
-    areas = triangle_areas(soup)
-    soup.triangles = soup.triangles[areas > DEGENERATE_AREA]
-    used = np.zeros(len(soup.vertices), dtype=bool)
-    used[soup.triangles] = True
-    if not used.all():
-        soup.vertices = soup.vertices[used]
-        soup.triangles = (np.cumsum(used) - 1)[soup.triangles]
-    return soup
-
-
-def _keys_may_split(points: np.ndarray, tol: float, scale: float) -> np.ndarray:
-    """Rows whose weld key could round differently from another cell.
-
-    Two computations of one grid edge vertex differ by a few ulps of the
-    coordinate scale; 64 eps * scale / tol bounds that in key units, so a
-    coordinate farther than this from a half-integer key rounds the same way.
-    """
-    q = points / tol
-    margin = 64.0 * np.finfo(np.float64).eps * scale / tol
-    return np.any(0.5 - np.abs(q - np.round(q)) <= margin, axis=1)
 
 
 def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
@@ -174,56 +111,46 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     cells = np.flatnonzero((case != 0) & (case != 255))
     if len(cells) == 0:
         return TriangleSoup()
+    cells = cells[np.argsort(case.ravel()[cells], kind="stable")]
     cases = case.ravel()[cells]
-    ijk = np.stack([cells % (nx - 1), cells // (nx - 1) % (ny - 1),
-                    cells // ((nx - 1) * (ny - 1))], axis=1)
-
-    # Crossed grid edges, numbered x-, y- then z-directed, each in C order.
-    crossed = (below[:, :, :-1] != below[:, :, 1:],
-               below[:, :-1, :] != below[:, 1:, :],
-               below[:-1, :, :] != below[1:, :, :])
-    starts = np.cumsum([0] + [c.size for c in crossed])
-    edge_ids = np.concatenate([s + np.flatnonzero(c) for s, c in zip(starts, crossed)])
-    strides = np.array([[c.shape[1] * c.shape[2], c.shape[2], 1] for c in crossed])
-    cell_ids = starts[:3] + ijk[:, ::-1] @ strides.T          # (cells, axis)
-    edge_offset = np.einsum("ea,ea->e", _EDGE_LOW[:, ::-1], strides[_EDGE_AXIS])
-
-    # Index into edge_ids of each crossed cell edge.  Cells are still in C
-    # order here, so per cell edge the ids rise and the search stays local.
-    cell_src = np.zeros((len(cells), 12), dtype=np.int64)
-    crossed_bits = _EDGE_BITS[cases]
-    for e in range(12):
-        rows = np.flatnonzero(crossed_bits & (1 << e))
-        cell_src[rows, e] = np.searchsorted(
-            edge_ids, cell_ids[rows, _EDGE_AXIS[e]] + edge_offset[e])
-
-    order = np.argsort(cases, kind="stable")
-    cases, ijk, cell_src = cases[order], ijk[order], cell_src[order]
+    base = np.ravel_multi_index(np.unravel_index(cells, case.shape), vol.shape)
 
     # Triangle corners in emission order: cells by case, then TRI_TABLE order.
+    # Vertex ids: 4 * q + axis names the grid edge from sample q (flat index)
+    # along axis, and 4 * q + 3 names sample q itself.
+    stride = np.array([1, nx, nx * ny])
     corner_cell, slot = _ragged(_TRI_LEN[cases])
     corner_edge = _TRI_PAD[cases[corner_cell], slot]
-    corner_src = cell_src[corner_cell, corner_edge]
+    edge_offset = 4 * (_EDGE_LOW @ stride) + _EDGE_AXIS
+    edges, corner_src = np.unique(4 * base[corner_cell] + edge_offset[corner_edge],
+                                  return_inverse=True)
 
-    # One vertex per crossed grid edge, computed from its first emitted corner.
-    n_corners = len(corner_src)
-    first = np.full(len(edge_ids), n_corners)
-    np.minimum.at(first, corner_src, np.arange(n_corners))
-    points = _edge_points(grid, vol, iso, ijk[corner_cell[first]], corner_edge[first])
+    # One vertex per grid edge, interpolated from its low sample.
+    lo, axis = np.divmod(edges, 4)
+    hi = lo + stride[axis]
+    samples = vol.ravel()
+    t = (iso - samples[lo]) / (samples[hi] - samples[lo])  # crossed: v_lo != v_hi
+    ijk = np.stack(np.unravel_index(lo, vol.shape)[::-1], axis=1)
+    p_lo = grid.origin + ijk * grid.spacing
+    p_hi = grid.origin + (ijk + np.eye(3, dtype=np.int64)[axis]) * grid.spacing
+    points = p_lo + t[:, None] * (p_hi - p_lo)
 
-    lo, hi = grid.bbox()
-    tol = WELD_TOL * float(np.linalg.norm(hi - lo))
-    scale = float(np.abs(np.concatenate([lo, hi])).max() + grid.spacing.max())
-    split = _keys_may_split(points, tol, scale)
-    if split.any():
-        # Rare: a key near a rounding boundary.  Weld each triangle corner as
-        # its own candidate if any of its cells rounds it to another key.
-        check = np.flatnonzero(split[corner_src])
-        alt = _edge_points(grid, vol, iso, ijk[corner_cell[check]], corner_edge[check])
-        if not np.array_equal(np.round(alt / tol), np.round(points[corner_src[check]] / tol)):
-            points = _edge_points(grid, vol, iso, ijk[corner_cell], corner_edge)
-            first = corner_src = np.arange(n_corners)
-    return _weld(points, first, corner_src, tol)
+    # A vertex within SNAP_T of a sample becomes that sample, so every edge
+    # meeting at a sample on the iso value shares one vertex at its exact position.
+    snap = np.minimum(t, 1 - t) <= SNAP_T
+    up = t > 0.5
+    ids = np.where(snap, 4 * np.where(up, hi, lo) + 3, edges)
+    points[snap] = np.where(up[:, None], p_hi, p_lo)[snap]
+    ids, first, vertex_of = np.unique(ids, return_index=True, return_inverse=True)
+
+    # Drop triangles that repeat a vertex, then the vertices no triangle uses.
+    triangles = vertex_of[corner_src].reshape(-1, 3)
+    triangles = triangles[(triangles[:, 0] != triangles[:, 1])
+                          & (triangles[:, 1] != triangles[:, 2])
+                          & (triangles[:, 2] != triangles[:, 0])]
+    used = np.zeros(len(ids), dtype=bool)
+    used[triangles] = True
+    return TriangleSoup(vertices=points[first[used]], triangles=(np.cumsum(used) - 1)[triangles])
 
 
 # 16-case marching squares: corner bit n set when corner n is >= iso,
@@ -316,17 +243,20 @@ def export_obj(soup: TriangleSoup, path: str) -> None:
 
 
 def load_obj(path: str) -> TriangleSoup:
-    verts = []
-    tris = []
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            tokens = raw.split()
-            if not tokens or tokens[0] not in ("v", "f"):
-                continue
-            if tokens[0] == "v":
-                verts.append([float(t) for t in tokens[1:4]])
-            else:
-                tris.append([int(t.split("/")[0]) - 1 for t in tokens[1:4]])
+    """Vertices and the first three corners of each face of an OBJ file.
+
+    Only 'v' and 'f' lines are read.  A 'v' line needs 3 numbers; an 'f' line
+    needs 3 corners whose vertex indices lie in 1..nv (relative, negative
+    indices are not supported).  Anything else raises ParseError at path:line.
+    """
+    verts, faces = [], []
+    for lineno, tokens in _data_lines(path):
+        if tokens[0] == "v":
+            verts.append(_parse_floats(tokens[1:4], 3, path, lineno))
+        elif tokens[0] == "f":
+            corners = [t.split("/")[0] for t in tokens[1:4]]
+            faces.append((lineno, _parse_ints(corners, 3, path, lineno)))
+    tris = [_cell_row(corners, len(verts), 1, path, lineno) for lineno, corners in faces]
     return TriangleSoup(
         vertices=np.asarray(verts, dtype=np.float64).reshape(-1, 3),
         triangles=np.asarray(tris, dtype=np.int64).reshape(-1, 3),

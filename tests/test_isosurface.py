@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from arbfscaffold.errors import ValidationError
+from arbfscaffold.errors import ParseError, ValidationError
 from arbfscaffold.grid import make_grid, make_grid_2d, sample_field
 from arbfscaffold.isosurface import (
     TriangleSoup,
@@ -102,13 +104,39 @@ def test_two_spheres_euler_four():
     assert euler_characteristic(soup) == 4
 
 
+def assert_closed_sphere(soup):
+    """Every edge has exactly two triangles and V - E + F = 2."""
+    edges = np.sort(soup.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, uses = np.unique(edges, axis=0, return_counts=True)
+    assert len(soup.triangles) > 0 and np.all(uses == 2)
+    assert euler_characteristic(soup) == 2
+
+
+@pytest.mark.parametrize("center,half_extent", [
+    (1.2e4, 1e-3),   # far from the origin compared with its size
+    (0.0, 1e-5),
+    (0.0, 1e-6),     # every triangle has an area below 1e-14
+])
+def test_sphere_is_closed_at_any_offset_and_scale(center, half_extent):
+    g = sphere_grid(np.full(3, center), 0.6 * half_extent, 24, half_extent)
+    assert_closed_sphere(marching_cubes(g, 0.0))
+
+
+@given(st.tuples(*[st.floats(-1.2e4, 1.2e4)] * 3), st.floats(-7.0, 4.0),
+       st.integers(12, 24))
+def test_sphere_is_closed_property(center, log_extent, resolution):
+    half_extent = 0.5 * 10.0 ** log_extent
+    g = sphere_grid(np.array(center), 0.6 * half_extent, resolution, half_extent)
+    assert_closed_sphere(marching_cubes(g, 0.0))
+
+
 def test_welding_shares_vertices():
     g = sphere_grid(np.zeros(3), 0.6, 16)
     soup = marching_cubes(g, 0.0)
     nt = len(soup.triangles)
     assert nt > 0
     assert len(soup.vertices) < 3 * nt  # welded, not a raw soup
-    assert np.all(triangle_areas(soup) > 0)  # degenerate slivers dropped
+    assert np.all(triangle_areas(soup) > 0)  # no sample lies on the iso value
     assert soup.triangles.min() >= 0
     assert soup.triangles.max() < len(soup.vertices)
 
@@ -196,6 +224,23 @@ def test_obj_ignores_comments_and_normals(tmp_path):
     soup = load_obj(str(p))
     assert soup.vertices.shape == (3, 3)
     assert np.array_equal(soup.triangles, [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("v 1 0\n", "expected 3 fields"),
+    ("v 0 0 x\n", "malformed number"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n", "expected 3 fields"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3.5\n", "malformed integer"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", "vertex index 9 out of range"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n", "vertex index -3 out of range"),
+], ids=["short-vertex", "vertex-value", "short-face", "face-value", "face-index",
+        "relative-index"])
+def test_obj_rejects_malformed_lines(tmp_path, text, message):
+    p = tmp_path / "bad.obj"
+    p.write_text(text)
+    line = text.count("\n")
+    with pytest.raises(ParseError, match=f"bad.obj:{line}: {message}"):
+        load_obj(str(p))
 
 
 def test_pgm_frozen_bytes(tmp_path):

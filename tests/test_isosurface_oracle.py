@@ -1,13 +1,14 @@
 """Iso extraction and OBJ export against per-cell reference implementations.
 
 The references below are the straightforward forms of the library code:
-marching cubes interpolates all crossed edges of every active cell and welds
-the 3 x triangles corner positions with ``np.unique(axis=0)``, then drops
-the vertices that no triangle kept after the degenerate filter uses; marching
-squares walks the cells in a Python double loop; OBJ export formats one line
-at a time.  The library computes one vertex per crossed grid edge, welds only
-those, and formats whole chunks, so vertices, triangles, polylines and file
-bytes must all match the references bit for bit.
+marching cubes computes every crossed edge of every active cell from that
+cell's own corner values, names it by its grid edge (or by the nearer grid
+point when t is within SNAP_T of 0 or 1), drops the triangles that repeat a
+name and numbers the names the others use in order; marching squares walks
+the cells in a Python double loop; OBJ export formats one line at a time.
+The library computes one vertex per crossed grid edge and formats whole
+chunks, so vertices, triangles, polylines and file bytes must all match the
+references bit for bit.
 """
 
 import numpy as np
@@ -16,45 +17,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import arbfscaffold as ax
-from arbfscaffold import isosurface, samples
+from arbfscaffold import samples
 from arbfscaffold._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 from arbfscaffold.isosurface import (
-    DEGENERATE_AREA,
-    WELD_TOL,
+    SNAP_T,
     TriangleSoup,
     euler_characteristic,
     export_obj,
     marching_cubes,
     marching_squares,
-    triangle_areas,
 )
 
 
 # --- references -----------------------------------------------------------
 
 
-def reference_weld(corners, tol):
-    if len(corners) == 0:
-        return TriangleSoup(), 0
-    keys = np.round(corners / tol).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    triangles = inverse.reshape(-1, 3).astype(np.int64)
-    ok = (
-        (triangles[:, 0] != triangles[:, 1])
-        & (triangles[:, 1] != triangles[:, 2])
-        & (triangles[:, 2] != triangles[:, 0])
-    )
-    soup = TriangleSoup(vertices=corners[first], triangles=triangles[ok])
-    soup.triangles = soup.triangles[triangle_areas(soup) > DEGENERATE_AREA]
-    # vertices used by no remaining triangle are dropped, the others keep their order
-    kept = np.unique(soup.triangles)
-    soup.vertices = soup.vertices[kept]
-    soup.triangles = np.searchsorted(kept, soup.triangles)
-    return soup, len(triangles) - len(soup.triangles)
-
-
 def reference_marching_cubes(grid, iso):
-    """(soup, number of triangles the weld dropped)."""
+    """(soup, number of triangles dropped for repeating a vertex id).
+
+    A vertex id is 4 * q + axis for the grid edge from grid point q (flat
+    index, x fastest) along axis, or 4 * q + 3 for grid point q itself.
+    """
     nx, ny, nz = grid.dims
     vol = grid.values_3d().astype(np.float64)
     corner_vals = [vol[dz: dz + nz - 1, dy: dy + ny - 1, dx: dx + nx - 1]
@@ -69,22 +52,42 @@ def reference_marching_cubes(grid, iso):
     kk, jj, ii = (a.astype(np.int64) for a in active)
     acase = case[active]
     vals = np.stack([cv[active] for cv in corner_vals], axis=1)
-    base = grid.origin + np.stack([ii, jj, kk], axis=1) * grid.spacing
-    corner_pos = (base[:, None, :]
-                  + np.asarray(CORNER_OFFSETS, dtype=np.float64)[None, :, :] * grid.spacing)
+    cell = np.stack([ii, jj, kk], axis=1)
+    offsets = np.asarray(CORNER_OFFSETS, dtype=np.int64)
+    edge_ids = np.zeros((len(acase), 12), dtype=np.int64)
     edge_verts = np.zeros((len(acase), 12, 3))
     bits = edge_table[acase]
     for e, (c0, c1) in enumerate(EDGE_CORNERS):
         sel = (bits & (1 << e)) != 0
-        v0, v1 = vals[sel, c0], vals[sel, c1]
-        t = (iso - v0) / (v1 - v0)
-        p0, p1 = corner_pos[sel, c0], corner_pos[sel, c1]
-        edge_verts[sel, e] = p0 + t[:, None] * (p1 - p0)
-    chunks = [edge_verts[acase == ci][:, TRI_TABLE[ci], :].reshape(-1, 3)
-              for ci in np.unique(acase) if TRI_TABLE[ci]]
-    corners = np.concatenate(chunks) if chunks else np.zeros((0, 3))
-    lo, hi = grid.bbox()
-    return reference_weld(corners, WELD_TOL * float(np.linalg.norm(hi - lo)))
+        lo, hi = (c0, c1) if offsets[c0].sum() < offsets[c1].sum() else (c1, c0)
+        axis = int(np.argmax(offsets[hi] - offsets[lo]))
+        t = (iso - vals[sel, lo]) / (vals[sel, hi] - vals[sel, lo])
+        ijk_lo, ijk_hi = cell[sel] + offsets[lo], cell[sel] + offsets[hi]
+        p_lo = grid.origin + ijk_lo * grid.spacing
+        p_hi = grid.origin + ijk_hi * grid.spacing
+        q_lo, q_hi = ijk_lo @ (1, nx, nx * ny), ijk_hi @ (1, nx, nx * ny)
+        verts = p_lo + t[:, None] * (p_hi - p_lo)
+        ids = 4 * q_lo + axis
+        at_lo, at_hi = t <= SNAP_T, 1 - t <= SNAP_T
+        verts[at_lo], ids[at_lo] = p_lo[at_lo], 4 * q_lo[at_lo] + 3
+        verts[at_hi], ids[at_hi] = p_hi[at_hi], 4 * q_hi[at_hi] + 3
+        edge_verts[sel, e], edge_ids[sel, e] = verts, ids
+    emitted = [ci for ci in np.unique(acase) if TRI_TABLE[ci]]
+    corner_ids = np.concatenate([edge_ids[acase == ci][:, TRI_TABLE[ci]].ravel()
+                                 for ci in emitted])
+    corner_verts = np.concatenate([edge_verts[acase == ci][:, TRI_TABLE[ci]].reshape(-1, 3)
+                                   for ci in emitted])
+    # every cell that names a vertex computes the same bits for it
+    ids, first, inverse = np.unique(corner_ids, return_index=True, return_inverse=True)
+    assert np.array_equal(corner_verts, corner_verts[first][inverse])
+    triangles = corner_ids.reshape(-1, 3)
+    kept = triangles[(triangles[:, 0] != triangles[:, 1])
+                     & (triangles[:, 1] != triangles[:, 2])
+                     & (triangles[:, 2] != triangles[:, 0])]
+    used, kept = np.unique(kept, return_inverse=True)
+    soup = TriangleSoup(vertices=corner_verts[first][np.searchsorted(ids, used)],
+                        triangles=kept.reshape(-1, 3).astype(np.int64))
+    return soup, len(triangles) - len(soup.triangles)
 
 
 def reference_euler(soup):
@@ -249,19 +252,12 @@ def test_small_lattice_volumes_match_reference(nx, ny, nz, seed, iso):
     assert_same_soup(g, iso)
 
 
-def test_far_offset_grid_takes_the_per_corner_weld(monkeypatch):
-    # At origin 1.2e4 and extent 1e-3 the weld tolerance is about one ulp of
-    # the coordinates, so one grid edge can round to different weld keys from
-    # its neighbouring cells; the per-corner weld must then reproduce the
-    # reference exactly.
-    calls = []
-    edge_points = isosurface._edge_points
-    monkeypatch.setattr(isosurface, "_edge_points",
-                        lambda *args: calls.append(len(args[3])) or edge_points(*args))
+def test_far_offset_grid_matches_reference():
+    # A grid 1.2e4 from the origin with a spacing of 9e-5: coordinates keep
+    # only about 8 significant digits of their offset within the grid.
     g = ax.make_grid(np.full(3, 1.2e4), np.full(3, 1.2e4 + 1e-3), 12, 0.0)
     g.values[:] = np.random.default_rng(1).standard_normal(g.values.size).astype(np.float32)
     assert_same_soup(g, 0.0)
-    assert len(calls) == 3  # edge vertices, suspect corners, then every corner
 
 
 # --- OBJ export -----------------------------------------------------------
