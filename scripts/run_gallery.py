@@ -106,8 +106,8 @@ def triangle_panel(outdir, rows, resolution):
 def sample_pipelines(outdir, rows, resolution):
     """Run the CLI in-process; its messages go to the summary row, not the console.
 
-    tri1.off is planar, so its runs write the model and then stop with exit
-    status 2 at sampling (flat bounding box).
+    tri1.off is planar: its model's bounding box is flat in z, and --pad
+    widens it into a thin slab, so its runs sample and extract like the rest.
     """
     meshes = samples.write_sample_meshes(os.path.join(outdir, "meshes"))
     for name, path in sorted(meshes.items()):

@@ -5,14 +5,19 @@ Subcommands: fit, sample, iso, tpms, perturb, pipeline.  Exit codes:
 degenerate meshes), 3 on numerical failure (singular interpolation
 system).  Identical inputs and flags produce byte-identical outputs.
 ``fit`` and ``pipeline`` warn on stderr when the fit's condition estimate
-exceeds COND_WARN.
+exceeds COND_WARN.  ``--stats PATH.json`` on fit, sample, iso, tpms and
+pipeline also writes the seconds and sizes of each stage the command ran,
+and its exit code, as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
+import time
 
 from .errors import ScaffoldError, SingularMatrixError
 from .grid import make_grid, read_volume, sample_field, solid_fraction, write_volume
@@ -55,13 +60,20 @@ def _iso_tag(value: float) -> str:
     return f"{value:g}"
 
 
-def _write_surfaces(grid, iso_values, out_stem) -> int:
+def _write_surfaces(grid, iso_values, out_stem, stats) -> int:
     """Extract and write one OBJ per iso value; returns 0 (warnings only)."""
     vmax = float(grid.values.max())
     vmin = float(grid.values.min())
+    stats["surfaces"] = []
     for iso in iso_values:
+        t0 = time.perf_counter()
         soup = marching_cubes(grid, iso)
+        t1 = time.perf_counter()
         frac = solid_fraction(grid, iso)
+        surface = {"iso": iso, "triangles": len(soup.triangles),
+                   "vertices": len(soup.vertices), "solid_fraction": frac,
+                   "mc_s": t1 - t0, "solid_fraction_s": time.perf_counter() - t1}
+        stats["surfaces"].append(surface)
         if len(soup.triangles) == 0:
             # no file for an empty surface; say why on stderr and move on
             detail = (f"outside the sampled value range [{vmin:.4g}, {vmax:.4g}]"
@@ -70,18 +82,27 @@ def _write_surfaces(grid, iso_values, out_stem) -> int:
                   f"({detail}); skipping", file=sys.stderr)
             continue
         path = f"{out_stem}_iso{_iso_tag(iso)}.obj"
+        t0 = time.perf_counter()
         export_obj(soup, path)
+        surface.update(obj_write_s=time.perf_counter() - t0,
+                       obj_bytes=os.path.getsize(path), path=path)
         print(f"iso {_iso_tag(iso)}: {len(soup.triangles)} triangles, "
               f"solid fraction {frac:.4f} -> {path}")
     return EXIT_OK
 
 
-def _fit_and_save(args, out: str):
+def _fit_and_save(args, out: str, stats):
     """Fit the --mesh model, write it to ``out`` and print the fit summary."""
+    t0 = time.perf_counter()
     mesh = load_mesh(args.mesh, args.format)
     basis = Basis(kind=args.basis, c=args.c)
+    t1 = time.perf_counter()
     model, report = fit_mesh(mesh, basis, _MODE_NAMES[args.mode], args.lam)
+    t2 = time.perf_counter()
     save_model(model, out)
+    stats["fit"] = {"mesh_read_s": t1 - t0, "fit_s": t2 - t1,
+                    "model_write_s": time.perf_counter() - t2,
+                    **dataclasses.asdict(report)}
     print(f"N={report.n_centers} cond={report.condition_estimate:.6g} "
           f"residual={report.residual_inf:.6g}")
     if report.condition_estimate > COND_WARN:
@@ -91,38 +112,51 @@ def _fit_and_save(args, out: str):
     return model
 
 
-def _sample_and_write(model, args, out: str):
-    """Sample ``model`` over its padded bbox and write the volume to ``out``."""
-    lo, hi = model.bbox()
-    grid = make_grid(lo, hi, args.resolution, args.pad)
-    volume = sample_field(model, grid, workers=args.workers)
+def _sample_and_write(source, grid, workers, out: str, stats):
+    """Sample ``source`` over ``grid`` and write the volume to ``out``."""
+    t0 = time.perf_counter()
+    volume = sample_field(source, grid, workers=workers)
+    t1 = time.perf_counter()
     write_volume(volume, out)
+    stats["sample"] = {"dims": list(volume.dims), "voxels": int(volume.values.size),
+                       "sample_s": t1 - t0, "volume_write_s": time.perf_counter() - t1}
     return volume
 
 
-def cmd_fit(args) -> int:
+def _model_grid(model, args):
+    """The grid over ``model``'s bbox padded by --pad, with --resolution samples."""
+    lo, hi = model.bbox()
+    return make_grid(lo, hi, args.resolution, args.pad)
+
+
+def cmd_fit(args, stats) -> int:
     out = args.out or _stem(args.mesh) + ".arbf"
-    _fit_and_save(args, out)
+    _fit_and_save(args, out, stats)
     print(f"model -> {out}")
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, stats) -> int:
     out = args.out or _stem(args.model)
-    volume = _sample_and_write(load_model(args.model), args, out)
+    t0 = time.perf_counter()
+    model = load_model(args.model)
+    stats["model_read_s"] = time.perf_counter() - t0
+    volume = _sample_and_write(model, _model_grid(model, args), args.workers, out, stats)
     nx, ny, nz = volume.dims
     print(f"volume {nx}x{ny}x{nz} range [{volume.values.min():.6g}, "
           f"{volume.values.max():.6g}] -> {out}.vhdr/.raw")
     return EXIT_OK
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args, stats) -> int:
+    t0 = time.perf_counter()
     grid = read_volume(args.volume)
+    stats["volume_read_s"] = time.perf_counter() - t0
     out = args.out or _stem(args.volume)
-    return _write_surfaces(grid, args.iso, out)
+    return _write_surfaces(grid, args.iso, out, stats)
 
 
-def cmd_tpms(args) -> int:
+def cmd_tpms(args, stats) -> int:
     periods = _parse_float_list(args.periods)
     if len(periods) != 3:
         print("error: --periods needs three comma-separated values", file=sys.stderr)
@@ -130,13 +164,12 @@ def cmd_tpms(args) -> int:
     field = TpmsField(kind=args.kind, periods=tuple(periods))
     lo, hi = DEFAULT_DOMAIN
     grid = make_grid((lo, lo, lo), (hi, hi, hi), args.resolution, 0.0)
-    volume = sample_field(field, grid, workers=args.workers)
     out = args.out or f"tpms_{args.kind}"
-    write_volume(volume, out)
-    return _write_surfaces(volume, args.iso, out)
+    volume = _sample_and_write(field, grid, args.workers, out, stats)
+    return _write_surfaces(volume, args.iso, out, stats)
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args, stats) -> int:
     mesh = load_mesh(args.mesh, args.format)
     spec = PerturbSpec(magnitude=args.magnitude, seed=args.seed,
                        vertex_fraction=args.fraction)
@@ -149,11 +182,16 @@ def cmd_perturb(args) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args, stats) -> int:
     out = args.out or _stem(args.mesh)
-    model = _fit_and_save(args, out + ".arbf")
-    volume = _sample_and_write(model, args, out)
-    return _write_surfaces(volume, args.iso, out)
+    model = _fit_and_save(args, out + ".arbf", stats)
+    volume = _sample_and_write(model, _model_grid(model, args), args.workers, out, stats)
+    return _write_surfaces(volume, args.iso, out, stats)
+
+
+def _add_stats_flag(p):
+    p.add_argument("--stats", metavar="PATH.json",
+                   help="also write stage seconds and sizes as JSON to this path")
 
 
 def _add_mesh_flags(p):
@@ -195,12 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_flags(p)
     _add_fit_flags(p)
     p.add_argument("--out", help="output model path (default: <mesh stem>.arbf)")
+    _add_stats_flag(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sample", help="sample a fitted model onto a voxel grid")
     p.add_argument("--model", required=True, help="model file from 'fit'")
     _add_grid_flags(p)
     p.add_argument("--out", help="output volume stem (default: <model stem>)")
+    _add_stats_flag(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("iso", help="extract iso-surfaces from a sampled volume")
@@ -208,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", type=_iso_list, required=True,
                    help="comma-separated iso values (use --iso=-0.5,0,0.5)")
     p.add_argument("--out", help="output OBJ stem (default: volume stem)")
+    _add_stats_flag(p)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("tpms", help="sample a TPMS baseline field")
@@ -218,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-axis frequency multipliers (default: 1,1,1)")
     _add_grid_flags(p)
     p.add_argument("--out", help="output stem (default: tpms_<kind>)")
+    _add_stats_flag(p)
     p.set_defaults(func=cmd_tpms)
 
     p = sub.add_parser("perturb", help="randomly displace mesh vertices")
@@ -238,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", type=_iso_list, required=True,
                    help="comma-separated iso values (use --iso=-0.5,0,0.5)")
     p.add_argument("--out", help="output stem (default: mesh stem)")
+    _add_stats_flag(p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -249,14 +292,33 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
+    stats = {"command": args.command}
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args, stats)
     except SingularMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code = EXIT_NUMERIC
     except (ScaffoldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code = EXIT_INPUT
+    stats.update(exit_code=code, total_s=time.perf_counter() - t0)
+    if getattr(args, "stats", None):
+        try:
+            _write_stats(args.stats, stats)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+    return code
+
+
+def _write_stats(path: str, stats: dict) -> None:
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(stats, fh, indent=2)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

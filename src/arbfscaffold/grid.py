@@ -67,10 +67,11 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
 
     The box grows by pad_fraction x diagonal on every side; the longest
     axis gets ``resolution`` samples and shorter axes proportionally fewer,
-    never fewer than 2.
+    never fewer than 2.  A flat axis (lo == hi) is allowed when the padding
+    gives it positive extent.
     """
-    if not np.all(hi > lo):
-        raise InvalidBBoxError(f"bbox must have positive extent, got {lo} .. {hi}")
+    if not np.all(hi >= lo):
+        raise InvalidBBoxError(f"bbox must have hi >= lo, got {lo} .. {hi}")
     if resolution < 2:
         raise ValidationError(f"resolution must be at least 2, got {resolution}")
     if pad_fraction < 0.0:
@@ -78,6 +79,8 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
     pad = pad_fraction * float(np.linalg.norm(hi - lo))
     lo = lo - pad
     extent = (hi + pad) - lo
+    if not np.all(extent > 0):
+        raise InvalidBBoxError(f"padded bbox must have positive extent, got {lo} .. {hi + pad}")
     longest = float(extent.max())
     dims = tuple(max(2, int(round(resolution * float(e) / longest))) for e in extent)
     # Rounding must not shave the longest axis itself.

@@ -14,7 +14,21 @@ them used; identities are exact integers, so closedness does not depend on
 where the grid lies or how large it is.
 
 marching_squares does the same per cell in 2-D with a 16-case table.
-export_obj formats whole chunks of rows with one %-format each.
+
+export_obj writes the bytes of 'v %.9g %.9g %.9g' and 'f %d %d %d' lines
+without formatting numbers one by one.  Each chunk of OBJ_CHUNK_ROWS lines
+is an array of uint32 words, 3-digit groups looked up in a table, with NUL
+bytes wherever a line has nothing; the chunk is written with every NUL
+removed.  A face index is its digit groups without leading zeros.  %.9g
+prints x in fixed notation exactly when the decimal exponent e of x rounded
+to 9 digits lies in [-4, 8]; then, with a = |x| and k = 8 - e in 0..12,
+10**k is exact and scaled = a * 10**k is rounded once (e is lowered by one
+when scaled < 1e8).  M = rint(scaled) gives the integer part M // 10**k and
+the fraction M mod 10**k, printed without leading zeros (the units digit
+stays), trailing zeros or a bare '.', and with '-' from the sign bit (so
+-0.0 is '-0').  A value is formatted with '%' instead when it needs
+exponent notation, is NaN or infinite, when scaled is outside [1e8, 1e9)
+or M is 1e9, or when scaled lies within _TIE_GUARD of a rounding tie.
 """
 
 from __future__ import annotations
@@ -222,41 +236,150 @@ def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:
 # Export
 # ---------------------------------------------------------------------------
 
-OBJ_CHUNK_ROWS = 2 ** 16
+# Rows per chunk: a chunk's words take at most 3 MiB (8 uint32 per value).
+OBJ_CHUNK_ROWS = 2 ** 15
+
+# Every 3-digit group as a little-endian uint32 word: its digit bytes, then
+# NUL padding, so byte 3 is always NUL.  Rows: _LEAD drops leading zeros (0
+# has no digits), _FULL keeps all three, _UNIT is _LEAD except that 0 keeps
+# its '0', and _TRAIL drops trailing zeros.
+_LEAD, _FULL, _UNIT, _TRAIL = 0, 1000, 2000, 3000
+_GROUP_WORDS = np.frombuffer(b"".join(
+    s.ljust(4, b"\0") for s in
+    [(b"%d" % g).lstrip(b"0") for g in range(1000)]
+    + [b"%03d" % g for g in range(1000)]
+    + [b"%d" % g for g in range(1000)]
+    + [(b"%03d" % g).rstrip(b"0") for g in range(1000)]), dtype="<u4")
+# Bytes 1..3 of a word.
+_SPACE, _MINUS, _DOT, _NEWLINE = ord(" ") << 8, ord("-") << 16, ord(".") << 24, ord("\n") << 24
+_POW10 = np.array([float(10 ** k) for k in range(14)])   # exact
+_IPOW10 = 10 ** np.arange(13, dtype=np.int64)
+# |scaled - a * 10**k| <= 2**-24 < 6e-8.  A scaled value within this of a
+# rounding tie (fraction .5) goes to '%', which rounds the exact value.
+_TIE_GUARD = 2.5e-7
 
 
-def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
-    """Write ``row_format % row`` per row, formatting a bounded chunk at a time."""
-    for start in range(0, len(rows), OBJ_CHUNK_ROWS):
-        chunk = rows[start: start + OBJ_CHUNK_ROWS]
-        fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
+def _line_words(rows: int, slot_words: int, tag: str) -> np.ndarray:
+    """Zeroed (rows, 3, slot_words) words; slots start with ' ', lines with ``tag``."""
+    words = np.zeros((rows, 3, slot_words), dtype="<u4")
+    words[:, :, 0] = _SPACE
+    words[:, 0, 0] |= ord(tag)
+    return words
+
+
+def _line_bytes(words: np.ndarray) -> bytes:
+    """The lines held in ``words``, each ended by a newline, with every NUL removed."""
+    words[:, 2, -1] |= _NEWLINE
+    return words.tobytes().translate(None, b"\0")
+
+
+def _groups(v: np.ndarray) -> int:
+    """3-digit groups needed for the largest of the integers ``v`` >= 0."""
+    return -(-len(str(int(v.max()))) // 3)
+
+
+def _put_digits(out: np.ndarray, v: np.ndarray) -> None:
+    """out[..., j] <- 3-digit groups of ``v`` >= 0, most significant first.
+
+    Leading zeros are dropped, the units digit is kept.
+    """
+    last = out.shape[-1] - 1
+    for j in range(last, -1, -1):
+        q = v // 1000
+        row = np.where(q != 0, _FULL, _UNIT if j == last else _LEAD)
+        out[..., j] = _GROUP_WORDS[v - 1000 * q + row]
+        v = q
+
+
+def _face_lines(tris: np.ndarray) -> bytes:
+    """'f a b c' lines of (rows, 3) indices."""
+    words = _line_words(len(tris), 1 + _groups(tris), "f")
+    _put_digits(words[:, :, 1:], tris)
+    return _line_bytes(words)
+
+
+def _vertex_lines(x: np.ndarray) -> bytes:
+    """'v x y z' lines of (rows, 3) float64 coordinates, each as '%.9g' formats it.
+
+    A slot holds [' ', sign], the integer part, '.' and 12 fraction digits,
+    or the '%.9g' text of a value outside the fixed-notation fast path.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fast = (a >= 1e-4) & (a < 1e9)
+        k = np.clip(np.where(fast, 8 - np.floor(np.log10(a)), 8), 0, 12).astype(np.int64)
+        scaled = a * _POW10[k]
+        low = scaled < 1e8
+        k += low
+        scaled = np.where(low, a * _POW10[k], scaled)
+        m = np.rint(scaled)
+        fast &= ((k <= 12) & (scaled >= 1e8) & (m < 1e9)
+                 & (np.abs(scaled - np.floor(scaled) - 0.5) > _TIE_GUARD))
+    fast |= a == 0
+    k = np.minimum(k, 12)
+    m = np.where(fast, m, 0).astype(np.int64)
+    whole = m // _IPOW10[k]
+    frac = (m - whole * _IPOW10[k]) * _IPOW10[12 - k]
+
+    n_whole = _groups(whole)
+    words = _line_words(len(x), 1 + n_whole + 4, "v")
+    words[:, :, 0] |= np.signbit(x) * np.uint32(_MINUS)
+    _put_digits(words[:, :, 1: 1 + n_whole], whole)
+    # Fraction groups from the least significant up: trailing zeros stay
+    # only in front of a later nonzero digit, and so does the point.
+    later = np.zeros(x.shape, dtype=bool)
+    for j in range(-1, -5, -1):
+        q = frac // 1000
+        group = frac - 1000 * q
+        words[:, :, j] = _GROUP_WORDS[group + np.where(later, _FULL, _TRAIL)]
+        later |= group != 0
+        frac = q
+    words[:, :, n_whole] |= later * np.uint32(_DOT)
+
+    slow = np.nonzero(~fast)
+    if len(slow[0]):
+        width = 4 * words.shape[-1] - 3   # from the sign byte up to the newline byte
+        text = np.array([b"%.9g" % v for v in x[slow].tolist()], dtype=f"S{width}")
+        words.view(np.uint8)[(*slow, slice(2, 2 + width))] = text.view(np.uint8).reshape(-1, width)
+    return _line_bytes(words)
 
 
 def export_obj(soup: TriangleSoup, path: str) -> None:
     """ASCII OBJ: 'v x y z' lines (%.9g) then 1-based 'f a b c' lines."""
+    vertices = np.asarray(soup.vertices, dtype=np.float64)
+    triangles = np.asarray(soup.triangles, dtype=np.int64)
+    if len(triangles) and triangles.min() < 0:
+        raise ValidationError("triangle vertex indices must be >= 0")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="ascii") as fh:
-        _write_rows(fh, "v %.9g %.9g %.9g\n", soup.vertices)
-        _write_rows(fh, "f %d %d %d\n", soup.triangles + 1)
+    with open(path, "wb") as fh:
+        for start in range(0, len(vertices), OBJ_CHUNK_ROWS):
+            fh.write(_vertex_lines(vertices[start: start + OBJ_CHUNK_ROWS]))
+        for start in range(0, len(triangles), OBJ_CHUNK_ROWS):
+            fh.write(_face_lines(triangles[start: start + OBJ_CHUNK_ROWS] + 1))
 
 
 def load_obj(path: str) -> TriangleSoup:
-    """Vertices and the first three corners of each face of an OBJ file.
+    """Vertices and faces of an OBJ file, a face of k corners as k - 2 triangles.
 
     Only 'v' and 'f' lines are read.  A 'v' line needs 3 numbers; an 'f' line
-    needs 3 corners whose vertex indices lie in 1..nv (relative, negative
-    indices are not supported).  Anything else raises ParseError at path:line.
+    needs at least 3 corners whose vertex indices lie in 1..nv (relative,
+    negative indices are not supported), and corners c0..c(k-1) become the
+    fan (c0, ci, ci+1) for i = 1..k-2.  Anything else raises ParseError at
+    path:line.
     """
     verts, faces = [], []
     for lineno, tokens in _data_lines(path):
         if tokens[0] == "v":
             verts.append(_parse_floats(tokens[1:4], 3, path, lineno))
         elif tokens[0] == "f":
-            corners = [t.split("/")[0] for t in tokens[1:4]]
-            faces.append((lineno, _parse_ints(corners, 3, path, lineno)))
-    tris = [_cell_row(corners, len(verts), 1, path, lineno) for lineno, corners in faces]
+            corners = [t.split("/")[0] for t in tokens[1:]]
+            faces.append((lineno, _parse_ints(corners, max(3, len(corners)), path, lineno)))
+    tris = []
+    for lineno, corners in faces:
+        c = _cell_row(corners, len(verts), 1, path, lineno)
+        tris.extend([c[0], c[i], c[i + 1]] for i in range(1, len(c) - 1))
     return TriangleSoup(
         vertices=np.asarray(verts, dtype=np.float64).reshape(-1, 3),
         triangles=np.asarray(tris, dtype=np.int64).reshape(-1, 3),

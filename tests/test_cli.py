@@ -1,5 +1,6 @@
 """Command line interface: exit codes, outputs, and determinism."""
 
+import json
 import os
 
 import numpy as np
@@ -72,6 +73,65 @@ def test_pipeline_is_byte_deterministic(mesh_dir, tmp_path):
         outs.append(out)
     for suffix in (".arbf", ".vhdr", ".raw", "_iso0.obj"):
         assert read(outs[0] + suffix) == read(outs[1] + suffix), suffix
+
+
+def test_pipeline_on_planar_mesh_samples_padded_bbox(mesh_dir, tmp_path, capsys):
+    # tri1.off lies in z = 0: its model's bbox is flat until --pad widens it.
+    out = str(tmp_path / "tri")
+    rc = main(["pipeline", "--mesh", mesh_dir["tri1.off"], "--resolution", "32",
+               "--iso", "0", "--out", out])
+    assert rc == EXIT_OK
+    assert ax.read_volume(out).dims[2] >= 2
+    assert os.path.exists(out + "_iso0.obj")
+
+
+def test_stats_json_round_trips(mesh_dir, tmp_path, capsys):
+    out, stats = str(tmp_path / "run"), str(tmp_path / "s" / "stats.json")
+    argv = ["pipeline", "--mesh", mesh_dir["hex8.hexmesh"], "--resolution", "20",
+            "--iso=-0.1,0.1,99", "--out", out]
+    assert main(argv + ["--stats", stats]) == EXIT_OK
+    with open(stats, encoding="ascii") as fh:
+        record = json.load(fh)
+    assert record["command"] == "pipeline" and record["exit_code"] == EXIT_OK
+    first = capsys.readouterr()
+    assert f"N={record['fit']['n_centers']} " in first.out and record["fit"]["fit_s"] >= 0.0
+    assert record["sample"]["voxels"] == np.prod(record["sample"]["dims"])
+    assert [s["iso"] for s in record["surfaces"]] == [-0.1, 0.1, 99.0]
+    written, empty = record["surfaces"][:2], record["surfaces"][2]
+    for surface in written:
+        assert surface["triangles"] > 0
+        assert surface["obj_bytes"] == os.path.getsize(surface["path"])
+        assert surface["obj_write_s"] >= 0.0
+    assert empty["triangles"] == 0 and "obj_bytes" not in empty
+
+    # Without --stats the same run prints and writes the same bytes.
+    files = {suffix: read(out + suffix)
+             for suffix in (".arbf", ".vhdr", ".raw", "_iso-0.1.obj", "_iso0.1.obj")}
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == first
+    for suffix, data in files.items():
+        assert read(out + suffix) == data, suffix
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (["fit", "--mesh", "{tet}", "--out", "{tmp}/m.arbf"], {"fit"}),
+    (["tpms", "--kind", "g", "--resolution", "12", "--out", "{tmp}/g"],
+     {"sample", "surfaces"}),
+    (["sample", "--model", "{tmp}/m.arbf", "--resolution", "12", "--out", "{tmp}/v"],
+     {"model_read_s", "sample"}),
+    (["iso", "--volume", "{tmp}/v", "--iso", "0", "--out", "{tmp}/v"],
+     {"volume_read_s", "surfaces"}),
+])
+def test_stats_for_each_stage_command(mesh_dir, tmp_path, argv, keys):
+    main(["fit", "--mesh", mesh_dir["tet1.node"], "--out", str(tmp_path / "m.arbf")])
+    main(["sample", "--model", str(tmp_path / "m.arbf"), "--resolution", "12",
+          "--out", str(tmp_path / "v")])
+    stats = str(tmp_path / "stats.json")
+    argv = [a.format(tet=mesh_dir["tet1.node"], tmp=tmp_path) for a in argv]
+    assert main(argv + ["--stats", stats]) == EXIT_OK
+    with open(stats, encoding="ascii") as fh:
+        record = json.load(fh)
+    assert keys <= set(record) and record["command"] == argv[0]
 
 
 def test_out_of_range_iso_warns_but_succeeds(mesh_dir, tmp_path, capsys):

@@ -53,6 +53,16 @@ def test_make_grid_validation():
         make_grid(np.zeros(3), np.ones(3), 8, pad_fraction=-0.1)
 
 
+def test_flat_bbox_samples_once_padded():
+    # A planar model's bbox is flat along z; the padding gives it extent.
+    g = make_grid(np.zeros(3), np.array([1.0, 1.0, 0.0]), 16, pad_fraction=0.05)
+    assert all(d >= 2 for d in g.dims)
+    lo, hi = g.bbox()
+    assert np.all(hi > lo) and lo[2] < 0.0 < hi[2]
+    with pytest.raises(InvalidBBoxError):
+        make_grid(np.ones(3), np.ones(3), 16, pad_fraction=0.05)   # a point stays flat
+
+
 def test_make_grid_2d_single_slab():
     g = make_grid_2d(np.zeros(3), np.array([1.0, 1.0, 0.0]), 32, 0.0)
     assert g.dims[2] == 1

@@ -218,12 +218,29 @@ def test_obj_round_trip(tmp_path):
     assert first[0] == "v"
 
 
+def test_obj_export_rejects_negative_indices(tmp_path):
+    soup = TriangleSoup(vertices=np.eye(3), triangles=np.array([[0, 1, -1]]))
+    with pytest.raises(ValidationError, match="indices must be >= 0"):
+        export_obj(soup, str(tmp_path / "neg.obj"))
+
+
 def test_obj_ignores_comments_and_normals(tmp_path):
     p = tmp_path / "n.obj"
     p.write_text("# comment\nv 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1/1/1 2/2/2 3/3/3\n")
     soup = load_obj(str(p))
     assert soup.vertices.shape == (3, 3)
     assert np.array_equal(soup.triangles, [[0, 1, 2]])
+
+
+def test_obj_polygon_faces_are_fans(tmp_path):
+    p = tmp_path / "quad.obj"
+    p.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
+    soup = load_obj(str(p))
+    assert np.array_equal(soup.triangles, [[0, 1, 2], [0, 2, 3]])
+    assert surface_area(soup) == pytest.approx(1.0)
+    p.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\nf 1 2 3 4 7\n")
+    with pytest.raises(ParseError, match="quad.obj:6: vertex index 7 out of range"):
+        load_obj(str(p))
 
 
 @pytest.mark.parametrize("text,message", [

@@ -11,6 +11,8 @@ chunks, so vertices, triangles, polylines and file bytes must all match the
 references bit for bit.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -279,6 +281,46 @@ def test_obj_bytes_match_reference(tmp_path, hex_volume):
         path = tmp_path / f"{name}.obj"
         export_obj(soup, str(path))
         assert path.read_bytes() == reference_obj_bytes(soup, tmp_path / f"{name}_ref.obj")
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+# Any float64 bit pattern (NaN payloads, subnormals, +-0, +-inf included);
+# hypothesis' own float edge cases; exact and near 9-digit rounding ties
+# (m + 1/2) * 10**-k; values that round up to a power of ten, like
+# 99999.9995 and 9.9999999995; and the fixed-notation limits 1e-4 and 1e9.
+_COORDINATES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_bits_to_float),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.builds(lambda m, k, s: s * (m + 0.5) / 10.0 ** k,
+              st.integers(10 ** 8, 10 ** 9 - 1), st.integers(0, 13), _SIGN),
+    st.builds(lambda p, s: s * 10.0 ** p * (1 - 5e-10), st.integers(-6, 10), _SIGN),
+    st.builds(lambda p, s: s * np.nextafter(10.0 ** p, 0.0), st.integers(-6, 10), _SIGN),
+    st.sampled_from([0.0, -0.0, 0.5e-4, 1e-4, 9.99999999995e-5, np.nextafter(1e-4, 0.0),
+                     99999.9995, 9.9999999995, 999999999.5, np.nextafter(1e9, 0.0), 1e9,
+                     5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+# 0-based indices whose 1-based form straddles a digit count: 9/10, 99/100, ...
+_FACE_INDICES = st.integers(0, 15).flatmap(
+    lambda d: st.integers(max(0, 10 ** d - 3), 10 ** d + 1))
+
+
+@pytest.fixture(scope="module")
+def obj_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("obj")
+
+
+@given(st.lists(_COORDINATES, max_size=45), st.lists(_FACE_INDICES, max_size=45))
+def test_obj_bytes_match_reference_on_edge_values(obj_dir, coords, indices):
+    coords += [0.0] * (-len(coords) % 3)
+    indices += [0] * (-len(indices) % 3)
+    soup = TriangleSoup(vertices=np.array(coords, dtype=np.float64).reshape(-1, 3),
+                        triangles=np.array(indices, dtype=np.int64).reshape(-1, 3))
+    export_obj(soup, str(obj_dir / "got.obj"))
+    assert (obj_dir / "got.obj").read_bytes() == reference_obj_bytes(soup, obj_dir / "ref.obj")
 
 
 # --- marching squares -----------------------------------------------------
