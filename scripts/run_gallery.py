@@ -94,7 +94,7 @@ def tpms_quartet(outdir, rows, resolution):
 def triangle_panel(outdir, rows, resolution):
     model = fit_mesh(samples.triangle_mesh(), IMQ, "isotropic")[0]
     lo, hi = model.bbox()
-    grid = make_grid_2d(lo - 0.1, hi + 0.1, resolution)
+    grid = make_grid_2d(lo[:2] - 0.1, hi[:2] + 0.1, resolution)  # the triangle's plane, z = 0
     field = sample_field(model, grid, workers=0)
     contours = marching_squares(field, 0.0)
     export_pgm(field, os.path.join(outdir, "triangle_field.pgm"),

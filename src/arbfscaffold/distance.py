@@ -1,14 +1,25 @@
-"""Distance kernels between points and line segments.
+"""Distance kernels between points and line segments, walked in tiles.
 
-``points_to_points`` and ``points_to_segments`` fill whole (n, m) blocks
-axis by axis with elementwise operations only, never a dot or matrix
-product whose rounding depends on the block shape; the other kernels are
-views of them, so a scalar distance is bit-identical to the same entry of
-any batched call.  Privately the arithmetic is split by axis: a table
-such as (x - c_x)² has the shape of its own coordinate operand, and the
-``_fill_*`` forms combine three broadcastable tables into a caller-owned
-block.  A grid thus passes a row of x values and a column of y and z
-values, and each difference is computed once per axis value, not per voxel.
+``distance_tiles`` is the package's one tile walk: for query points given
+as 2-D coordinate arrays x, y, z that broadcast to (rows, cols), it yields
+each tile's distances to a set of points, then to a set of segments.
+``InterpolationModel.evaluate_axes`` turns the tiles into field values;
+``distance_block`` gathers them into (n, P + S) blocks for the kernels
+below and for the point rows of ``assemble_matrix``.
+
+The arithmetic is elementwise, never a dot or matrix product whose rounding
+depends on the block shape, so a distance is bit-identical in any tile,
+block or call.  It is split by axis: a table such as (x - c_x)² has the
+shape of its own coordinate operand.  An operand with one row, such as a
+grid chunk's x row, has its tables built once per block of columns and
+shared by every tile; the others are built per tile.
+
+A tile holds TILE_ELEMS query-center pairs when some operand has one row,
+and TILE_ELEMS // 4 otherwise.  A tile that builds all its tables needs
+about ten temporaries of its own size, which the smaller tile keeps in
+cache.  Shared tables leave a tile far less work per pair, and at the
+smaller size its fixed cost dominates: the hex2_sample benchmark item,
+with 2 worker threads, took about 1.4 times as long.
 
 The segment-segment distance is deliberately the minimum over the four
 endpoint pairs, not the true geometric distance between the segments;
@@ -22,6 +33,8 @@ import math
 
 import numpy as np
 
+from .errors import ValidationError
+
 # A point whose perpendicular residual to the carrying line falls below this
 # is treated as lying on the segment exactly.
 ON_SEGMENT_TOL = 1e-12
@@ -29,8 +42,15 @@ ON_SEGMENT_TOL = 1e-12
 TILE_ELEMS = 2**17
 
 
-def _as_rows(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).reshape(-1, 3)
+def as_points(x) -> np.ndarray:
+    """(n, 3) float64 rows from an (n, 3) array or a single (3,) point."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (3,) and (x.ndim != 2 or x.shape[1] != 3):
+        raise ValidationError(f"points must have shape (n, 3) or (3,), got {x.shape}")
+    return x.reshape(-1, 3)
+
+
+_NO_ROWS = np.empty((0, 3))  # no points, or no segments, for distance_block
 
 
 class _Scratch:
@@ -55,28 +75,12 @@ class _Scratch:
         return self._bufs[n][:size].reshape(shape)
 
 
-def _point_table(c, qk, alloc) -> np.ndarray:
-    """(c - qk)² with shape c.shape + qk.shape: one axis of point distances."""
-    t = np.subtract(c[..., None], qk, out=alloc(c.shape + qk.shape))
-    t *= t
-    return t
-
-
-def _segment_tables(c, ak, dk, alloc):
-    """(c - ak, (c - ak) * dk): one axis of the segment-foot arithmetic."""
+def _tables(c, qk, ak, dk, alloc):
+    """((c - qk)², c - ak, (c - ak) * dk): one axis of a tile's point and segment arithmetic."""
+    sq = np.subtract(c[..., None], qk, out=alloc(c.shape + qk.shape))
+    sq *= sq
     diff = np.subtract(c[..., None], ak, out=alloc(c.shape + ak.shape))
-    return diff, np.multiply(diff, dk, out=alloc(diff.shape))
-
-
-def _fill_point_block(tables, out) -> None:
-    """out = sqrt((dx² + dy²) + dz²) from three _point_table results.
-
-    Each table broadcasts to out, so a grid passes a (1, nx, m) x table and
-    (rows, 1, m) y and z tables; every entry rounds as for a single point.
-    """
-    np.add(tables[0], tables[1], out=out)
-    out += tables[2]
-    np.sqrt(out, out=out)
+    return sq, diff, np.multiply(diff, dk, out=alloc(diff.shape))
 
 
 def _segment_frame(a, b):
@@ -85,7 +89,7 @@ def _segment_frame(a, b):
     Each segment's endpoints are put in lexicographic order, so [a, b] and
     [b, a] give bit-identical frames and distances.
     """
-    a, b = _as_rows(a), _as_rows(b)
+    a, b = as_points(a), as_points(b)
     d = b - a
     first = (d != 0.0).argmax(axis=1)  # first axis where the endpoints differ
     swap = (d[np.arange(len(d)), first] < 0.0)[:, None]
@@ -94,14 +98,20 @@ def _segment_frame(a, b):
     return a, d, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
 
 
-def _fill_segment_block(tables, frame, out, alloc) -> None:
-    """out = distances to the segments of ``frame`` from three _segment_tables results.
+def _fill_block(tables, frame, block, p, alloc) -> None:
+    """Fill block[..., :p] with point and block[..., p:] with segment distances.
 
-    The tables broadcast to out as in _fill_point_block; ``alloc`` gives
-    four out-sized buffers.
+    The three _tables results broadcast to their part of the block (a
+    grid chunk's x tables are (1, nx, m), its y and z tables (rows, 1, m)),
+    and every entry rounds as for a single point.
     """
+    (px, dx, tx), (py, dy, ty), (pz, dz, tz) = tables
+    out = block[..., :p]
+    np.add(px, py, out=out)
+    out += pz
+    np.sqrt(out, out=out)
+    out = block[..., p:]
     _, d, dd = frame
-    (dx, tx), (dy, ty), (dz, tz) = tables
     t = np.add(tx, ty, out=alloc(out.shape))
     t += tz
     t /= np.where(dd == 0.0, 1.0, dd)  # d == 0 there, so t == 0
@@ -120,28 +130,50 @@ def _fill_segment_block(tables, frame, out, alloc) -> None:
         out[snap] = 0.0
 
 
-def _fill_rows(n, m, fill) -> np.ndarray:
-    """(n, m) block filled by ``fill(rows, out_tile, alloc)`` in row tiles.
+def distance_tiles(x, y, z, points, seg_a, seg_b):
+    """Yield (rows, cols, block) tiles of the distances from x, y, z to the centers.
 
-    A segment tile needs ten temporaries of its own size, so tiles hold a
-    quarter of TILE_ELEMS entries and the temporaries, reused from tile to
-    tile, stay in cache; a large block needs no block-sized temporaries.
+    x, y and z are 2-D arrays that broadcast to (n_rows, n_cols); rows and
+    cols are slices of that shape.  ``block``, of shape (rows, cols, P + S),
+    holds each query point's distances to the P ``points``, then to the S
+    segments [seg_a, seg_b] as in points_to_segments.  The next step reuses
+    the block's buffer, so a caller may overwrite it in place.
     """
-    out = np.empty((n, m))
-    rows, scratch = max(1, TILE_ELEMS // 4 // max(m, 1)), _Scratch()
-    for s in range(0, n, rows):
-        scratch.reset()
-        fill(slice(s, s + rows), out[s:s + rows], scratch.take)
+    points = as_points(points)
+    frame = a, d, _ = _segment_frame(seg_a, seg_b)
+    p, n = len(points), max(len(points) + len(a), 1)
+    n_rows, n_cols = np.broadcast_shapes(x.shape, y.shape, z.shape)
+    axes = [(points[:, k], a[:, k], d[:, k]) for k in range(3)]
+    budget = TILE_ELEMS if 1 in (len(x), len(y), len(z)) else TILE_ELEMS // 4
+    cols = max(1, min(n_cols, budget // n))
+    rows = max(1, budget // (cols * n))
+    scratch = _Scratch()
+    for c0 in range(0, n_cols, cols):
+        c1 = min(c0 + cols, n_cols)
+        tile = [v[:, c0:c1] if v.shape[1] > 1 else v for v in (x, y, z)]
+        shared = {k: _tables(v, *axes[k], np.empty) for k, v in enumerate(tile) if len(v) == 1}
+        for r0 in range(0, n_rows, rows):
+            r1 = min(r0 + rows, n_rows)
+            scratch.reset()
+            block = scratch.take((r1 - r0, c1 - c0, p + len(a)))
+            tabs = [shared[k] if k in shared else _tables(v[r0:r1], *axes[k], scratch.take)
+                    for k, v in enumerate(tile)]
+            _fill_block(tabs, frame, block, p, scratch.take)
+            yield slice(r0, r1), slice(c0, c1), block
+
+
+def distance_block(q, points, seg_a, seg_b) -> np.ndarray:
+    """(len(q), P + S) distances from each row of ``q`` to the points, then the segments."""
+    q, points, seg_a = as_points(q), as_points(points), as_points(seg_a)
+    out = np.empty((len(q), len(points) + len(seg_a)))
+    for rows, _, block in distance_tiles(q[:, :1], q[:, 1:2], q[:, 2:], points, seg_a, seg_b):
+        out[rows] = block[:, 0]
     return out
 
 
 def points_to_points(p, q) -> np.ndarray:
     """(len(p), len(q)) Euclidean distances between the rows of p and q."""
-    p, q = _as_rows(p), _as_rows(q)
-
-    def fill(rows, out, alloc):
-        _fill_point_block([_point_table(p[rows, k], q[:, k], alloc) for k in range(3)], out)
-    return _fill_rows(len(p), len(q), fill)
+    return distance_block(p, q, _NO_ROWS, _NO_ROWS)
 
 
 def points_to_segments(pts, a, b) -> np.ndarray:
@@ -153,23 +185,7 @@ def points_to_segments(pts, a, b) -> np.ndarray:
     distance falls below ON_SEGMENT_TOL counts as on the segment and gets
     exactly 0.  A degenerate segment (a == b) gives the point distance.
     """
-    pts = _as_rows(pts)
-    frame = a, d, _ = _segment_frame(a, b)
-
-    def fill(rows, out, alloc):
-        tables = [_segment_tables(pts[rows, k], a[:, k], d[:, k], alloc) for k in range(3)]
-        _fill_segment_block(tables, frame, out, alloc)
-    return _fill_rows(len(pts), len(a), fill)
-
-
-def points_to_point(pts, q) -> np.ndarray:
-    """Distances from each row of ``pts`` (n, 3) to the point ``q``."""
-    return points_to_points(pts, q)[:, 0]
-
-
-def points_to_segment(pts, a, b) -> np.ndarray:
-    """Distances from each row of ``pts`` (n, 3) to the segment [a, b]."""
-    return points_to_segments(pts, a, b)[:, 0]
+    return distance_block(pts, _NO_ROWS, a, b)
 
 
 def dist_point_point(p, q) -> float:

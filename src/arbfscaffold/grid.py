@@ -90,10 +90,19 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
     return lo, extent / (np.array(dims, dtype=np.float64) - 1.0), dims
 
 
+def _bbox_corners(bbox_min, bbox_max, sizes):
+    """The bbox corners as float64 vectors of one length, which must be in ``sizes``."""
+    lo = np.asarray(bbox_min, dtype=np.float64).ravel()
+    hi = np.asarray(bbox_max, dtype=np.float64).ravel()
+    if lo.size != hi.size or lo.size not in sizes:
+        raise ValidationError(f"bbox corners must have {' or '.join(map(str, sizes))} "
+                              f"coordinates each, got {lo.size} and {hi.size}")
+    return lo, hi
+
+
 def make_grid(bbox_min, bbox_max, resolution: int, pad_fraction: float = 0.0) -> VoxelGrid:
     """Grid over a padded bbox; the longest axis gets ``resolution`` samples."""
-    lo = np.asarray(bbox_min, dtype=np.float64).reshape(3)
-    hi = np.asarray(bbox_max, dtype=np.float64).reshape(3)
+    lo, hi = _bbox_corners(bbox_min, bbox_max, (3,))
     origin, spacing, dims = _padded_axes(lo, hi, resolution, pad_fraction)
     return VoxelGrid(origin=origin, spacing=spacing, dims=dims, values=_empty_values(dims))
 
@@ -104,8 +113,9 @@ def make_grid_2d(bbox_min, bbox_max, resolution: int, pad_fraction: float = 0.0)
     bbox_min/bbox_max are (x, y) pairs or (x, y, z) with equal z; the slice
     sits at that z (0 by default).  Padding and dims follow make_grid.
     """
-    lo = np.asarray(bbox_min, dtype=np.float64).ravel()
-    hi = np.asarray(bbox_max, dtype=np.float64).ravel()
+    lo, hi = _bbox_corners(bbox_min, bbox_max, (2, 3))
+    if lo.size == 3 and lo[2] != hi[2]:
+        raise InvalidBBoxError(f"a planar bbox must have equal z, got {lo[2]} and {hi[2]}")
     z = float(lo[2]) if lo.size == 3 else 0.0
     origin, spacing, (nx, ny) = _padded_axes(lo[:2], hi[:2], resolution, pad_fraction)
     dims = (nx, ny, 1)

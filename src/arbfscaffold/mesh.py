@@ -276,6 +276,14 @@ def _data_lines(path: str):
                 yield lineno, text.split()
 
 
+def _next_line(lines, path, missing):
+    """(line_number, tokens) of the next data line; ParseError(missing) at end of file."""
+    lineno, tokens = next(lines, (None, None))
+    if tokens is None:
+        raise ParseError(missing, path)
+    return lineno, tokens
+
+
 def _parse_floats(tokens, n, path, lineno):
     if len(tokens) != n:
         raise ParseError(f"expected {n} fields, got {len(tokens)}", path, lineno)
@@ -311,28 +319,19 @@ def _check_counts(path, lineno, **counts):
 
 def _load_off(path: str) -> VolumetricMesh:
     lines = _data_lines(path)
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("empty file", path) from None
+    lineno, tokens = _next_line(lines, path, "empty file")
     if tokens != ["OFF"]:
         raise ParseError("missing OFF header", path, lineno)
-    lineno, tokens = next(lines, (None, None))
-    if tokens is None:
-        raise ParseError("missing count line", path)
+    lineno, tokens = _next_line(lines, path, "missing count line")
     nv, nf, _ = _parse_ints(tokens, 3, path, lineno)
     _check_counts(path, lineno, vertex=nv, face=nf)
     verts = np.empty((nv, 3))
     for i in range(nv):
-        lineno, tokens = next(lines, (None, None))
-        if tokens is None:
-            raise ParseError(f"expected {nv} vertices, file ended at {i}", path)
+        lineno, tokens = _next_line(lines, path, f"expected {nv} vertices, file ended at {i}")
         verts[i] = _parse_floats(tokens, 3, path, lineno)
     cells = np.empty((nf, 3), dtype=np.int64)
     for i in range(nf):
-        lineno, tokens = next(lines, (None, None))
-        if tokens is None:
-            raise ParseError(f"expected {nf} faces, file ended at {i}", path)
+        lineno, tokens = _next_line(lines, path, f"expected {nf} faces, file ended at {i}")
         vals = _parse_ints(tokens, 4, path, lineno)
         if vals[0] != 3:
             raise ParseError(f"only triangle faces supported, got arity {vals[0]}", path, lineno)
@@ -351,9 +350,7 @@ def _load_node_ele(path: str) -> VolumetricMesh:
     node_path, ele_path = _node_ele_paths(path)
 
     lines = _data_lines(node_path)
-    lineno, tokens = next(lines, (None, None))
-    if tokens is None:
-        raise ParseError("empty file", node_path)
+    lineno, tokens = _next_line(lines, node_path, "empty file")
     header = _parse_ints(tokens, 4, node_path, lineno)
     nv, dim = header[0], header[1]
     _check_counts(node_path, lineno, node=nv)
@@ -363,9 +360,8 @@ def _load_node_ele(path: str) -> VolumetricMesh:
     first_line = np.zeros(nv, dtype=np.int64)  # line of each node index, 0 = unseen
     base = None
     for i in range(nv):
-        lineno, tokens = next(lines, (None, None))
-        if tokens is None:
-            raise ParseError(f"expected {nv} nodes, file ended at {i}", node_path)
+        lineno, tokens = _next_line(lines, node_path,
+                                    f"expected {nv} nodes, file ended at {i}")
         vals = _parse_floats(tokens, 4, node_path, lineno)
         try:
             idx = int(tokens[0])
@@ -386,9 +382,7 @@ def _load_node_ele(path: str) -> VolumetricMesh:
         verts[slot] = vals[1:]
 
     lines = _data_lines(ele_path)
-    lineno, tokens = next(lines, (None, None))
-    if tokens is None:
-        raise ParseError("empty file", ele_path)
+    lineno, tokens = _next_line(lines, ele_path, "empty file")
     header = _parse_ints(tokens, 3, ele_path, lineno)
     nc, arity = header[0], header[1]
     _check_counts(ele_path, lineno, cell=nc)
@@ -396,9 +390,7 @@ def _load_node_ele(path: str) -> VolumetricMesh:
         raise ParseError(f"expected 4 nodes per tet, got {arity}", ele_path, lineno)
     cells = np.empty((nc, 4), dtype=np.int64)
     for i in range(nc):
-        lineno, tokens = next(lines, (None, None))
-        if tokens is None:
-            raise ParseError(f"expected {nc} cells, file ended at {i}", ele_path)
+        lineno, tokens = _next_line(lines, ele_path, f"expected {nc} cells, file ended at {i}")
         vals = _parse_ints(tokens, 5, ele_path, lineno)
         cells[i] = _cell_row(vals[1:], nv, base, ele_path, lineno)
     return make_mesh("tet", verts, cells)
@@ -406,24 +398,18 @@ def _load_node_ele(path: str) -> VolumetricMesh:
 
 def _load_hex_ascii(path: str) -> VolumetricMesh:
     lines = _data_lines(path)
-    lineno, tokens = next(lines, (None, None))
-    if tokens is None:
-        raise ParseError("empty file", path)
+    lineno, tokens = _next_line(lines, path, "empty file")
     if len(tokens) != 3 or tokens[0] != "HEX":
         raise ParseError("missing 'HEX <nv> <nc>' header", path, lineno)
     nv, nc = _parse_ints(tokens[1:], 2, path, lineno)
     _check_counts(path, lineno, vertex=nv, cell=nc)
     verts = np.empty((nv, 3))
     for i in range(nv):
-        lineno, tokens = next(lines, (None, None))
-        if tokens is None:
-            raise ParseError(f"expected {nv} vertices, file ended at {i}", path)
+        lineno, tokens = _next_line(lines, path, f"expected {nv} vertices, file ended at {i}")
         verts[i] = _parse_floats(tokens, 3, path, lineno)
     cells = np.empty((nc, 8), dtype=np.int64)
     for i in range(nc):
-        lineno, tokens = next(lines, (None, None))
-        if tokens is None:
-            raise ParseError(f"expected {nc} cells, file ended at {i}", path)
+        lineno, tokens = _next_line(lines, path, f"expected {nc} cells, file ended at {i}")
         cells[i] = _cell_row(_parse_ints(tokens, 8, path, lineno), nv, 0, path, lineno)
     return make_mesh("hex", verts, cells)
 

@@ -19,9 +19,8 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
-from .distance import (TILE_ELEMS, _fill_point_block, _fill_segment_block, _point_table,
-                       _Scratch, _segment_frame, _segment_tables, points_to_points,
-                       points_to_segments)
+from .distance import TILE_ELEMS  # noqa: F401 (re-exported: the field kernel's tile size)
+from .distance import as_points, distance_block, distance_tiles, points_to_points
 from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError
 from .mesh import CenterSet, VolumetricMesh, assemble_center_set
 
@@ -85,41 +84,41 @@ def eval_basis(basis: Basis, r):
 def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     """Dense collocation system (A, rhs) for a center set.
 
-    The distance matrix is built in three blocks: point-point, point-segment
-    (one points_to_segments call) and segment-segment (the minimum over the
-    four endpoint-distance blocks); the basis values then overwrite it in
-    place.  Raises DuplicateCenterError when two centers coincide
-    geometrically, which almost always means the input mesh was degenerate.
+    Distances fill the point rows in one distance_block call, their
+    transpose, and the minimum over four endpoint blocks between segments;
+    basis values then overwrite them in place.  Raises DuplicateCenterError
+    when two centers coincide, which almost always means a degenerate mesh.
     """
     pts, sa, sb = centers.points, centers.seg_a, centers.seg_b
     p, n = len(pts), len(centers)
     dist = np.empty((n, n))
-    dist[:p, :p] = points_to_points(pts, pts)
-    dist[:p, p:] = points_to_segments(pts, sa, sb)
+    dist[:p] = distance_block(pts, pts, sa, sb)
     dist[p:, :p] = dist[:p, p:].T
     aa, bb = points_to_points(sa, sa), points_to_points(sb, sb)
     ab = points_to_points(sa, sb)
     ba = ab.T  # |b_i - a_j| rounds exactly as |a_j - b_i|
     dist[p:, p:] = np.minimum(np.minimum(aa, ab), np.minimum(ba, bb))
 
-    # Segments that merely touch (shared face center) are legitimate; only
-    # identical geometry, in either orientation, duplicates a matrix row.
-    dup = np.zeros((n, n), dtype=bool)
-    dup[:p, :p] = dist[:p, :p] < DUPLICATE_TOL
-    dup[p:, p:] = ((aa < DUPLICATE_TOL) & (bb < DUPLICATE_TOL)) | (
-        (ab < DUPLICATE_TOL) & (ba < DUPLICATE_TOL))
-    hits = np.argwhere(np.triu(dup, 1))
-    if len(hits):
-        i, j = hits[0]
-        raise DuplicateCenterError(
-            f"centers {i} and {j} coincide; check the mesh for degenerate cells"
-        )
+    # Point pairs, then segment pairs with identical geometry in either
+    # orientation; segments that merely touch (shared face center) are fine.
+    tol = DUPLICATE_TOL
+    for off, same in ((0, dist[:p, :p] < tol),
+                      (p, ((aa < tol) & (bb < tol)) | ((ab < tol) & (ba < tol)))):
+        i, j = np.nonzero(same)
+        upper = np.flatnonzero(i < j)
+        if len(upper):
+            raise DuplicateCenterError(f"centers {off + i[upper[0]]} and {off + j[upper[0]]} "
+                                       "coincide; check the mesh for degenerate cells")
     _fill_basis(basis, dist)
     dist.flat[::n + 1] += lam
     return dist, centers.values
 
 
 def _lu_solve_checked(a: np.ndarray, rhs: np.ndarray):
+    """(weights, LU factors, 1-norm of A), from one |A| freed before the LU."""
+    abs_a = np.abs(a)
+    scale, norm_1 = abs_a.max(), abs_a.sum(axis=0).max()
+    del abs_a
     try:
         with warnings.catch_warnings():
             # the pivot check below reports singularity on our own terms
@@ -128,7 +127,6 @@ def _lu_solve_checked(a: np.ndarray, rhs: np.ndarray):
     except Exception as exc:  # scipy raises LinAlgError on hard failure
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
     pivots = np.abs(np.diag(lu))
-    scale = np.abs(a).max()
     if scale == 0.0 or pivots.min() < PIVOT_TOL * scale:
         raise SingularMatrixError(
             "interpolation matrix is numerically singular; "
@@ -137,14 +135,13 @@ def _lu_solve_checked(a: np.ndarray, rhs: np.ndarray):
     w = lu_solve((lu, piv), rhs)
     # One step of iterative refinement tightens the residual cheaply.
     w = w + lu_solve((lu, piv), rhs - a @ w)
-    return w, lu
+    return w, lu, norm_1
 
 
 def solve_weights(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A w = rhs by dense LU with partial pivoting."""
-    w, _ = _lu_solve_checked(np.asarray(a, dtype=np.float64),
-                             np.asarray(rhs, dtype=np.float64))
-    return w
+    return _lu_solve_checked(np.asarray(a, dtype=np.float64),
+                             np.asarray(rhs, dtype=np.float64))[0]
 
 
 @dataclass(eq=False)
@@ -169,56 +166,28 @@ class InterpolationModel:
     def evaluate_axes(self, x, y, z) -> np.ndarray:
         """Field values over coordinate arrays that broadcast to (rows, cols).
 
-        x, y and z have at most two dims each; the result has their
-        broadcast shape.  A chunk of grid rows passes xs[None, :] with the
-        rows' ys[:, None] and zs[:, None]: the per-axis distance tables of
-        an operand with one row, such as (x - c_x)², are built once per
-        block of columns and shared by every row, the others once per tile.
-        Tiles hold about TILE_ELEMS point-center pairs (a row is split
-        into column blocks when cols * N exceeds it); each is filled with
-        distances, then basis values, then reduced per point.  No step mixes
-        points, so every value equals evaluate() of its point bit for bit.
+        x, y and z have at most two dims each; the result has their broadcast
+        shape.  Each tile of distance_tiles (see distance.py for how a grid
+        chunk's xs[None, :] is shared) becomes basis values, then weighted
+        row sums, in place.  No step mixes points, so every value equals
+        evaluate() of its point bit for bit.
         """
         coords = [np.asarray(v, dtype=np.float64) for v in (x, y, z)]
         shape = np.broadcast_shapes(*(v.shape for v in coords))
         if len(shape) > 2:
             raise ValidationError(f"coordinates must have at most 2 dims, got {shape}")
         coords = [v.reshape((1,) * (2 - v.ndim) + v.shape) for v in coords]
-        n_rows, n_cols = (1,) * (2 - len(shape)) + shape
-        c, n = self.centers, len(self.centers)
-        p = len(c.points)
-        frame = a, d, _ = _segment_frame(c.seg_a, c.seg_b)
-
-        def tables(v, k, alloc):
-            return (_point_table(v, c.points[:, k], alloc),) + _segment_tables(
-                v, a[:, k], d[:, k], alloc)
-
-        cols = max(1, min(n_cols, TILE_ELEMS // n))
-        rows = max(1, TILE_ELEMS // (cols * n))
-        phi_buf = np.empty(min(rows, n_rows) * cols * n)
-        scratch = _Scratch()
-        out = np.empty((n_rows, n_cols))
-        for c0 in range(0, n_cols, cols):
-            c1 = min(c0 + cols, n_cols)
-            block = [v[:, c0:c1] if v.shape[1] > 1 else v for v in coords]
-            shared = {k: tables(v, k, np.empty) for k, v in enumerate(block) if len(v) == 1}
-            for r0 in range(0, n_rows, rows):
-                r1 = min(r0 + rows, n_rows)
-                scratch.reset()
-                tabs = [shared[k] if k in shared else tables(v[r0:r1], k, scratch.take)
-                        for k, v in enumerate(block)]
-                phi = phi_buf[:(r1 - r0) * (c1 - c0) * n].reshape(r1 - r0, c1 - c0, n)
-                _fill_point_block([t[0] for t in tabs], phi[..., :p])
-                _fill_segment_block([t[1:] for t in tabs], frame, phi[..., p:], scratch.take)
-                phi = phi.reshape(-1, n)
-                _fill_basis(self.basis, phi)
-                phi *= self.weights
-                out[r0:r1, c0:c1] = phi.sum(axis=1).reshape(r1 - r0, c1 - c0)
+        out = np.empty((1,) * (2 - len(shape)) + shape)
+        c = self.centers
+        for rows, cols, phi in distance_tiles(*coords, c.points, c.seg_a, c.seg_b):
+            _fill_basis(self.basis, phi)
+            phi *= self.weights
+            out[rows, cols] = phi.reshape(-1, len(c)).sum(axis=1).reshape(phi.shape[:2])
         return out.reshape(shape)
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         """Field values at each row of ``pts`` (n, 3), via evaluate_axes."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        pts = as_points(pts)
         return self.evaluate_axes(pts[:, 0, None], pts[:, 1, None], pts[:, 2, None])[:, 0]
 
     def evaluate(self, x) -> float:
@@ -246,8 +215,8 @@ class FitReport:
 def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
     """Assemble and solve the collocation system, returning (model, report)."""
     a, rhs = assemble_matrix(centers, basis, lam)
-    w, lu = _lu_solve_checked(a, rhs)
-    rcond, _ = dgecon(lu, np.abs(a).sum(axis=0).max())
+    w, lu, norm_1 = _lu_solve_checked(a, rhs)
+    rcond, _ = dgecon(lu, norm_1)
     residual = float(np.abs(a @ w - rhs).max())
     if residual > RESIDUAL_TOL * (1.0 + float(np.abs(rhs).max())):
         raise SingularMatrixError(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distance import as_points
 from .errors import ValidationError
 
 TPMS_KINDS = ("p", "d", "g", "iwp")
@@ -58,7 +59,7 @@ class TpmsField:
         return sx * cy + sy * cz + sz * cx  # g
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        pts = as_points(pts)
         return self.evaluate_axes(pts[:, 0], pts[:, 1], pts[:, 2])
 
     def evaluate(self, p) -> float:

@@ -13,7 +13,9 @@ import pytest
 
 import arbfscaffold as ax
 from arbfscaffold import samples
-from arbfscaffold.distance import dist_point_point, dist_point_segment, dist_segment_segment
+from arbfscaffold.distance import (TILE_ELEMS, dist_point_point, dist_point_segment,
+                                   dist_segment_segment, distance_block, points_to_points,
+                                   points_to_segments)
 from arbfscaffold.errors import DuplicateCenterError
 from arbfscaffold.mesh import CenterSet
 from arbfscaffold.rbf import DUPLICATE_TOL, Basis, assemble_matrix, eval_basis
@@ -64,6 +66,24 @@ def test_blocks_match_reference_loop(name, mode):
         assert np.array_equal(a[:p, p:], ref[:p, p:])
         assert np.array_equal(a[p:, :p], a[:p, p:].T)
         assert np.array_equal(rhs, cs.values)
+
+
+@pytest.mark.parametrize("mode", ["isotropic", "anisotropic"])
+def test_multi_tile_rows_equal_rows_built_alone(mode):
+    mesh = ax.perturb_mesh(samples.hex_block_mesh(4, 4, 4),
+                           ax.PerturbSpec(magnitude=0.2, seed=3, vertex_fraction=0.7))
+    cs = ax.assemble_center_set(mesh, mode)
+    pts, sa, sb = cs.points, cs.seg_a, cs.seg_b
+    assert len(pts) * len(cs) > TILE_ELEMS  # the point rows span several tiles
+    rows = [distance_block(q, pts, sa, sb)[0] for q in pts]
+    for a, b in zip(sa, sb):
+        ends = [points_to_points(e, f)[0] for e in (a, b) for f in (sa, sb)]
+        rows.append(np.concatenate([points_to_segments(pts, a, b)[:, 0],
+                                    np.minimum.reduce(ends)]))
+    for basis in BASES:
+        matrix, _ = assemble_matrix(cs, basis)
+        for i, row in enumerate(rows):
+            assert np.array_equal(matrix[i], eval_basis(basis, row)), i
 
 
 def _duplicate_cases():

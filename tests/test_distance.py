@@ -8,9 +8,8 @@ from arbfscaffold.distance import (
     dist_point_point,
     dist_point_segment,
     dist_segment_segment,
-    points_to_point,
+    distance_block,
     points_to_points,
-    points_to_segment,
     points_to_segments,
 )
 
@@ -74,10 +73,10 @@ def test_segment_segment_is_endpoint_pair_minimum():
 def test_vectorized_matches_scalar(rng):
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     pts = rng.standard_normal((50, 3))
-    vec = points_to_segment(pts, a, b)
+    vec = points_to_segments(pts, a, b)[:, 0]
     for p, d in zip(pts, vec):
         assert dist_point_segment(p, a, b) == d
-    assert np.array_equal(points_to_point(pts, a),
+    assert np.array_equal(points_to_points(pts, a)[:, 0],
                           np.linalg.norm(pts - a, axis=1))
 
 
@@ -126,3 +125,13 @@ def test_batched_blocks_equal_scalar_kernels_bitwise(pts, ends, flips):
         for j in range(len(a)):
             assert seg[i, j] == dist_point_segment(p, a[j], b[j])
             assert pp[i, j] == dist_point_point(p, a[j])
+
+
+def test_empty_blocks_keep_their_shape():
+    none, q = np.empty((0, 3)), np.ones((4, 3))
+    assert distance_block(none, q, q, q).shape == (0, 8)
+    assert distance_block(q, none, none, none).shape == (4, 0)
+    assert distance_block(q, q[:1], none, none).shape == (4, 1)
+    assert points_to_points(none, q).shape == (0, 4)
+    assert points_to_segments(q, none, none).shape == (4, 0)
+    assert points_to_segments(none, q, q).shape == (0, 4)

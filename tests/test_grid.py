@@ -53,6 +53,24 @@ def test_make_grid_validation():
         make_grid(np.zeros(3), np.ones(3), 8, pad_fraction=-0.1)
 
 
+def test_make_grid_rejects_a_bbox_without_three_coordinates():
+    # a ScaffoldError, not numpy's "cannot reshape" ValueError
+    with pytest.raises(ValidationError, match="3 coordinates"):
+        make_grid((0.0, 0.0), (1.0, 1.0), 8)
+
+
+def test_make_grid_2d_rejects_corners_of_different_length():
+    # not a grid whose origin has only two entries
+    with pytest.raises(ValidationError, match="2 or 3 coordinates"):
+        make_grid_2d((0.0,), (1.0, 1.0), 8)
+
+
+def test_make_grid_2d_rejects_unequal_z():
+    # not a slice silently placed at the lower z
+    with pytest.raises(InvalidBBoxError, match="equal z"):
+        make_grid_2d((0.0, 0.0, 0.0), (1.0, 1.0, 5.0), 8)
+
+
 def test_flat_bbox_samples_once_padded():
     # A planar model's bbox is flat along z; the padding gives it extent.
     g = make_grid(np.zeros(3), np.array([1.0, 1.0, 0.0]), 16, pad_fraction=0.05)

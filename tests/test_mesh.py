@@ -265,6 +265,36 @@ def test_impossible_header_counts(tmp_path, files, load, where):
     assert where in str(err.value)
 
 
+_HEX_VERTS = "".join(f"{x} {y} {z}\n" for z in (0, 1) for y in (0, 1) for x in (0, 1))
+
+
+@pytest.mark.parametrize("files,load,message", [
+    ({"e.off": "# nothing\n"}, "e.off", "e.off: empty file"),
+    ({"c.off": "OFF\n"}, "c.off", "c.off: missing count line"),
+    ({"v.off": "OFF\n3 1 0\n0 0 0\n"}, "v.off", "v.off: expected 3 vertices, file ended at 1"),
+    ({"f.off": "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"}, "f.off",
+     "f.off: expected 2 faces, file ended at 1"),
+    ({"e.node": "\n", "e.ele": "1 4 0\n"}, "e.node", "e.node: empty file"),
+    ({"n.node": _TET_NODES[:-8], "n.ele": "1 4 0\n"}, "n.node",
+     "n.node: expected 4 nodes, file ended at 3"),
+    ({"e.node": _TET_NODES, "e.ele": ""}, "e.node", "e.ele: empty file"),
+    ({"c.node": _TET_NODES, "c.ele": "2 4 0\n1 1 2 3 4\n"}, "c.node",
+     "c.ele: expected 2 cells, file ended at 1"),
+    ({"e.hexmesh": ""}, "e.hexmesh", "e.hexmesh: empty file"),
+    ({"v.hexmesh": "HEX 8 1\n0 0 0\n"}, "v.hexmesh",
+     "v.hexmesh: expected 8 vertices, file ended at 1"),
+    ({"c.hexmesh": "HEX 8 1\n" + _HEX_VERTS}, "c.hexmesh",
+     "c.hexmesh: expected 1 cells, file ended at 0"),
+], ids=["off-empty", "off-count", "off-vertices", "off-faces", "node-empty", "node-rows",
+        "ele-empty", "ele-rows", "hex-empty", "hex-vertices", "hex-cells"])
+def test_file_ending_early_names_what_is_missing(tmp_path, files, load, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(ParseError) as err:
+        ax.load_mesh(str(tmp_path / load))
+    assert str(err.value) == str(tmp_path / message)
+
+
 def test_comments_and_blank_lines_are_skipped(tmp_path):
     p = tmp_path / "c.off"
     p.write_text("# header comment\nOFF\n\n3 1 0\n0 0 0\n1 0 0\n# mid\n0 1 0\n3 0 1 2\n")

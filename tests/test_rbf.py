@@ -203,6 +203,16 @@ def test_evaluate_many_matches_scalar(block_mesh, rng):
     assert np.array_equal(many, [model.evaluate(p) for p in pts])
 
 
+@pytest.mark.parametrize("shape", [(6, 4), (6, 2)])
+def test_evaluate_many_rejects_points_that_are_not_n_by_3(hex_mesh, shape):
+    # neither a silently dropped 4th column nor a raw IndexError on 2 columns
+    model = fit_mesh(hex_mesh, Basis("imq", 0.1), "anisotropic")[0]
+    with pytest.raises(ValidationError, match=r"\(n, 3\)"):
+        model.evaluate_many(np.zeros(shape))
+    one = np.array([0.25, 0.5, 0.75])
+    assert model.evaluate_many(one) == [model.evaluate(one)]
+
+
 def test_fit_report_fields(block_mesh):
     model, report = fit_mesh(block_mesh, Basis("imq", 0.1), "anisotropic")
     assert report.n_centers == 129

@@ -19,6 +19,13 @@ def test_kinds_and_validation():
         TpmsField("p", periods=(0, 1, 1))
 
 
+@pytest.mark.parametrize("shape", [(6, 4), (6, 2)])
+def test_evaluate_many_rejects_points_that_are_not_n_by_3(shape):
+    with pytest.raises(ValidationError, match=r"\(n, 3\)"):
+        TpmsField("g").evaluate_many(np.zeros(shape))
+    assert TpmsField("g").evaluate_many(np.array([0.5, 1.0, 1.5])).shape == (1,)
+
+
 def test_values_at_origin():
     assert TpmsField("p").evaluate(np.zeros(3)) == pytest.approx(3.0)
     assert TpmsField("d").evaluate(np.zeros(3)) == pytest.approx(0.0)
