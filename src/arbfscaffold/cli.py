@@ -7,7 +7,8 @@ system).  Identical inputs and flags produce byte-identical outputs.
 ``fit`` and ``pipeline`` warn on stderr when the fit's condition estimate
 exceeds COND_WARN.  ``--stats PATH.json`` on fit, sample, iso, tpms and
 pipeline also writes the seconds and sizes of each stage the command ran,
-and its exit code, as JSON.
+and its exit code, as JSON; that file is not byte-identical between runs,
+since besides the seconds its condition_estimate can vary in the last bits.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -39,17 +41,20 @@ _MODE_NAMES = {"iso": "isotropic", "aniso": "anisotropic",
                "isotropic": "isotropic", "anisotropic": "anisotropic"}
 
 
-def _parse_float_list(text: str) -> list[float]:
-    items = [t for t in text.split(",") if t.strip()]
-    return [float(t) for t in items]
-
-
-def _iso_list(text: str) -> list[float]:
-    """argparse type for --iso: one or more comma-separated floats."""
-    values = _parse_float_list(text)
-    if not values:
-        raise argparse.ArgumentTypeError("needs at least one value")
+def _float_list(text: str) -> list[float]:
+    """argparse type for --iso: one or more comma-separated finite floats."""
+    values = [float(t) for t in text.split(",") if t.strip()]
+    if not values or not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"needs one or more finite values, got {text!r}")
     return values
+
+
+def _periods(text: str) -> tuple[float, float, float]:
+    """argparse type for --periods: three comma-separated positive finite floats."""
+    values = _float_list(text)
+    if len(values) != 3 or min(values) <= 0.0:
+        raise argparse.ArgumentTypeError(f"needs three positive values, got {text!r}")
+    return tuple(values)
 
 
 def _stem(path: str) -> str:
@@ -157,11 +162,7 @@ def cmd_iso(args, stats) -> int:
 
 
 def cmd_tpms(args, stats) -> int:
-    periods = _parse_float_list(args.periods)
-    if len(periods) != 3:
-        print("error: --periods needs three comma-separated values", file=sys.stderr)
-        return EXIT_INPUT
-    field = TpmsField(kind=args.kind, periods=tuple(periods))
+    field = TpmsField(kind=args.kind, periods=args.periods)
     lo, hi = DEFAULT_DOMAIN
     grid = make_grid((lo, lo, lo), (hi, hi, hi), args.resolution, 0.0)
     out = args.out or f"tpms_{args.kind}"
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iso", help="extract iso-surfaces from a sampled volume")
     p.add_argument("--volume", required=True, help="volume stem or .vhdr path")
-    p.add_argument("--iso", type=_iso_list, required=True,
+    p.add_argument("--iso", type=_float_list, required=True,
                    help="comma-separated iso values (use --iso=-0.5,0,0.5)")
     p.add_argument("--out", help="output OBJ stem (default: volume stem)")
     _add_stats_flag(p)
@@ -253,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tpms", help="sample a TPMS baseline field")
     p.add_argument("--kind", choices=["p", "d", "g", "iwp"], required=True)
-    p.add_argument("--iso", type=_iso_list, default="0",
+    p.add_argument("--iso", type=_float_list, default="0",
                    help="comma-separated iso values (default: 0)")
-    p.add_argument("--periods", default="1,1,1",
+    p.add_argument("--periods", type=_periods, default="1,1,1",
                    help="per-axis frequency multipliers (default: 1,1,1)")
     _add_grid_flags(p)
     p.add_argument("--out", help="output stem (default: tpms_<kind>)")
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_flags(p)
     _add_fit_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--iso", type=_iso_list, required=True,
+    p.add_argument("--iso", type=_float_list, required=True,
                    help="comma-separated iso values (use --iso=-0.5,0,0.5)")
     p.add_argument("--out", help="output stem (default: mesh stem)")
     _add_stats_flag(p)

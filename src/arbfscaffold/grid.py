@@ -1,4 +1,4 @@
-"""Voxel grids: construction, field sampling, and the .vhdr/.raw volume format.
+"""Voxel grids, field sources and their sampling, and the .vhdr/.raw volume format.
 
 Values are stored as a flat float32 array in x-fastest order
 (idx = i + nx * (j + ny * k)); sample (i, j, k) sits at
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distance import as_points
 from .errors import HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError
 
 WORKERS_ENV = "ARBF_WORKERS"
@@ -31,19 +32,18 @@ class VoxelGrid:
         nx, ny, _ = self.dims
         return i + nx * (j + ny * k)
 
-    def position(self, i: int, j: int, k: int) -> np.ndarray:
-        return self.origin + self.spacing * np.array([i, j, k], dtype=np.float64)
-
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample coordinates along each axis: origin[a] + i * spacing[a]."""
         return tuple(self.origin[a] + np.arange(n, dtype=np.float64) * self.spacing[a]
                      for a, n in enumerate(self.dims))
 
-    def positions(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Sample positions for a flat index range, in index order."""
+    def positions(self, idx=None) -> np.ndarray:
+        """Sample coordinates (n, 3) at the flat indices ``idx``, all samples if None.
+
+        Entries of the axes() vectors, so they equal the sampled coordinates bit for bit.
+        """
         nx, ny, nz = self.dims
-        stop = nx * ny * nz if stop is None else stop
-        idx = np.arange(start, stop, dtype=np.int64)
+        idx = np.arange(nx * ny * nz) if idx is None else np.asarray(idx, dtype=np.int64)
         xs, ys, zs = self.axes()
         return np.stack([xs[idx % nx], ys[idx // nx % ny], zs[idx // (nx * ny)]], axis=1)
 
@@ -74,8 +74,8 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
         raise InvalidBBoxError(f"bbox must have hi >= lo, got {lo} .. {hi}")
     if resolution < 2:
         raise ValidationError(f"resolution must be at least 2, got {resolution}")
-    if pad_fraction < 0.0:
-        raise ValidationError(f"pad_fraction must be >= 0, got {pad_fraction}")
+    if not (np.isfinite(pad_fraction) and pad_fraction >= 0.0):
+        raise ValidationError(f"pad_fraction must be finite and >= 0, got {pad_fraction}")
     pad = pad_fraction * float(np.linalg.norm(hi - lo))
     lo = lo - pad
     extent = (hi + pad) - lo
@@ -140,17 +140,35 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
+class FieldSource:
+    """A field for sample_field: it provides evaluate_axes(x, y, z).
+
+    evaluate_axes takes coordinate arrays of at most two dims that broadcast to
+    one shape and returns the field values in that shape.  Point evaluation is
+    built on it here, once for every source.
+    """
+
+    def evaluate_many(self, pts) -> np.ndarray:
+        """Field values at each row of ``pts`` (n, 3), via evaluate_axes."""
+        pts = as_points(pts)
+        return self.evaluate_axes(pts[:, 0, None], pts[:, 1, None], pts[:, 2, None])[:, 0]
+
+    def evaluate(self, p) -> float:
+        """Field value at one point of shape (3,) or (1, 3)."""
+        p = np.asarray(p, dtype=np.float64)
+        if p.shape not in ((3,), (1, 3)):
+            raise ValidationError(f"a point must have shape (3,) or (1, 3), got {p.shape}")
+        return float(self.evaluate_many(p)[0])
+
+
 def sample_field(source, grid: VoxelGrid, workers: int | None = None) -> VoxelGrid:
     """Evaluate a field source at every grid sample, returning a filled copy.
 
-    A source with ``evaluate_axes(x, y, z)`` (InterpolationModel, TpmsField)
-    is called on chunks of whole grid rows, as evaluate_axes(xs[None, :],
+    The source provides evaluate_axes(x, y, z) (see FieldSource) and is
+    called on chunks of whole grid rows, as evaluate_axes(xs[None, :],
     ys[rows, None], zs[rows, None]) with the axis vectors of grid.axes(), so
     work that depends on one coordinate (point-center differences, TPMS sin
-    and cos) runs once per axis value, not once per voxel.  Any other source
-    needs evaluate_many((n, 3)) -> (n,), or is a bare callable with that
-    signature, and gets contiguous chunks of grid.positions(), the last one
-    possibly a single voxel.
+    and cos) runs once per axis value, not once per voxel.
 
     InterpolationModel and TpmsField compute each voxel from its own
     coordinates only, with the same operations for any operand shapes, and
@@ -158,37 +176,25 @@ def sample_field(source, grid: VoxelGrid, workers: int | None = None) -> VoxelGr
     equals evaluate_many(grid.positions()) bit for bit, for any worker count
     or chunking.
     """
-    nx, ny, nz = grid.dims
     eval_axes = getattr(source, "evaluate_axes", None)
-    if eval_axes is not None:
-        xs, ys, zs = grid.axes()
-        unit = nx  # a chunk holds whole rows
-
-        def values(s, e):
-            r = np.arange(s, e)
-            return eval_axes(xs[None, :], ys[r % ny, None], zs[r // ny, None])
-    else:
-        eval_many = getattr(source, "evaluate_many", source)
-        if not callable(eval_many):
-            raise ValidationError("field source must be callable or expose evaluate_many")
-        unit = 1
-
-        def values(s, e):
-            return eval_many(grid.positions(s, e))
+    if not callable(eval_axes):
+        raise ValidationError(f"field source {type(source).__name__} lacks evaluate_axes(x, y, z)")
+    nx, ny, nz = grid.dims
+    xs, ys, zs = grid.axes()
     workers = resolve_workers(workers)
-    total = nx * ny * nz
+    total, rows = nx * ny * nz, ny * nz
     out = np.empty(total, dtype=np.float32)
 
-    # Chunks sized for cache friendliness; small grids collapse to one chunk.
-    # A chunk counts whole units: rows on the axis path, voxels otherwise.
+    # Chunks of whole rows sized for cache friendliness; small grids make one chunk.
     voxels = max(4096, (total + 4 * workers - 1) // (4 * workers))
-    chunk, units = -(-voxels // unit), total // unit
-    spans = [(s, min(s + chunk, units)) for s in range(0, units, chunk)]
+    chunk = -(-voxels // nx)
+    spans = [(s, min(s + chunk, rows)) for s in range(0, rows, chunk)]
 
     def run(span):
         s, e = span
-        vals = np.asarray(values(s, e), dtype=np.float64).astype(np.float32)
-        out[s * unit:e * unit] = vals.ravel()
+        r = np.arange(s, e)
+        vals = eval_axes(xs[None, :], ys[r % ny, None], zs[r // ny, None])
+        out[s * nx:e * nx] = np.asarray(vals, dtype=np.float64).astype(np.float32).ravel()
 
     if workers == 1 or len(spans) == 1:
         for span in spans:

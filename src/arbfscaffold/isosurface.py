@@ -144,9 +144,7 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     hi = lo + stride[axis]
     samples = vol.ravel()
     t = (iso - samples[lo]) / (samples[hi] - samples[lo])  # crossed: v_lo != v_hi
-    ijk = np.stack(np.unravel_index(lo, vol.shape)[::-1], axis=1)
-    p_lo = grid.origin + ijk * grid.spacing
-    p_hi = grid.origin + (ijk + np.eye(3, dtype=np.int64)[axis]) * grid.spacing
+    p_lo, p_hi = grid.positions(lo), grid.positions(hi)
     points = p_lo + t[:, None] * (p_hi - p_lo)
 
     # A vertex within SNAP_T of a sample becomes that sample, so every edge
@@ -203,8 +201,7 @@ def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:
     if nx < 2 or ny < 2:
         raise ValidationError("marching squares needs at least 2 samples per axis")
     vals = grid.values_3d()[0].astype(np.float64)  # (ny, nx) -> [j, i]
-    ox, oy, z = grid.origin
-    dx, dy = grid.spacing[0], grid.spacing[1]
+    xs, ys, _ = grid.axes()
 
     solid = vals >= iso
     case = np.zeros((ny - 1, nx - 1), dtype=np.uint8)
@@ -225,10 +222,10 @@ def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:
     rows = seg_cell[:, None]
     v0, v1 = cv[rows, c0], cv[rows, c1]
     t = (iso - v0) / (v1 - v0)
-    x0, x1 = ox + ci[rows, c0] * dx, ox + ci[rows, c1] * dx
-    y0, y1 = oy + cj[rows, c0] * dy, oy + cj[rows, c1] * dy
+    x0, x1 = xs[ci[rows, c0]], xs[ci[rows, c1]]
+    y0, y1 = ys[cj[rows, c0]], ys[cj[rows, c1]]
     pts = np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0),
-                    np.full(t.shape, z)], axis=-1)   # (segments, 2, 3)
+                    np.full(t.shape, grid.origin[2])], axis=-1)   # (segments, 2, 3)
     return ContourSet(polylines=list(pts))
 
 

@@ -20,8 +20,9 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
 from .distance import TILE_ELEMS  # noqa: F401 (re-exported: the field kernel's tile size)
-from .distance import as_points, distance_block, distance_tiles, points_to_points
+from .distance import distance_block, distance_tiles, points_to_points
 from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError
+from .grid import FieldSource
 from .mesh import CenterSet, VolumetricMesh, assemble_center_set
 
 BASIS_KINDS = ("gaussian", "mq", "imq", "tps")
@@ -50,6 +51,8 @@ class Basis:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValidationError(f"unknown basis {self.kind!r}, expected one of {BASIS_KINDS}")
+        if not np.isfinite(self.c):  # save_model writes c for every kind
+            raise ValidationError(f"shape parameter must be finite, got {self.c}")
         if self.kind != "tps" and not self.c > 0.0:
             raise ValidationError(f"shape parameter must be positive, got {self.c}")
 
@@ -145,7 +148,7 @@ def solve_weights(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class InterpolationModel:
+class InterpolationModel(FieldSource):
     """A fitted field: center set, basis, lambda, and solved weights."""
 
     centers: CenterSet
@@ -185,14 +188,6 @@ class InterpolationModel:
             out[rows, cols] = phi.reshape(-1, len(c)).sum(axis=1).reshape(phi.shape[:2])
         return out.reshape(shape)
 
-    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        """Field values at each row of ``pts`` (n, 3), via evaluate_axes."""
-        pts = as_points(pts)
-        return self.evaluate_axes(pts[:, 0, None], pts[:, 1, None], pts[:, 2, None])[:, 0]
-
-    def evaluate(self, x) -> float:
-        return float(self.evaluate_many(np.asarray(x, dtype=np.float64).reshape(1, 3))[0])
-
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         c = self.centers
         pos = np.concatenate([c.points, c.seg_a, c.seg_b])
@@ -204,7 +199,8 @@ class FitReport:
     """Solve diagnostics: condition estimate and final residual.
 
     ``condition_estimate`` is 1 / rcond from LAPACK dgecon on the fit's LU
-    factors: an estimate, from below, of the 1-norm condition number.
+    factors: an estimate, from below, of the 1-norm condition number.  Its
+    last bits can differ between identical runs (dgecon varies).
     """
 
     n_centers: int
@@ -214,6 +210,8 @@ class FitReport:
 
 def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
     """Assemble and solve the collocation system, returning (model, report)."""
+    if not np.isfinite(lam):
+        raise ValidationError(f"lambda must be finite, got {lam}")
     a, rhs = assemble_matrix(centers, basis, lam)
     w, lu, norm_1 = _lu_solve_checked(a, rhs)
     rcond, _ = dgecon(lu, norm_1)

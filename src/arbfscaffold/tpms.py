@@ -19,15 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import as_points
 from .errors import ValidationError
+from .grid import FieldSource
 
 TPMS_KINDS = ("p", "d", "g", "iwp")
 DEFAULT_DOMAIN = (0.0, 2.0 * np.pi)
 
 
 @dataclass(frozen=True)
-class TpmsField:
+class TpmsField(FieldSource):
     """A TPMS kind plus per-axis angular frequency multipliers."""
 
     kind: str
@@ -36,8 +36,8 @@ class TpmsField:
     def __post_init__(self):
         if self.kind not in TPMS_KINDS:
             raise ValidationError(f"unknown TPMS kind {self.kind!r}, expected one of {TPMS_KINDS}")
-        if len(self.periods) != 3 or not all(p > 0 for p in self.periods):
-            raise ValidationError(f"periods must be 3 positive values, got {self.periods}")
+        if len(self.periods) != 3 or not all(0 < p < np.inf for p in self.periods):
+            raise ValidationError(f"periods must be 3 positive finite values, got {self.periods}")
 
     def evaluate_axes(self, x, y, z) -> np.ndarray:
         """Field values over broadcastable coordinate arrays.
@@ -57,11 +57,3 @@ class TpmsField:
         if self.kind == "d":
             return sx * sy * sz + sx * cy * cz + cx * sy * cz + cx * cy * sz
         return sx * cy + sy * cz + sz * cx  # g
-
-    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = as_points(pts)
-        return self.evaluate_axes(pts[:, 0], pts[:, 1], pts[:, 2])
-
-    def evaluate(self, p) -> float:
-        return float(self.evaluate_many(np.asarray(p, dtype=np.float64).reshape(1, 3))[0])
-

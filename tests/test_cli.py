@@ -295,3 +295,25 @@ def test_interleaved_model_lines_are_gathered(mesh_dir, tmp_path):
 def test_bad_iso_list_is_input_error(argv, capsys):
     assert main(argv) == EXIT_INPUT
     assert "--iso" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fit", "--c", "inf"], "shape parameter must be finite"),
+    (["fit", "--basis", "tps", "--c", "nan"], "shape parameter must be finite"),
+    (["fit", "--lambda", "nan"], "lambda must be finite"),
+    (["fit", "--lambda", "inf"], "lambda must be finite"),
+    (["pipeline", "--iso", "0", "--pad", "inf"], "pad_fraction must be finite"),
+    (["pipeline", "--iso", "0", "--pad", "nan"], "pad_fraction must be finite"),
+    (["pipeline", "--iso=nan,inf"], "argument --iso: needs one or more finite values"),
+], ids=["c-inf", "tps-c-nan", "lambda-nan", "lambda-inf", "pad-inf", "pad-nan", "iso-nan-inf"])
+def test_non_finite_number_is_input_error(mesh_dir, tmp_path, capsys, argv, message):
+    command, *flags = argv
+    rc = main([command, "--mesh", mesh_dir["hex8.hexmesh"], *flags, "--out", str(tmp_path / "x")])
+    assert rc == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("periods", ["1,2", "1,x,1", "1,inf,1", "1,0,1"])
+def test_bad_periods_is_an_argparse_error(periods, capsys):
+    assert main(["tpms", "--kind", "p", "--periods", periods]) == EXIT_INPUT
+    assert "argument --periods:" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import arbfscaffold as ax
 from arbfscaffold import samples
+from arbfscaffold.errors import ValidationError
 from arbfscaffold.grid import VoxelGrid, sample_field
 from arbfscaffold.rbf import TILE_ELEMS
 
@@ -59,16 +60,17 @@ def test_evaluate_equals_evaluate_many_bitwise(name, kind):
 def test_sample_field_bytes_identical_for_any_worker_count():
     model = _fit("perturbed-block", "imq")
     lo, hi = model.bbox()
-    dims = (29, 113, 5)  # 16385 voxels: 4 chunks of 4096 and one of a single voxel
+    dims = (29, 61, 7)  # 427 rows: 3 chunks of 142 rows (4118 voxels) and one of a single row
     grid = VoxelGrid(origin=lo, spacing=(hi - lo) / (np.array(dims) - 1.0), dims=dims,
                      values=np.zeros(int(np.prod(dims)), dtype=np.float32))
     chunk_rows = []
 
-    def recorded(pts):
-        chunk_rows.append(len(pts))
-        return model.evaluate_many(pts)
+    class Recorded:
+        def evaluate_axes(self, x, y, z):
+            chunk_rows.append(np.broadcast_shapes(x.shape, y.shape, z.shape)[0])
+            return model.evaluate_axes(x, y, z)
 
-    volumes = [sample_field(recorded, grid, workers=w).values.tobytes() for w in (1, 2, 3)]
+    volumes = [sample_field(Recorded(), grid, workers=w).values.tobytes() for w in (1, 2, 3)]
     assert 1 in chunk_rows
     assert volumes[0] == volumes[1] == volumes[2]
     whole = model.evaluate_many(grid.positions()).astype(np.float32)
@@ -105,3 +107,13 @@ def test_sample_field_axes_path_equals_evaluate_many(field, periods, origin, spa
     expected = source.evaluate_many(grid.positions()).astype(np.float32).tobytes()
     for workers in (1, 2, 3):
         assert sample_field(source, grid, workers=workers).values.tobytes() == expected
+
+
+@pytest.mark.parametrize("source", ["rbf", "tpms"])
+def test_evaluate_takes_one_point_and_rejects_other_shapes(source):
+    field = _icosahedron_model("anisotropic", "imq") if source == "rbf" else ax.TpmsField("g")
+    p = np.array([0.1, 0.2, 0.3])
+    assert field.evaluate(p) == field.evaluate(p[None, :]) == field.evaluate_many(p)[0]
+    for bad in ([0.1, 0.2, 0.3, 0.4], np.zeros((2, 3)), np.zeros((1, 1, 3))):
+        with pytest.raises(ValidationError, match=r"\(3,\) or \(1, 3\)"):
+            field.evaluate(bad)

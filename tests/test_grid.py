@@ -4,10 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import arbfscaffold as ax
 from arbfscaffold.errors import HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError
 from arbfscaffold.grid import (
+    FieldSource,
     VoxelGrid,
     make_grid,
     make_grid_2d,
@@ -53,6 +56,12 @@ def test_make_grid_validation():
         make_grid(np.zeros(3), np.ones(3), 8, pad_fraction=-0.1)
 
 
+@pytest.mark.parametrize("pad", [np.inf, np.nan])
+def test_make_grid_needs_a_finite_pad_fraction(pad):
+    with pytest.raises(ValidationError, match="pad_fraction must be finite"):
+        make_grid(np.zeros(3), np.ones(3), 8, pad_fraction=pad)
+
+
 def test_make_grid_rejects_a_bbox_without_three_coordinates():
     # a ScaffoldError, not numpy's "cannot reshape" ValueError
     with pytest.raises(ValidationError, match="3 coordinates"):
@@ -94,8 +103,19 @@ def test_index_position_round_trip():
     flat = g.positions()
     for (i, j, k) in [(0, 0, 0), (1, 2, 3), (nx - 1, ny - 1, nz - 1)]:
         idx = g.index(i, j, k)
-        assert np.array_equal(flat[idx], g.position(i, j, k))
-    assert np.array_equal(flat[10:40], g.positions(10, 40))
+        assert np.array_equal(flat[idx], g.positions([idx])[0])
+    assert np.array_equal(flat[10:40], g.positions(np.arange(10, 40)))
+
+
+@given(st.tuples(*[st.floats(-2e4, 2e4)] * 3), st.tuples(*[st.floats(1e-4, 10.0)] * 3),
+       st.tuples(*[st.integers(1, 30)] * 3), st.data())
+def test_positions_are_origin_plus_index_times_spacing(origin, spacing, dims, data):
+    g = VoxelGrid(origin=np.array(origin), spacing=np.array(spacing), dims=dims,
+                  values=np.zeros(int(np.prod(dims)), dtype=np.float32))
+    ijk = np.array(data.draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in dims]),
+                                      min_size=1, max_size=50)))
+    idx = [g.index(*t) for t in ijk]
+    assert g.positions(idx).tobytes() == (g.origin + ijk * g.spacing).tobytes()
 
 
 def test_values_3d_is_a_view():
@@ -108,42 +128,59 @@ def test_values_3d_is_a_view():
     assert g.values[0] == -5.0
 
 
-def test_sample_field_callable_and_model_agree():
-    def f(pts):
-        return pts[:, 0] + 2.0 * pts[:, 1]
+class Plane:
+    """x + 2y - 3z, a source with only the method sample_field calls."""
 
-    class Obj:
-        def evaluate_many(self, pts):
-            return f(pts)
+    def evaluate_axes(self, x, y, z):
+        return x + 2.0 * y - 3.0 * z
 
+
+class SineSum(FieldSource):
+    def evaluate_axes(self, x, y, z):
+        return np.sin(x) + np.sin(y) + np.sin(z)
+
+
+class NanAtChunkStart(FieldSource):
+    def evaluate_axes(self, x, y, z):
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape))
+        out.flat[0] = np.nan
+        return out
+
+
+def test_sample_field_equals_the_source_at_positions():
     g = make_grid(np.zeros(3), np.ones(3), 8, 0.0)
-    a = sample_field(f, g)
-    b = sample_field(Obj(), g)
-    assert np.array_equal(a.values, b.values)
+    a = sample_field(Plane(), g)
     assert a.values.dtype == np.float32
-    ref = f(g.positions()).astype(np.float32)
+    p = g.positions()
+    ref = (p[:, 0] + 2.0 * p[:, 1] - 3.0 * p[:, 2]).astype(np.float32)
     assert np.array_equal(a.values, ref)
 
 
 def test_sample_field_worker_count_is_invisible():
-    def f(pts):
-        return np.sin(pts).sum(axis=1)
-
     g = make_grid(np.zeros(3), np.ones(3), 24, 0.0)
-    outs = [sample_field(f, g, workers=w).values for w in (1, 2, 8)]
+    outs = [sample_field(SineSum(), g, workers=w).values for w in (1, 2, 8)]
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
+    assert np.array_equal(outs[0], SineSum().evaluate_many(g.positions()).astype(np.float32))
 
 
 def test_sample_field_rejects_non_finite():
-    def f(pts):
-        out = np.zeros(len(pts))
-        out[0] = np.nan
-        return out
-
     g = make_grid(np.zeros(3), np.ones(3), 4, 0.0)
     with pytest.raises(ValidationError):
-        sample_field(f, g)
+        sample_field(NanAtChunkStart(), g)
+
+
+class EvaluateManyOnly:
+    def evaluate_many(self, pts):
+        return pts[:, 0]
+
+
+@pytest.mark.parametrize("source", [lambda pts: pts[:, 0], EvaluateManyOnly()],
+                         ids=["bare-callable", "evaluate-many-only"])
+def test_sample_field_needs_evaluate_axes(source):
+    g = make_grid(np.zeros(3), np.ones(3), 4, 0.0)
+    with pytest.raises(ValidationError, match=r"evaluate_axes\(x, y, z\)"):
+        sample_field(source, g)
 
 
 def test_resolve_workers(monkeypatch):
@@ -184,8 +221,8 @@ def test_axes_hold_the_positions_values():
     assert np.array_equal(pos[:, 0], np.tile(xs, 12))
     assert np.array_equal(pos[:, 1], np.tile(np.repeat(ys, 5), 4))
     assert np.array_equal(pos[:, 2], np.repeat(zs, 15))
-    assert np.array_equal(g.positions(7, 23), pos[7:23])
-    assert np.array_equal(g.position(4, 2, 3), pos[g.index(4, 2, 3)])
+    assert np.array_equal(g.positions(np.arange(7, 23)), pos[7:23])
+    assert np.array_equal(g.positions([g.index(4, 2, 3)])[0], pos[g.index(4, 2, 3)])
 
 
 def test_volume_round_trip_is_bit_exact(tmp_path):

@@ -77,6 +77,20 @@ def test_basis_validation():
     Basis("tps", 0.0)  # shape parameter unused for tps
 
 
+@pytest.mark.parametrize("kind,c", [("imq", np.inf), ("gaussian", np.nan), ("tps", np.inf)])
+def test_basis_needs_a_finite_shape_parameter(kind, c):
+    # save_model writes c for every kind, and load_model rejects a non-finite one
+    with pytest.raises(ValidationError, match="finite"):
+        Basis(kind, c)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_fit_needs_a_finite_lambda(tet_mesh, lam):
+    centers = ax.assemble_center_set(tet_mesh, "isotropic")
+    with pytest.raises(ValidationError, match="lambda must be finite"):
+        fit_with_report(centers, Basis("imq", 0.1), lam)
+
+
 # --- assembly -------------------------------------------------------------
 
 

@@ -19,6 +19,12 @@ def test_kinds_and_validation():
         TpmsField("p", periods=(0, 1, 1))
 
 
+@pytest.mark.parametrize("period", [np.inf, np.nan])
+def test_periods_must_be_finite(period):
+    with pytest.raises(ValidationError, match="finite"):
+        TpmsField("g", (1, period, 1))
+
+
 @pytest.mark.parametrize("shape", [(6, 4), (6, 2)])
 def test_evaluate_many_rejects_points_that_are_not_n_by_3(shape):
     with pytest.raises(ValidationError, match=r"\(n, 3\)"):
