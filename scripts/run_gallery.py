@@ -11,8 +11,9 @@ Covers every experiment the library is built around:
     gallery also holds the .arbf models and .vhdr/.raw volumes the CLI writes
 
 Everything is deterministic; re-running reproduces identical files.
-``--manifest PATH`` also writes one ``sha256  filename`` line per output
-file, sorted by name, so two runs compare with ``diff``.
+``--manifest PATH`` also writes one ``sha256  relpath`` line per output
+file, the sample meshes under ``meshes/`` included, sorted by path, so two
+runs compare with ``diff``.
 """
 
 import argparse
@@ -125,14 +126,16 @@ def sample_pipelines(outdir, rows, resolution):
 
 
 def write_manifest(outdir, path):
+    """One 'sha256  relpath' line per file under ``outdir``, subdirectories included."""
     lines = []
-    for name in sorted(os.listdir(outdir)):
-        full = os.path.join(outdir, name)
-        if os.path.isfile(full):
+    for root, _, names in os.walk(outdir):
+        for name in names:
+            full = os.path.join(root, name)
             with open(full, "rb") as fh:
-                lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}\n")
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append((os.path.relpath(full, outdir), digest))
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(lines)
+        fh.writelines(f"{digest}  {rel}\n" for rel, digest in sorted(lines))
 
 
 def main() -> None:
@@ -141,7 +144,7 @@ def main() -> None:
     ap.add_argument("--resolution", type=int, default=64,
                     help="grid samples along the longest axis (default: 64)")
     ap.add_argument("--manifest", metavar="PATH",
-                    help="write a sorted 'sha256  filename' list of the output files")
+                    help="write a sorted 'sha256  relpath' list of the output files")
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
     rows = []

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 
+from . import textio
 from .errors import ScaffoldError, SingularMatrixError
 from .grid import make_grid, read_volume, sample_field, solid_fraction, write_volume
 from .isosurface import export_obj, marching_cubes
@@ -314,10 +315,7 @@ def main(argv=None) -> int:
 
 
 def _write_stats(path: str, stats: dict) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="ascii") as fh:
+    with textio.create(path, "w") as fh:
         json.dump(stats, fh, indent=2)
         fh.write("\n")
 

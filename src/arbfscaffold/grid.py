@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .distance import as_points
 from .errors import HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError
 
@@ -233,56 +234,33 @@ def _volume_paths(stem: str) -> tuple[str, str]:
 
 def write_volume(grid: VoxelGrid, stem: str) -> None:
     hdr_path, raw_path = _volume_paths(stem)
-    parent = os.path.dirname(hdr_path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    nx, ny, nz = grid.dims
-    origin = [repr(float(x)) for x in grid.origin]
-    spacing = [repr(float(x)) for x in grid.spacing]
-    with open(hdr_path, "w", encoding="ascii") as fh:
-        fh.write(f"DIMS {nx} {ny} {nz}\n")
-        fh.write(f"ORIGIN {' '.join(origin)}\n")
-        fh.write(f"SPACING {' '.join(spacing)}\n")
-        fh.write(f"DTYPE {_DTYPE_TAG}\n")
+    with textio.create(hdr_path, "w") as fh:
+        fh.write("DIMS %d %d %d\nORIGIN %r %r %r\nSPACING %r %r %r\nDTYPE %s\n"
+                 % (*grid.dims, *map(float, grid.origin), *map(float, grid.spacing),
+                    _DTYPE_TAG))
     grid.values.astype("<f4").tofile(raw_path)
 
 
-def _header_triple(fields, key: str, convert, hdr_path: str) -> list:
-    tokens, lineno = fields[key]
-    try:
-        vals = [convert(t) for t in tokens]
-    except ValueError:
-        raise ParseError(f"malformed {key} value in {tokens!r}", hdr_path, lineno) from None
-    if len(vals) != 3:
-        raise ParseError(f"{key} must have 3 fields, got {len(vals)}", hdr_path, lineno)
-    return vals
-
-
 def read_volume(stem: str) -> VoxelGrid:
+    """The volume at ``stem``; a header key given twice is an error at its second line."""
     hdr_path, raw_path = _volume_paths(stem)
-    fields = {}
-    with open(hdr_path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            if not tokens:
-                continue
-            fields[tokens[0]] = (tokens[1:], lineno)
+    fields, line = {}, {}  # tokens after each key, and the key's line
+    for lineno, (key, *tokens) in textio.data_lines(hdr_path):
+        if key in line:
+            raise ParseError(f"{key} repeats line {line[key]}", hdr_path, lineno)
+        fields[key], line[key] = tokens, lineno
     for key in ("DIMS", "ORIGIN", "SPACING", "DTYPE"):
         if key not in fields:
             raise ParseError(f"missing {key} line", hdr_path)
-    dims = tuple(_header_triple(fields, "DIMS", int, hdr_path))
-    origin = np.array(_header_triple(fields, "ORIGIN", float, hdr_path))
-    spacing = np.array(_header_triple(fields, "SPACING", float, hdr_path))
+    dims = tuple(textio.ints(fields["DIMS"], 3, hdr_path, line["DIMS"]))
+    origin = np.array(textio.floats(fields["ORIGIN"], 3, hdr_path, line["ORIGIN"]))
+    spacing = np.array(textio.floats(fields["SPACING"], 3, hdr_path, line["SPACING"]))
     if min(dims) < 1:
-        raise ParseError(f"DIMS must be at least 1, got {dims}", hdr_path, fields["DIMS"][1])
-    if not np.all(np.isfinite(origin)):
-        raise ParseError(f"ORIGIN must be finite, got {origin}", hdr_path, fields["ORIGIN"][1])
-    if not np.all(np.isfinite(spacing) & (spacing > 0.0)):
-        raise ParseError(f"SPACING must be finite and positive, got {spacing}", hdr_path,
-                         fields["SPACING"][1])
-    if fields["DTYPE"][0] != [_DTYPE_TAG]:
-        raise ParseError(f"unsupported dtype {fields['DTYPE'][0]}", hdr_path,
-                         fields["DTYPE"][1])
+        raise ParseError(f"DIMS must be at least 1, got {dims}", hdr_path, line["DIMS"])
+    if not np.all(spacing > 0.0):
+        raise ParseError(f"SPACING must be positive, got {spacing}", hdr_path, line["SPACING"])
+    if fields["DTYPE"] != [_DTYPE_TAG]:
+        raise ParseError(f"unsupported dtype {fields['DTYPE']}", hdr_path, line["DTYPE"])
     values = np.fromfile(raw_path, dtype="<f4")
     expected = dims[0] * dims[1] * dims[2]
     if values.size != expected:

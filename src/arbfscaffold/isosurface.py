@@ -33,15 +33,14 @@ or M is 1e9, or when scaled lies within _TIE_GUARD of a rounding tie.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
 from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from .errors import ValidationError
 from .grid import VoxelGrid
-from .mesh import _cell_row, _data_lines, _parse_floats, _parse_ints
 
 # A vertex whose edge parameter t lies within SNAP_T of 0 or 1 is the nearer
 # sample.  It is relative, so it holds at any grid offset and scale.  TPMS
@@ -347,10 +346,7 @@ def export_obj(soup: TriangleSoup, path: str) -> None:
     triangles = np.asarray(soup.triangles, dtype=np.int64)
     if len(triangles) and triangles.min() < 0:
         raise ValidationError("triangle vertex indices must be >= 0")
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
+    with textio.create(path, "wb") as fh:
         for start in range(0, len(vertices), OBJ_CHUNK_ROWS):
             fh.write(_vertex_lines(vertices[start: start + OBJ_CHUNK_ROWS]))
         for start in range(0, len(triangles), OBJ_CHUNK_ROWS):
@@ -367,15 +363,15 @@ def load_obj(path: str) -> TriangleSoup:
     path:line.
     """
     verts, faces = [], []
-    for lineno, tokens in _data_lines(path):
+    for lineno, tokens in textio.data_lines(path):
         if tokens[0] == "v":
-            verts.append(_parse_floats(tokens[1:4], 3, path, lineno))
+            verts.append(textio.floats(tokens[1:4], 3, path, lineno))
         elif tokens[0] == "f":
             corners = [t.split("/")[0] for t in tokens[1:]]
-            faces.append((lineno, _parse_ints(corners, max(3, len(corners)), path, lineno)))
+            faces.append((lineno, textio.ints(corners, max(3, len(corners)), path, lineno)))
     tris = []
     for lineno, corners in faces:
-        c = _cell_row(corners, len(verts), 1, path, lineno)
+        c = textio.cell_row(corners, len(verts), 1, path, lineno)
         tris.extend([c[0], c[i], c[i + 1]] for i in range(1, len(c) - 1))
     return TriangleSoup(
         vertices=np.asarray(verts, dtype=np.float64).reshape(-1, 3),
@@ -399,9 +395,6 @@ def export_pgm(grid: VoxelGrid, path: str, lo: float, hi: float) -> None:
     scaled = (np.clip(img, lo, hi) - lo) / (hi - lo) * 255.0
     pixels = np.floor(scaled + 0.5).astype(np.uint8)
     pixels = pixels[::-1]  # top row = max y
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
+    with textio.create(path, "wb") as fh:
         fh.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

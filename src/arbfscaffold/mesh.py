@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
 from .errors import ParseError, ValidationError
 
 # Relative tolerances, both scaled by the mesh bbox diagonal.
@@ -263,79 +264,21 @@ def assemble_center_set(mesh: VolumetricMesh, mode: str) -> CenterSet:
 # File formats
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _data_lines(path: str):
-    """Yield (line_number, tokens) for non-empty lines, '#' comments stripped."""
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                yield lineno, text.split()
-
-
-def _next_line(lines, path, missing):
-    """(line_number, tokens) of the next data line; ParseError(missing) at end of file."""
-    lineno, tokens = next(lines, (None, None))
-    if tokens is None:
-        raise ParseError(missing, path)
-    return lineno, tokens
-
-
-def _parse_floats(tokens, n, path, lineno):
-    if len(tokens) != n:
-        raise ParseError(f"expected {n} fields, got {len(tokens)}", path, lineno)
-    try:
-        return [float(t) for t in tokens]
-    except ValueError:
-        raise ParseError(f"malformed number in {tokens!r}", path, lineno) from None
-
-
-def _parse_ints(tokens, n, path, lineno):
-    if len(tokens) != n:
-        raise ParseError(f"expected {n} fields, got {len(tokens)}", path, lineno)
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise ParseError(f"malformed integer in {tokens!r}", path, lineno) from None
-
-
-def _cell_row(indices, nv, base, path, lineno):
-    """0-based vertex indices of one cell line; each must name one of the nv vertices."""
-    for v in indices:
-        if not base <= v < base + nv:
-            raise ParseError(f"vertex index {v} out of range: valid indices are "
-                             f"{base}..{base + nv - 1}", path, lineno)
-    return [v - base for v in indices]
-
-
-def _check_counts(path, lineno, **counts):
-    for name, value in counts.items():
-        if value < 1:
-            raise ParseError(f"{name} count must be positive, got {value}", path, lineno)
-
-
 def _load_off(path: str) -> VolumetricMesh:
-    lines = _data_lines(path)
-    lineno, tokens = _next_line(lines, path, "empty file")
+    lines = textio.data_lines(path)
+    lineno, tokens = textio.next_line(lines, path, "empty file")
     if tokens != ["OFF"]:
         raise ParseError("missing OFF header", path, lineno)
-    lineno, tokens = _next_line(lines, path, "missing count line")
-    nv, nf, _ = _parse_ints(tokens, 3, path, lineno)
-    _check_counts(path, lineno, vertex=nv, face=nf)
-    verts = np.empty((nv, 3))
-    for i in range(nv):
-        lineno, tokens = _next_line(lines, path, f"expected {nv} vertices, file ended at {i}")
-        verts[i] = _parse_floats(tokens, 3, path, lineno)
-    cells = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        lineno, tokens = _next_line(lines, path, f"expected {nf} faces, file ended at {i}")
-        vals = _parse_ints(tokens, 4, path, lineno)
-        if vals[0] != 3:
-            raise ParseError(f"only triangle faces supported, got arity {vals[0]}", path, lineno)
-        cells[i] = _cell_row(vals[1:], nv, 0, path, lineno)
+    lineno, tokens = textio.next_line(lines, path, "missing count line")
+    nv, nf, _ = textio.ints(tokens, 3, path, lineno)
+    textio.check_counts(path, lineno, vertex=nv, face=nf)
+    verts = [textio.floats(t, 3, path, ln) for ln, t in textio.rows(lines, nv, path, "vertices")]
+    cells = []
+    for lineno, tokens in textio.rows(lines, nf, path, "faces"):
+        arity, *corners = textio.ints(tokens, 4, path, lineno)
+        if arity != 3:
+            raise ParseError(f"only triangle faces supported, got arity {arity}", path, lineno)
+        cells.append(textio.cell_row(corners, nv, 0, path, lineno))
     return make_mesh("tri2d", verts, cells)
 
 
@@ -349,20 +292,18 @@ def _node_ele_paths(path: str) -> tuple[str, str]:
 def _load_node_ele(path: str) -> VolumetricMesh:
     node_path, ele_path = _node_ele_paths(path)
 
-    lines = _data_lines(node_path)
-    lineno, tokens = _next_line(lines, node_path, "empty file")
-    header = _parse_ints(tokens, 4, node_path, lineno)
-    nv, dim = header[0], header[1]
-    _check_counts(node_path, lineno, node=nv)
+    lines = textio.data_lines(node_path)
+    lineno, tokens = textio.next_line(lines, node_path, "empty file")
+    nv, dim, _, _ = textio.ints(tokens, 4, node_path, lineno)
+    textio.check_counts(node_path, lineno, node=nv)
     if dim != 3:
         raise ParseError(f"expected dimension 3, got {dim}", node_path, lineno)
-    verts = np.empty((nv, 3))
-    first_line = np.zeros(nv, dtype=np.int64)  # line of each node index, 0 = unseen
+    nodes = textio.rows(lines, nv, node_path, "nodes")
+    verts = np.empty((nv, 3))  # nv lines are in hand, and each fills one row once
+    first_line = {}  # line of each node index
     base = None
-    for i in range(nv):
-        lineno, tokens = _next_line(lines, node_path,
-                                    f"expected {nv} nodes, file ended at {i}")
-        vals = _parse_floats(tokens, 4, node_path, lineno)
+    for lineno, tokens in nodes:
+        vals = textio.floats(tokens, 4, node_path, lineno)
         try:
             idx = int(tokens[0])
         except ValueError:
@@ -375,42 +316,33 @@ def _load_node_ele(path: str) -> VolumetricMesh:
         slot = idx - base
         if not 0 <= slot < nv:
             raise ParseError(f"node index {idx} out of range", node_path, lineno)
-        if first_line[slot]:
+        if slot in first_line:
             raise ParseError(f"node index {idx} repeats line {first_line[slot]}; each index "
                              f"from {base} to {base + nv - 1} must appear once", node_path, lineno)
         first_line[slot] = lineno
         verts[slot] = vals[1:]
 
-    lines = _data_lines(ele_path)
-    lineno, tokens = _next_line(lines, ele_path, "empty file")
-    header = _parse_ints(tokens, 3, ele_path, lineno)
-    nc, arity = header[0], header[1]
-    _check_counts(ele_path, lineno, cell=nc)
+    lines = textio.data_lines(ele_path)
+    lineno, tokens = textio.next_line(lines, ele_path, "empty file")
+    nc, arity, _ = textio.ints(tokens, 3, ele_path, lineno)
+    textio.check_counts(ele_path, lineno, cell=nc)
     if arity != 4:
         raise ParseError(f"expected 4 nodes per tet, got {arity}", ele_path, lineno)
-    cells = np.empty((nc, 4), dtype=np.int64)
-    for i in range(nc):
-        lineno, tokens = _next_line(lines, ele_path, f"expected {nc} cells, file ended at {i}")
-        vals = _parse_ints(tokens, 5, ele_path, lineno)
-        cells[i] = _cell_row(vals[1:], nv, base, ele_path, lineno)
+    cells = [textio.cell_row(textio.ints(t, 5, ele_path, ln)[1:], nv, base, ele_path, ln)
+             for ln, t in textio.rows(lines, nc, ele_path, "cells")]
     return make_mesh("tet", verts, cells)
 
 
 def _load_hex_ascii(path: str) -> VolumetricMesh:
-    lines = _data_lines(path)
-    lineno, tokens = _next_line(lines, path, "empty file")
+    lines = textio.data_lines(path)
+    lineno, tokens = textio.next_line(lines, path, "empty file")
     if len(tokens) != 3 or tokens[0] != "HEX":
         raise ParseError("missing 'HEX <nv> <nc>' header", path, lineno)
-    nv, nc = _parse_ints(tokens[1:], 2, path, lineno)
-    _check_counts(path, lineno, vertex=nv, cell=nc)
-    verts = np.empty((nv, 3))
-    for i in range(nv):
-        lineno, tokens = _next_line(lines, path, f"expected {nv} vertices, file ended at {i}")
-        verts[i] = _parse_floats(tokens, 3, path, lineno)
-    cells = np.empty((nc, 8), dtype=np.int64)
-    for i in range(nc):
-        lineno, tokens = _next_line(lines, path, f"expected {nc} cells, file ended at {i}")
-        cells[i] = _cell_row(_parse_ints(tokens, 8, path, lineno), nv, 0, path, lineno)
+    nv, nc = textio.ints(tokens[1:], 2, path, lineno)
+    textio.check_counts(path, lineno, vertex=nv, cell=nc)
+    verts = [textio.floats(t, 3, path, ln) for ln, t in textio.rows(lines, nv, path, "vertices")]
+    cells = [textio.cell_row(textio.ints(t, 8, path, ln), nv, 0, path, ln)
+             for ln, t in textio.rows(lines, nc, path, "cells")]
     return make_mesh("hex", verts, cells)
 
 
@@ -447,33 +379,26 @@ def load_mesh(path: str, fmt: str | None = None) -> VolumetricMesh:
 
 def save_mesh(mesh: VolumetricMesh, path: str) -> None:
     """Write a mesh in the format matching its kind (OFF / NodeEle / HexAscii)."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    nv, nc = len(mesh.vertices), len(mesh.cells)
     if mesh.kind == "tri2d":
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("OFF\n")
-            fh.write(f"{len(mesh.vertices)} {len(mesh.cells)} 0\n")
-            for v in mesh.vertices:
-                fh.write(f"{_fmt_float(v[0])} {_fmt_float(v[1])} {_fmt_float(v[2])}\n")
-            for c in mesh.cells:
-                fh.write(f"3 {c[0]} {c[1]} {c[2]}\n")
+        with textio.create(path, "w") as fh:
+            fh.write(f"OFF\n{nv} {nc} 0\n")
+            textio.write_rows(fh, "%r %r %r\n", mesh.vertices)
+            textio.write_rows(fh, "3 %d %d %d\n", mesh.cells)
     elif mesh.kind == "tet":
         node_path, ele_path = _node_ele_paths(path)
-        with open(node_path, "w", encoding="ascii") as fh:
-            fh.write(f"{len(mesh.vertices)} 3 0 0\n")
-            for i, v in enumerate(mesh.vertices, start=1):
-                fh.write(f"{i} {_fmt_float(v[0])} {_fmt_float(v[1])} {_fmt_float(v[2])}\n")
-        with open(ele_path, "w", encoding="ascii") as fh:
-            fh.write(f"{len(mesh.cells)} 4 0\n")
-            for i, c in enumerate(mesh.cells, start=1):
-                fh.write(f"{i} {c[0] + 1} {c[1] + 1} {c[2] + 1} {c[3] + 1}\n")
+        with textio.create(node_path, "w") as fh:
+            fh.write(f"{nv} 3 0 0\n")
+            textio.write_rows(fh, "%d %r %r %r\n",
+                              np.column_stack([np.arange(1, nv + 1), mesh.vertices]))
+        with textio.create(ele_path, "w") as fh:
+            fh.write(f"{nc} 4 0\n")
+            textio.write_rows(fh, "%d %d %d %d %d\n",
+                              np.column_stack([np.arange(1, nc + 1), mesh.cells + 1]))
     elif mesh.kind == "hex":
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"HEX {len(mesh.vertices)} {len(mesh.cells)}\n")
-            for v in mesh.vertices:
-                fh.write(f"{_fmt_float(v[0])} {_fmt_float(v[1])} {_fmt_float(v[2])}\n")
-            for c in mesh.cells:
-                fh.write(" ".join(str(int(i)) for i in c) + "\n")
+        with textio.create(path, "w") as fh:
+            fh.write(f"HEX {nv} {nc}\n")
+            textio.write_rows(fh, "%r %r %r\n", mesh.vertices)
+            textio.write_rows(fh, " ".join(["%d"] * 8) + "\n", mesh.cells)
     else:
         raise ValidationError(f"unknown mesh kind {mesh.kind!r}")

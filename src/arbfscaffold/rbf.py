@@ -11,7 +11,6 @@ basis/shape combination turns out near-singular.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
+from . import textio
 from .distance import TILE_ELEMS  # noqa: F401 (re-exported: the field kernel's tile size)
 from .distance import distance_block, distance_tiles, points_to_points
 from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError
@@ -234,37 +234,16 @@ def fit_mesh(mesh: VolumetricMesh, basis: Basis, mode: str, lam: float = 0.0):
 # Model file (ARBF1)
 # ---------------------------------------------------------------------------
 
-def _f17(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def save_model(model: InterpolationModel, path: str) -> None:
     """Write a model as ASCII: magic, basis, lambda, N, P lines, S lines, weights."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     c = model.centers
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_MODEL_MAGIC}\n")
-        fh.write(f"basis {model.basis.kind} {_f17(model.basis.c)}\n")
-        fh.write(f"lambda {_f17(model.lam)}\n")
-        fh.write(f"{len(c)}\n")
-        for q, v in zip(c.points, c.point_values):
-            fh.write(f"P {_f17(q[0])} {_f17(q[1])} {_f17(q[2])} {_f17(v)}\n")
-        for a, b in zip(c.seg_a, c.seg_b):
-            fh.write("S " + " ".join(_f17(x) for x in (*a, *b)) + " -1\n")
-        for w in model.weights:
-            fh.write(f"{_f17(w)}\n")
-
-
-def _finite_floats(tokens, path: str, lineno: int) -> list[float]:
-    try:
-        vals = [float(t) for t in tokens]
-    except ValueError:
-        raise ParseError(f"malformed number in {tokens!r}", path, lineno) from None
-    if not all(np.isfinite(vals)):
-        raise ParseError(f"non-finite number in {tokens!r}", path, lineno)
-    return vals
+    with textio.create(path, "w") as fh:
+        fh.write(f"{_MODEL_MAGIC}\nbasis {model.basis.kind} {float(model.basis.c):.17g}\n"
+                 f"lambda {float(model.lam):.17g}\n{len(c)}\n")
+        textio.write_rows(fh, "P %.17g %.17g %.17g %.17g\n",
+                          np.column_stack([c.points, c.point_values]))
+        textio.write_rows(fh, "S" + " %.17g" * 6 + " -1\n", np.hstack([c.seg_a, c.seg_b]))
+        textio.write_rows(fh, "%.17g\n", model.weights[:, None])
 
 
 def load_model(path: str) -> InterpolationModel:
@@ -272,46 +251,38 @@ def load_model(path: str) -> InterpolationModel:
 
     Center lines of each kind are gathered, with their weights, in file
     order: P lines (``P x y z value``, value +1 or -1) before S lines
-    (``S ax ay az bx by bz -1``).
+    (``S ax ay az bx by bz -1``).  Every line is read by position, so a
+    blank line is an error at that line.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != _MODEL_MAGIC:
+    lines = textio.decode(path)
+    if next(lines, (1, None))[1] != [_MODEL_MAGIC]:
         raise ParseError(f"missing {_MODEL_MAGIC} magic", path, 1)
-    if len(lines) < 4:
-        raise ParseError("truncated header", path)
-    basis_tokens = lines[1].split()
-    lam_tokens = lines[2].split()
+    (_, basis_tokens), (_, lam_tokens), (_, n_tokens) = textio.rows(lines, 3, path,
+                                                                    "header lines")
     if len(basis_tokens) != 3 or basis_tokens[0] != "basis":
         raise ParseError("expected 'basis <kind> <c>'", path, 2)
     if len(lam_tokens) != 2 or lam_tokens[0] != "lambda":
         raise ParseError("expected 'lambda <value>'", path, 3)
     try:
-        basis = Basis(kind=basis_tokens[1], c=_finite_floats(basis_tokens[2:], path, 2)[0])
+        basis = Basis(kind=basis_tokens[1], c=textio.floats(basis_tokens[2:], 1, path, 2)[0])
     except ValidationError as exc:
         raise ParseError(str(exc), path, 2) from None
-    lam = _finite_floats(lam_tokens[1:], path, 3)[0]
-    try:
-        n = int(lines[3])
-    except ValueError:
-        raise ParseError(f"malformed center count {lines[3]!r}", path, 4) from None
-    if n < 1:
-        raise ParseError(f"center count must be positive, got {n}", path, 4)
-    if len(lines) < 4 + 2 * n:
-        raise ParseError(f"expected {n} centers and {n} weights", path)
+    lam = textio.floats(lam_tokens[1:], 1, path, 3)[0]
+    n, = textio.ints(n_tokens, 1, path, 4)
+    textio.check_counts(path, 4, center=n)
+    centers = textio.rows(lines, n, path, "center lines")
+    weights = textio.rows(lines, n, path, "weight lines")
     rows = {"P": [], "S": []}  # center fields, value, then weight
-    for i in range(n):
-        lineno = 5 + i
-        tokens = lines[4 + i].split()
+    for (lineno, tokens), (w_lineno, w_tokens) in zip(centers, weights):
         kind = tokens[0] if tokens else None
         if (kind, len(tokens)) not in (("P", 5), ("S", 8)):
-            raise ParseError(f"malformed center line {lines[4 + i]!r}", path, lineno)
-        vals = _finite_floats(tokens[1:], path, lineno)
+            raise ParseError(f"malformed center line {' '.join(tokens)!r}", path, lineno)
+        vals = textio.floats(tokens[1:], len(tokens) - 1, path, lineno)
         if kind == "P" and vals[3] not in (1.0, -1.0):
             raise ParseError(f"point value must be +1 or -1, got {vals[3]}", path, lineno)
         if kind == "S" and vals[6] != -1.0:
             raise ParseError(f"segment value must be -1, got {vals[6]}", path, lineno)
-        rows[kind].append(vals + _finite_floats([lines[4 + n + i]], path, 5 + n + i))
+        rows[kind].append(vals + textio.floats(w_tokens, 1, path, w_lineno))
     pts = np.array(rows["P"]).reshape(-1, 5)
     segs = np.array(rows["S"]).reshape(-1, 8)
     centers = CenterSet(pts[:, :3], pts[:, 3], segs[:, :3], segs[:, 3:6])

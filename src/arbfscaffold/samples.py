@@ -40,30 +40,25 @@ def regular_tet_mesh(scale: float = 0.5) -> VolumetricMesh:
     return make_mesh("tet", verts, [(0, 1, 2, 3)])
 
 
+# Corner offsets (di, dj, dk) of a hexahedron in VTK order.
+_HEX_CORNERS = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+                (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
+
+
+def _hex_brick(xs, ys, zs) -> VolumetricMesh:
+    """Hexahedra between consecutive axis coordinates; vertices and cells x fastest, then y."""
+    nx, ny, nz = len(xs), len(ys), len(zs)
+    z, y, x = np.meshgrid(zs, ys, xs, indexing="ij")
+    vid = np.arange(nx * ny * nz).reshape(nz, ny, nx)
+    cells = [vid[k:nz - 1 + k, j:ny - 1 + j, i:nx - 1 + i].ravel() for i, j, k in _HEX_CORNERS]
+    return make_mesh("hex", np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1),
+                     np.stack(cells, axis=1))
+
+
 def hex_block_mesh(nx: int = 2, ny: int = 2, nz: int = 2,
                    size: float = 1.0) -> VolumetricMesh:
     """An nx x ny x nz brick of hexahedra filling a size^3-scaled box."""
-    xs = np.linspace(0.0, size, nx + 1)
-    ys = np.linspace(0.0, size, ny + 1)
-    zs = np.linspace(0.0, size, nz + 1)
-    verts = []
-    vid = {}
-    for k, z in enumerate(zs):
-        for j, y in enumerate(ys):
-            for i, x in enumerate(xs):
-                vid[(i, j, k)] = len(verts)
-                verts.append((x, y, z))
-    cells = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                cells.append((
-                    vid[(i, j, k)], vid[(i + 1, j, k)],
-                    vid[(i + 1, j + 1, k)], vid[(i, j + 1, k)],
-                    vid[(i, j, k + 1)], vid[(i + 1, j, k + 1)],
-                    vid[(i + 1, j + 1, k + 1)], vid[(i, j + 1, k + 1)],
-                ))
-    return make_mesh("hex", verts, cells)
+    return _hex_brick(*(np.linspace(0.0, size, n + 1) for n in (nx, ny, nz)))
 
 
 def unit_hex_mesh() -> VolumetricMesh:
@@ -73,21 +68,7 @@ def unit_hex_mesh() -> VolumetricMesh:
 
 def hex_rod_mesh(n: int = 4) -> VolumetricMesh:
     """n unit cubes in a row along x."""
-    xs = np.arange(n + 1, dtype=np.float64)
-    verts = []
-    vid = {}
-    for k in (0, 1):
-        for j in (0, 1):
-            for i in range(n + 1):
-                vid[(i, j, k)] = len(verts)
-                verts.append((xs[i], float(j), float(k)))
-    cells = []
-    for i in range(n):
-        cells.append((
-            vid[(i, 0, 0)], vid[(i + 1, 0, 0)], vid[(i + 1, 1, 0)], vid[(i, 1, 0)],
-            vid[(i, 0, 1)], vid[(i + 1, 0, 1)], vid[(i + 1, 1, 1)], vid[(i, 1, 1)],
-        ))
-    return make_mesh("hex", verts, cells)
+    return _hex_brick(np.arange(n + 1, dtype=np.float64), [0.0, 1.0], [0.0, 1.0])
 
 
 def icosahedron_tet_mesh(radius: float = 1.0) -> VolumetricMesh:
