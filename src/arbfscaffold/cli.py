@@ -7,8 +7,7 @@ system).  Identical inputs and flags produce byte-identical outputs.
 ``fit`` and ``pipeline`` warn on stderr when the fit's condition estimate
 exceeds COND_WARN.  ``--stats PATH.json`` on fit, sample, iso, tpms and
 pipeline also writes the seconds and sizes of each stage the command ran,
-and its exit code, as JSON; that file is not byte-identical between runs,
-since besides the seconds its condition_estimate can vary in the last bits.
+and its exit code, as JSON; only the seconds differ between identical runs.
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ from . import textio
 from .errors import ScaffoldError, SingularMatrixError
 from .grid import make_grid, read_volume, sample_field, solid_fraction, write_volume
 from .isosurface import export_obj, marching_cubes
-from .mesh import load_mesh, save_mesh
-from .perturb import PerturbSpec, perturb_mesh
-from .rbf import Basis, fit_mesh, load_model, save_model
-from .tpms import DEFAULT_DOMAIN, TpmsField
+from .mesh import MESH_FORMATS, load_mesh, save_mesh
+from .perturb import MAX_MAGNITUDE, PerturbSpec, perturb_mesh
+from .rbf import BASIS_KINDS, Basis, fit_mesh, load_model, save_model
+from .tpms import DEFAULT_DOMAIN, TPMS_KINDS, TpmsField
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -198,14 +197,14 @@ def _add_stats_flag(p):
 
 def _add_mesh_flags(p):
     p.add_argument("--mesh", required=True, help="input mesh path")
-    p.add_argument("--format", choices=["off", "nodeele", "hexascii"],
+    p.add_argument("--format", choices=MESH_FORMATS,
                    help="mesh format (default: inferred from extension)")
 
 
 def _add_fit_flags(p):
     p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="aniso",
                    help="center construction mode (default: aniso)")
-    p.add_argument("--basis", choices=["gaussian", "mq", "imq", "tps"],
+    p.add_argument("--basis", choices=BASIS_KINDS,
                    default="imq", help="radial basis (default: imq)")
     p.add_argument("--c", type=float, default=0.1,
                    help="shape parameter (default: 0.1)")
@@ -218,9 +217,8 @@ def _add_grid_flags(p):
                    help="samples along the longest axis (default: 64)")
     p.add_argument("--pad", type=float, default=0.05,
                    help="bbox padding as a fraction of its diagonal (default: 0.05)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="sampling worker count; 0 = all cores "
-                        "(default: ARBF_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="sampling worker count; 0 = all cores (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("tpms", help="sample a TPMS baseline field")
-    p.add_argument("--kind", choices=["p", "d", "g", "iwp"], required=True)
+    p.add_argument("--kind", choices=TPMS_KINDS, required=True)
     p.add_argument("--iso", type=_float_list, default="0",
                    help="comma-separated iso values (default: 0)")
     p.add_argument("--periods", type=_periods, default="1,1,1",
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p.add_argument("--magnitude", type=float, default=0.15,
                    help="displacement as a fraction of the shortest incident "
-                        "edge, at most 0.3 (default: 0.15)")
+                        f"edge, at most {MAX_MAGNITUDE} (default: 0.15)")
     p.add_argument("--fraction", type=float, default=0.5,
                    help="fraction of vertices to displace (default: 0.5)")
     p.add_argument("--out", help="output mesh path (default: <stem>_perturbed<ext>)")

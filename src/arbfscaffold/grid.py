@@ -19,8 +19,6 @@ from . import textio
 from .distance import as_points
 from .errors import HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError
 
-WORKERS_ENV = "ARBF_WORKERS"
-
 
 @dataclass(eq=False)
 class VoxelGrid:
@@ -124,23 +122,6 @@ def make_grid_2d(bbox_min, bbox_max, resolution: int, pad_fraction: float = 0.0)
                      dims=dims, values=_empty_values(dims))
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else ARBF_WORKERS, else 1 (0 = auto)."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    if workers < 0:
-        raise ValidationError(f"worker count must be >= 0, got {workers}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return workers
-
-
 class FieldSource:
     """A field for sample_field: it provides evaluate_axes(x, y, z).
 
@@ -162,7 +143,7 @@ class FieldSource:
         return float(self.evaluate_many(p)[0])
 
 
-def sample_field(source, grid: VoxelGrid, workers: int | None = None) -> VoxelGrid:
+def sample_field(source, grid: VoxelGrid, workers: int = 1) -> VoxelGrid:
     """Evaluate a field source at every grid sample, returning a filled copy.
 
     The source provides evaluate_axes(x, y, z) (see FieldSource) and is
@@ -175,14 +156,16 @@ def sample_field(source, grid: VoxelGrid, workers: int | None = None) -> VoxelGr
     coordinates only, with the same operations for any operand shapes, and
     the axis vectors hold the very values positions() returns, so the volume
     equals evaluate_many(grid.positions()) bit for bit, for any worker count
-    or chunking.
+    or chunking.  ``workers`` threads share the chunks; 0 means one per core.
     """
     eval_axes = getattr(source, "evaluate_axes", None)
     if not callable(eval_axes):
         raise ValidationError(f"field source {type(source).__name__} lacks evaluate_axes(x, y, z)")
     nx, ny, nz = grid.dims
     xs, ys, zs = grid.axes()
-    workers = resolve_workers(workers)
+    if workers < 0:
+        raise ValidationError(f"worker count must be >= 0, got {workers}")
+    workers = workers or os.cpu_count() or 1
     total, rows = nx * ny * nz, ny * nz
     out = np.empty(total, dtype=np.float32)
 

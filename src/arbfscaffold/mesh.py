@@ -11,7 +11,8 @@ segments running from each face center to the owning cell center.
 Supported file formats:
 
 * OFF         -- triangle surface / planar mesh ("OFF", "<nv> <nf> 0", ...)
-* NodeEle     -- TetGen-style <stem>.node / <stem>.ele pair
+* NodeEle     -- TetGen <stem>.node / <stem>.ele pair; the attribute and
+                 boundary-marker columns its headers count are skipped
 * HexAscii    -- "HEX <nv> <nc>", vertex rows, 8 zero-based indices per cell
 """
 
@@ -294,16 +295,19 @@ def _load_node_ele(path: str) -> VolumetricMesh:
 
     lines = textio.data_lines(node_path)
     lineno, tokens = textio.next_line(lines, node_path, "empty file")
-    nv, dim, _, _ = textio.ints(tokens, 4, node_path, lineno)
+    nv, dim, n_attr, n_mark = textio.ints(tokens, 4, node_path, lineno)
     textio.check_counts(node_path, lineno, node=nv)
     if dim != 3:
         raise ParseError(f"expected dimension 3, got {dim}", node_path, lineno)
+    if n_attr < 0 or n_mark not in (0, 1):
+        raise ParseError(f"expected >= 0 attributes and 0 or 1 boundary markers, "
+                         f"got {n_attr} and {n_mark}", node_path, lineno)
     nodes = textio.rows(lines, nv, node_path, "nodes")
     verts = np.empty((nv, 3))  # nv lines are in hand, and each fills one row once
     first_line = {}  # line of each node index
     base = None
     for lineno, tokens in nodes:
-        vals = textio.floats(tokens, 4, node_path, lineno)
+        vals = textio.floats(tokens, 4 + n_attr + n_mark, node_path, lineno)
         try:
             idx = int(tokens[0])
         except ValueError:
@@ -320,16 +324,21 @@ def _load_node_ele(path: str) -> VolumetricMesh:
             raise ParseError(f"node index {idx} repeats line {first_line[slot]}; each index "
                              f"from {base} to {base + nv - 1} must appear once", node_path, lineno)
         first_line[slot] = lineno
-        verts[slot] = vals[1:]
+        verts[slot] = vals[1:4]  # attributes and the marker are dropped
 
     lines = textio.data_lines(ele_path)
     lineno, tokens = textio.next_line(lines, ele_path, "empty file")
-    nc, arity, _ = textio.ints(tokens, 3, ele_path, lineno)
+    nc, arity, n_attr = textio.ints(tokens, 3, ele_path, lineno)
     textio.check_counts(ele_path, lineno, cell=nc)
     if arity != 4:
         raise ParseError(f"expected 4 nodes per tet, got {arity}", ele_path, lineno)
-    cells = [textio.cell_row(textio.ints(t, 5, ele_path, ln)[1:], nv, base, ele_path, ln)
-             for ln, t in textio.rows(lines, nc, ele_path, "cells")]
+    if n_attr < 0:
+        raise ParseError(f"expected >= 0 attributes, got {n_attr}", ele_path, lineno)
+    cells = []
+    for ln, t in textio.rows(lines, nc, ele_path, "cells"):
+        textio.floats(t, 5 + n_attr, ele_path, ln)  # field count; attributes are dropped
+        cells.append(textio.cell_row(textio.ints(t[:5], 5, ele_path, ln)[1:], nv, base,
+                                     ele_path, ln))
     return make_mesh("tet", verts, cells)
 
 
@@ -351,6 +360,7 @@ _FORMAT_LOADERS = {
     "nodeele": _load_node_ele,
     "hexascii": _load_hex_ascii,
 }
+MESH_FORMATS = tuple(_FORMAT_LOADERS)
 
 _EXT_FORMATS = {
     ".off": "off",
@@ -368,12 +378,12 @@ def infer_format(path: str) -> str:
 
 
 def load_mesh(path: str, fmt: str | None = None) -> VolumetricMesh:
-    """Load a validated mesh; ``fmt`` is off / nodeele / hexascii (inferred by default)."""
+    """Load a validated mesh; ``fmt`` is one of MESH_FORMATS (inferred by default)."""
     if fmt is None and not os.path.splitext(path)[1] and os.path.exists(path + ".node"):
         fmt = "nodeele"  # bare tetgen stem
     fmt = fmt or infer_format(path)
-    if fmt not in _FORMAT_LOADERS:
-        raise ValidationError(f"unknown mesh format {fmt!r}")
+    if fmt not in MESH_FORMATS:
+        raise ValidationError(f"unknown mesh format {fmt!r}, expected one of {MESH_FORMATS}")
     return _FORMAT_LOADERS[fmt](path)
 
 

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
 
 from . import textio
-from .distance import TILE_ELEMS  # noqa: F401 (re-exported: the field kernel's tile size)
 from .distance import distance_block, distance_tiles, points_to_points
 from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError
 from .grid import FieldSource
@@ -138,7 +136,34 @@ def _lu_solve_checked(a: np.ndarray, rhs: np.ndarray):
     w = lu_solve((lu, piv), rhs)
     # One step of iterative refinement tightens the residual cheaply.
     w = w + lu_solve((lu, piv), rhs - a @ w)
-    return w, lu, norm_1
+    return w, (lu, piv), norm_1
+
+
+def _inverse_one_norm(lu_piv) -> float:
+    """Hager's estimate, from below, of ||A^-1||_1 from A's LU factors.
+
+    Hager (1984) climbs ||A^-1 x||_1 over unit vectors x, with solves by A
+    and A^T on the same factors; Higham (ACM TOMS 14, 1988) caps it at five
+    steps and adds the alternating-sign vector as a second guess.  It takes
+    only lu_solve and numpy sums, so it repeats bit for bit as the weights do.
+    """
+    n = len(lu_piv[1])
+    x, est = np.full(n, 1.0 / n), 0.0
+    for _ in range(5):
+        y = lu_solve(lu_piv, x)
+        y_norm = np.abs(y).sum()
+        if y_norm <= est:
+            break
+        est = y_norm
+        z = lu_solve(lu_piv, np.where(y >= 0.0, 1.0, -1.0), trans=1)
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= (z * x).sum():  # x is a local maximum
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    alt = np.linspace(1.0, 2.0, n)
+    alt[1::2] *= -1.0
+    return float(max(est, np.abs(lu_solve(lu_piv, alt)).sum() / np.abs(alt).sum()))
 
 
 def solve_weights(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -198,9 +223,9 @@ class InterpolationModel(FieldSource):
 class FitReport:
     """Solve diagnostics: condition estimate and final residual.
 
-    ``condition_estimate`` is 1 / rcond from LAPACK dgecon on the fit's LU
-    factors: an estimate, from below, of the 1-norm condition number.  Its
-    last bits can differ between identical runs (dgecon varies).
+    ``condition_estimate`` is ||A||_1 times Hager's estimate of ||A^-1||_1
+    on the fit's LU factors: an estimate, from below, of the 1-norm
+    condition number, the same bits on every run.
     """
 
     n_centers: int
@@ -213,8 +238,7 @@ def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
     if not np.isfinite(lam):
         raise ValidationError(f"lambda must be finite, got {lam}")
     a, rhs = assemble_matrix(centers, basis, lam)
-    w, lu, norm_1 = _lu_solve_checked(a, rhs)
-    rcond, _ = dgecon(lu, norm_1)
+    w, lu_piv, norm_1 = _lu_solve_checked(a, rhs)
     residual = float(np.abs(a @ w - rhs).max())
     if residual > RESIDUAL_TOL * (1.0 + float(np.abs(rhs).max())):
         raise SingularMatrixError(
@@ -222,7 +246,7 @@ def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
             "the system is too ill-conditioned at this shape parameter"
         )
     model = InterpolationModel(centers=centers, basis=basis, lam=lam, weights=w)
-    return model, FitReport(len(centers), 1.0 / rcond, residual)
+    return model, FitReport(len(centers), norm_1 * _inverse_one_norm(lu_piv), residual)
 
 
 def fit_mesh(mesh: VolumetricMesh, basis: Basis, mode: str, lam: float = 0.0):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .mesh import VolumetricMesh, make_mesh, save_mesh
 
@@ -71,6 +70,13 @@ def hex_rod_mesh(n: int = 4) -> VolumetricMesh:
     return _hex_brick(np.arange(n + 1, dtype=np.float64), [0.0, 1.0], [0.0, 1.0])
 
 
+# The 20 faces over the 12 shell vertices, in the order and corner order of
+# qhull's hull, which the icosa20.node/.ele sample files were written in.
+_ICOSA_FACES = ((6, 0, 9), (2, 5, 8), (2, 0, 8), (2, 0, 9), (10, 5, 8), (10, 3, 1), (10, 3, 5),
+                (11, 3, 1), (11, 6, 1), (11, 6, 9), (4, 0, 8), (4, 6, 0), (4, 6, 1), (4, 10, 1),
+                (4, 10, 8), (7, 2, 9), (7, 3, 5), (7, 2, 5), (7, 11, 3), (7, 11, 9))
+
+
 def icosahedron_tet_mesh(radius: float = 1.0) -> VolumetricMesh:
     """An icosahedron split into 20 tetrahedra sharing the centroid."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
@@ -81,11 +87,9 @@ def icosahedron_tet_mesh(radius: float = 1.0) -> VolumetricMesh:
     ]
     shell = np.asarray(raw, dtype=np.float64)
     shell *= radius / np.linalg.norm(shell[0])
-    hull = ConvexHull(shell)
     verts = np.vstack([shell, np.zeros((1, 3))])
     center = len(shell)
-    cells = [(center, f[0], f[1], f[2]) for f in hull.simplices]
-    return make_mesh("tet", verts, cells)
+    return make_mesh("tet", verts, [(center, *face) for face in _ICOSA_FACES])
 
 
 SAMPLE_BUILDERS = {

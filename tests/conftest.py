@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import arbfscaffold
 from arbfscaffold import samples
 
 # Property tests draw their examples from a hash of each test, not from a
@@ -44,3 +49,14 @@ def icosa_mesh():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run code in a new interpreter that imports this arbfscaffold; returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arbfscaffold.__file__)))
+
+    def run(code: str) -> str:
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout
+    return run

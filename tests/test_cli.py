@@ -8,7 +8,7 @@ import pytest
 
 import arbfscaffold as ax
 from arbfscaffold import samples
-from arbfscaffold.cli import COND_WARN, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from arbfscaffold.cli import COND_WARN, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser, main
 
 
 @pytest.fixture
@@ -142,6 +142,29 @@ def test_out_of_range_iso_warns_but_succeeds(mesh_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "empty" in err.lower()
     assert not os.path.exists(out + "_iso99.obj")
+
+
+def test_unwritable_stats_path_is_an_input_error(tmp_path, capsys):
+    # the command itself succeeds; the stats file cannot be opened (a directory)
+    out = str(tmp_path / "g")
+    rc = main(["tpms", "--kind", "g", "--resolution", "8", "--out", out,
+               "--stats", str(tmp_path)])
+    assert rc == EXIT_INPUT
+    assert os.path.exists(out + ".raw")
+    assert "error:" in capsys.readouterr().err
+
+
+def _flag(command, option):
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    return next(a for a in sub._actions if option in a.option_strings)
+
+
+def test_flag_choices_are_the_library_tuples():
+    assert _flag("fit", "--basis").choices is ax.rbf.BASIS_KINDS
+    assert _flag("pipeline", "--basis").choices is ax.rbf.BASIS_KINDS
+    assert _flag("tpms", "--kind").choices is ax.tpms.TPMS_KINDS
+    assert _flag("perturb", "--format").choices is ax.mesh.MESH_FORMATS
+    assert f"at most {ax.perturb.MAX_MAGNITUDE} " in _flag("perturb", "--magnitude").help
 
 
 def test_tpms_subcommand(tmp_path):

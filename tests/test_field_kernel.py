@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import arbfscaffold as ax
 from arbfscaffold import samples
+from arbfscaffold.distance import TILE_ELEMS
 from arbfscaffold.errors import ValidationError
 from arbfscaffold.grid import VoxelGrid, sample_field
-from arbfscaffold.rbf import TILE_ELEMS
 
 MESHES = {
     "icosahedron": samples.icosahedron_tet_mesh,

@@ -15,7 +15,6 @@ from arbfscaffold.grid import (
     make_grid,
     make_grid_2d,
     read_volume,
-    resolve_workers,
     sample_field,
     solid_fraction,
     write_volume,
@@ -183,14 +182,13 @@ def test_sample_field_needs_evaluate_axes(source):
         sample_field(source, g)
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("ARBF_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    assert resolve_workers(0) >= 1
-    monkeypatch.setenv("ARBF_WORKERS", "5")
-    assert resolve_workers(None) == 5
-    assert resolve_workers(2) == 2  # explicit argument wins
+def test_sample_field_worker_count():
+    # one worker by default, 0 for one per core, and no negative count
+    g = make_grid(np.zeros(3), np.ones(3), 4, 0.0)
+    expected = sample_field(SineSum(), g).values
+    assert np.array_equal(sample_field(SineSum(), g, workers=0).values, expected)
+    with pytest.raises(ValidationError, match="worker count must be >= 0, got -1"):
+        sample_field(SineSum(), g, workers=-1)
 
 
 def test_solid_fraction():
@@ -247,6 +245,11 @@ def test_volume_header_mismatch(tmp_path):
     open(stem + ".raw", "wb").write(raw[:-4])  # drop one sample
     with pytest.raises(HeaderMismatchError):
         read_volume(stem)
+
+
+def test_volume_rejects_empty_path():
+    with pytest.raises(OSError, match="empty volume path"):
+        read_volume("")
 
 
 def test_volume_accepts_header_path(tmp_path):

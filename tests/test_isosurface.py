@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arbfscaffold.errors import ParseError, ValidationError
-from arbfscaffold.grid import make_grid, make_grid_2d, sample_field
+from arbfscaffold.grid import VoxelGrid, make_grid, make_grid_2d, sample_field
 from arbfscaffold.isosurface import (
     TriangleSoup,
     euler_characteristic,
@@ -199,7 +199,15 @@ def test_saddle_cases_resolve_by_center_average():
 
 def test_squares_requires_slab():
     g = make_grid(np.zeros(3), np.ones(3), 4, 0.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"single-slice grid \(nz = 1\)"):
+        marching_squares(g, 0.0)
+
+
+@pytest.mark.parametrize("dims", [(1, 3, 1), (3, 1, 1)])
+def test_squares_requires_two_samples_per_axis(dims):
+    g = VoxelGrid(origin=np.zeros(3), spacing=np.ones(3), dims=dims,
+                  values=np.zeros(3, dtype=np.float32))
+    with pytest.raises(ValidationError, match="at least 2 samples per axis"):
         marching_squares(g, 0.0)
 
 

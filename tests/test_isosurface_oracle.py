@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import arbfscaffold as ax
 from arbfscaffold import samples
-from arbfscaffold._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
+from arbfscaffold._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from arbfscaffold.isosurface import (
     SNAP_T,
     TriangleSoup,
@@ -32,6 +32,13 @@ from arbfscaffold.isosurface import (
 
 
 # --- references -----------------------------------------------------------
+
+# Bit e of CROSSED_EDGES[case] is set when edge e crosses the surface: the
+# case bits of its two corners differ.  Derived here, not read from
+# TRI_TABLE, so the reference stays independent of the table it checks.
+_CASES = np.arange(256, dtype=np.int32)
+CROSSED_EDGES = sum((((_CASES >> c0) ^ (_CASES >> c1)) & 1) << e
+                    for e, (c0, c1) in enumerate(EDGE_CORNERS))
 
 
 def reference_marching_cubes(grid, iso):
@@ -47,8 +54,7 @@ def reference_marching_cubes(grid, iso):
     case = np.zeros(corner_vals[0].shape, dtype=np.int32)
     for n, cv in enumerate(corner_vals):
         case |= (cv < iso).astype(np.int32) << n
-    edge_table = np.asarray(EDGE_TABLE, dtype=np.int32)
-    active = np.nonzero(edge_table[case] != 0)
+    active = np.nonzero(CROSSED_EDGES[case] != 0)
     if len(active[0]) == 0:
         return TriangleSoup(), 0
     kk, jj, ii = (a.astype(np.int64) for a in active)
@@ -58,7 +64,7 @@ def reference_marching_cubes(grid, iso):
     offsets = np.asarray(CORNER_OFFSETS, dtype=np.int64)
     edge_ids = np.zeros((len(acase), 12), dtype=np.int64)
     edge_verts = np.zeros((len(acase), 12, 3))
-    bits = edge_table[acase]
+    bits = CROSSED_EDGES[acase]
     for e, (c0, c1) in enumerate(EDGE_CORNERS):
         sel = (bits & (1 << e)) != 0
         lo, hi = (c0, c1) if offsets[c0].sum() < offsets[c1].sum() else (c1, c0)
@@ -229,6 +235,12 @@ def test_every_case_of_a_single_cell_matches_reference():
             g.values[g.index(dx, dy, dz)] = -ramp[n] if below[n] else ramp[n]
         soup, _ = assert_same_soup(g, 0.0)
         assert (len(soup.triangles) > 0) == (case not in (0, 255))
+
+
+def test_every_tri_table_row_uses_exactly_the_crossed_edges():
+    for case, row in enumerate(TRI_TABLE):
+        crossed = {e for e in range(len(EDGE_CORNERS)) if CROSSED_EDGES[case] >> e & 1}
+        assert set(row) == crossed, f"case {case}"
 
 
 def test_quantized_volume_merges_and_drops_like_reference():

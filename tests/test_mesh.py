@@ -8,6 +8,7 @@ from arbfscaffold import samples
 from arbfscaffold.errors import ParseError, ValidationError
 from arbfscaffold.mesh import (
     CenterSet,
+    VolumetricMesh,
     build_segments,
     cell_measures,
     compute_centers,
@@ -42,21 +43,78 @@ def test_block_measures_sum_to_unit_cube(block_mesh):
 
 
 def test_make_mesh_rejects_bad_input():
+    # "tri2d" is a valid kind, so each raise below comes from the check it names
     verts = np.eye(3)
-    with pytest.raises(ValidationError):
-        make_mesh("tri", verts[:, :2], [[0, 1, 2]])  # 2 columns
-    with pytest.raises(ValidationError):
-        make_mesh("tri", verts, [[0, 1, 5]])  # index out of range
-    with pytest.raises(ValidationError):
-        make_mesh("tri", verts, [[0, 1, 2, 0]])  # wrong arity for kind
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"vertices must be a non-empty \(nv, 3\) array"):
+        make_mesh("tri2d", verts[:, :2], [[0, 1, 2]])  # 2 columns
+    with pytest.raises(ValidationError, match=r"vertices must be a non-empty \(nv, 3\) array"):
+        make_mesh("tri2d", np.empty((0, 3)), [[0, 1, 2]])
+    with pytest.raises(ValidationError, match="vertex coordinates must be finite"):
+        make_mesh("tri2d", [[0, 0, 0], [1, 0, 0], [0, np.nan, 0]], [[0, 1, 2]])
+    for bad in (5, -1):
+        with pytest.raises(ValidationError,
+                           match=r"cell index out of range: valid indices are 0\.\.2"):
+            make_mesh("tri2d", verts, [[0, 1, bad]])
+    with pytest.raises(ValidationError, match=r"tri2d cells must be a non-empty \(nc, 3\) array"):
+        make_mesh("tri2d", verts, [[0, 1, 2, 0]])  # wrong arity for kind
+    with pytest.raises(ValidationError, match=r"tet cells must be a non-empty \(nc, 4\) array"):
+        make_mesh("tet", verts, np.empty((0, 4)))
+    with pytest.raises(ValidationError, match="unknown mesh kind 'prism'"):
         make_mesh("prism", verts, [[0, 1, 2]])
 
 
 def test_make_mesh_rejects_degenerate_cell():
     verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])  # collinear
-    with pytest.raises(ValidationError):
-        make_mesh("tri", verts, [[0, 1, 2]])
+    with pytest.raises(ValidationError, match=r"cell 0 is degenerate \(measure 0\.000e\+00\)"):
+        make_mesh("tri2d", verts, [[0, 1, 2]])
+
+
+def test_center_set_rejects_mismatched_or_empty_arrays():
+    with pytest.raises(ValidationError, match="one value per point center required"):
+        CenterSet(np.zeros((2, 3)), [1.0])
+    with pytest.raises(ValidationError, match="seg_a and seg_b must have the same length"):
+        CenterSet(np.zeros((1, 3)), [1.0], np.zeros((2, 3)), np.ones((1, 3)))
+    with pytest.raises(ValidationError, match="center set is empty"):
+        CenterSet(np.empty((0, 3)), [])
+
+
+def test_build_segments_rejects_face_center_on_cell_center():
+    # corner 7 sits below the bottom face, so the top face's center and the
+    # cell center both land on the bottom face's center; the volume is 1/3
+    verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+             (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, -3)]
+    mesh = make_mesh("hex", verts, [list(range(8))])
+    assert cell_measures(mesh) == pytest.approx([1.0 / 3.0])
+    with pytest.raises(ValidationError, match="degenerate cell: face center meets cell center"):
+        build_segments(mesh)
+
+
+def test_unknown_mode_format_and_kind_are_rejected(tmp_path, tet_mesh):
+    with pytest.raises(ValidationError, match="unknown mode 'spherical'"):
+        ax.assemble_center_set(tet_mesh, "spherical")
+    with pytest.raises(ValidationError, match="unknown mesh format 'stl'"):
+        ax.load_mesh(str(tmp_path / "m.off"), "stl")
+    prism = VolumetricMesh("prism", tet_mesh.vertices, tet_mesh.cells)
+    with pytest.raises(ValidationError, match="unknown mesh kind 'prism'"):
+        ax.save_mesh(prism, str(tmp_path / "m.off"))
+
+
+def test_samples_need_no_convex_hull_code(fresh_python):
+    code = "import sys, arbfscaffold.samples; print('scipy.spatial' in sys.modules)"
+    assert fresh_python(code) == "False\n"
+
+
+def test_icosahedron_faces_close_the_shell(icosa_mesh):
+    # 20 faces of one edge length, each of the 30 edges shared by two faces
+    # (the shell's corner order alternates, as the hull's did)
+    faces = icosa_mesh.cells[:, 1:]
+    edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, uses = np.unique(edges, axis=0, return_counts=True)
+    assert len(uses) == 30 and np.all(uses == 2)
+    lengths = np.linalg.norm(np.diff(icosa_mesh.vertices[edges], axis=1), axis=-1)
+    assert np.ptp(lengths) < 1e-15
+    a = lengths[0, 0]
+    assert cell_measures(icosa_mesh).sum() == pytest.approx(5 * (3 + np.sqrt(5)) / 12 * a**3)
 
 
 def test_nodal_value_signs_are_constrained():
@@ -210,6 +268,46 @@ def test_node_fractional_index_is_rejected(tmp_path):
 
 
 _TET_NODES = "4 3 0 0\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n"
+
+
+def test_node_ele_with_attributes_and_boundary_markers(tmp_path):
+    # TetGen puts attributes, then the boundary marker, after the coordinates,
+    # and region attributes after the corners; the headers count them
+    (tmp_path / "m.node").write_text(
+        "4 3 0 1\n1 0 0 0 1\n2 1 0 0 0\n3 0 1 0 1\n4 0 0 1 2\n")
+    (tmp_path / "m.ele").write_text("1 4 1\n1 1 2 3 4 -2.5\n")
+    (tmp_path / "a.node").write_text(
+        "4 3 2 1\n1 0 0 0 0.5 7 1\n2 1 0 0 0.5 7 0\n3 0 1 0 1 8 1\n4 0 0 1 1 8 0\n")
+    (tmp_path / "a.ele").write_text("1 4 0\n1 1 2 3 4\n")
+    expected = samples.unit_tet_mesh()
+    for stem in ("m", "a"):
+        mesh = ax.load_mesh(str(tmp_path / f"{stem}.node"))
+        assert np.array_equal(mesh.vertices, expected.vertices)
+        assert np.array_equal(mesh.cells, expected.cells)
+
+
+@pytest.mark.parametrize("node,ele,where,message", [
+    ("4 2 0 0\n", "1 4 0\n", "x.node:1", "expected dimension 3, got 2"),
+    ("4 3 -1 0\n", "1 4 0\n", "x.node:1", "expected >= 0 attributes and 0 or 1 boundary "
+                                          "markers, got -1 and 0"),
+    ("4 3 0 2\n", "1 4 0\n", "x.node:1", "got 0 and 2"),
+    (_TET_NODES.replace("4 0 0 1", "9 0 0 1"), "1 4 0\n", "x.node:5", "node index 9 out of range"),
+    ("4 3 0 1\n1 0 0 0 1\n2 1 0 0\n3 0 1 0 1\n4 0 0 1 1\n", "1 4 0\n", "x.node:3",
+     "expected 5 fields, got 4"),
+    (_TET_NODES.replace("4 3 0 0", "4 3 1 0"), "1 4 0\n", "x.node:2", "expected 5 fields, got 4"),
+    (_TET_NODES, "1 10 0\n", "x.ele:1", "expected 4 nodes per tet, got 10"),
+    (_TET_NODES, "1 4 -1\n", "x.ele:1", "expected >= 0 attributes, got -1"),
+    (_TET_NODES, "1 4 1\n1 1 2 3 4\n", "x.ele:2", "expected 6 fields, got 5"),
+    (_TET_NODES, "1 4 0\n1 1 2 3 4 1\n", "x.ele:2", "expected 5 fields, got 6"),
+], ids=["dimension", "attributes", "markers", "node-index", "marker-missing",
+        "attribute-missing", "ele-arity", "ele-attributes", "ele-attribute-missing",
+        "ele-extra-field"])
+def test_node_ele_header_and_field_count_errors(tmp_path, node, ele, where, message):
+    (tmp_path / "x.node").write_text(node)
+    (tmp_path / "x.ele").write_text(ele)
+    with pytest.raises(ParseError, match=message) as err:
+        ax.load_mesh(str(tmp_path / "x.node"))
+    assert where in str(err.value)
 
 
 @pytest.mark.parametrize("files,load,where,index", [

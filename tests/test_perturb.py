@@ -5,7 +5,7 @@ import pytest
 
 import arbfscaffold as ax
 from arbfscaffold import samples
-from arbfscaffold.errors import ValidationError
+from arbfscaffold.errors import DegenerateResultError, ValidationError
 from arbfscaffold.mesh import cell_measures
 from arbfscaffold.perturb import PerturbSpec, perturb_mesh, shortest_incident_edge
 
@@ -90,6 +90,28 @@ def test_planar_mesh_stays_planar(tri_mesh):
                                              vertex_fraction=1.0))
     assert np.all(out.vertices[:, 2] == 0.0)
     assert not np.array_equal(out.vertices[:, :2], tri_mesh.vertices[:, :2])
+
+
+def test_isolated_vertex_stays_put():
+    # vertex 4 belongs to no cell: it has no edge to scale a displacement by
+    tet = samples.unit_tet_mesh()
+    mesh = ax.make_mesh("tet", np.vstack([tet.vertices, [(5.0, 5.0, 5.0)]]), tet.cells)
+    out = perturb_mesh(mesh, PerturbSpec(magnitude=0.2, seed=3, vertex_fraction=1.0))
+    assert np.array_equal(out.vertices[4], mesh.vertices[4])
+    assert np.all(np.any(out.vertices[:4] != mesh.vertices[:4], axis=1))
+
+
+def test_collapsed_cell_raises_degenerate_result():
+    # A far isolated vertex stretches the bbox, so the degeneracy floor
+    # (1e-12 x diagonal^2) is 0.42, just under the triangle's area of 0.5;
+    # seed 0 shrinks the area to 0.37 and seed 3 grows it to 0.64.
+    verts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (6.5e5, 0.0, 0.0)]
+    mesh = ax.make_mesh("tri2d", verts, [(0, 1, 2)])
+    grown = perturb_mesh(mesh, PerturbSpec(magnitude=0.3, seed=3, vertex_fraction=1.0))
+    assert cell_measures(grown) == pytest.approx([0.6356], abs=1e-4)
+    with pytest.raises(DegenerateResultError,
+                       match=r"collapsed a cell \(seed 0, magnitude 0.3\): cell 0 is degenerate"):
+        perturb_mesh(mesh, PerturbSpec(magnitude=0.3, seed=0, vertex_fraction=1.0))
 
 
 def test_downstream_fit_is_deterministic(hex_mesh):

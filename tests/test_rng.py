@@ -35,6 +35,8 @@ def test_next_below_range():
         xs = [r.next_below(n) for _ in range(200)]
         assert all(0 <= x < n for x in xs)
     assert [SplitMix64(9).next_below(1) for _ in range(5)] == [0] * 5
+    with pytest.raises(ValueError, match="n must be positive"):
+        SplitMix64(9).next_below(0)
 
 
 def test_next_below_covers_small_range():
