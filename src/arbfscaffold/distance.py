@@ -2,10 +2,12 @@
 
 ``distance_tiles`` is the package's one tile walk: for query points given
 as 2-D coordinate arrays x, y, z that broadcast to (rows, cols), it yields
-each tile's distances to a set of points, then to a set of segments.
-``InterpolationModel.evaluate_axes`` turns the tiles into field values;
-``distance_block`` gathers them into (n, P + S) blocks for the kernels
-below and for the point rows of ``assemble_matrix``.
+each tile's squared distances to a set of points, then to a set of
+segments.  Every basis is a function of r², so
+``InterpolationModel.evaluate_axes`` turns the tiles into field values with
+no square root.  ``distance_block`` gathers them into (n, P + S) blocks and
+takes the one square root, for the kernels below and for the point rows of
+``assemble_matrix``.
 
 The arithmetic is elementwise, never a dot or matrix product whose rounding
 depends on the block shape, so a distance is bit-identical in any tile,
@@ -99,7 +101,7 @@ def _segment_frame(a, b):
 
 
 def _fill_block(tables, frame, block, p, alloc) -> None:
-    """Fill block[..., :p] with point and block[..., p:] with segment distances.
+    """Fill block[..., :p] with point and block[..., p:] with segment squared distances.
 
     The three _tables results broadcast to their part of the block (a
     grid chunk's x tables are (1, nx, m), its y and z tables (rows, 1, m)),
@@ -109,7 +111,6 @@ def _fill_block(tables, frame, block, p, alloc) -> None:
     out = block[..., :p]
     np.add(px, py, out=out)
     out += pz
-    np.sqrt(out, out=out)
     out = block[..., p:]
     _, d, dd = frame
     t = np.add(tx, ty, out=alloc(out.shape))
@@ -123,20 +124,19 @@ def _fill_block(tables, frame, block, p, alloc) -> None:
         r *= r
     np.add(sq[0], sq[1], out=out)
     out += sq[2]
-    np.sqrt(out, out=out)
-    snap = out < ON_SEGMENT_TOL
+    snap = out < ON_SEGMENT_TOL ** 2
     if snap.any():
         snap &= (t >= 0.0) & (t <= 1.0) & (dd > 0.0)
         out[snap] = 0.0
 
 
 def distance_tiles(x, y, z, points, seg_a, seg_b):
-    """Yield (rows, cols, block) tiles of the distances from x, y, z to the centers.
+    """Yield (rows, cols, block) tiles of the squared distances from x, y, z to the centers.
 
     x, y and z are 2-D arrays that broadcast to (n_rows, n_cols); rows and
     cols are slices of that shape.  ``block``, of shape (rows, cols, P + S),
-    holds each query point's distances to the P ``points``, then to the S
-    segments [seg_a, seg_b] as in points_to_segments.  The next step reuses
+    holds each query point's squared distances to the P ``points``, then to
+    the S segments [seg_a, seg_b] as in points_to_segments.  The next step reuses
     the block's buffer, so a caller may overwrite it in place.
     """
     points = as_points(points)
@@ -168,7 +168,7 @@ def distance_block(q, points, seg_a, seg_b) -> np.ndarray:
     out = np.empty((len(q), len(points) + len(seg_a)))
     for rows, _, block in distance_tiles(q[:, :1], q[:, 1:2], q[:, 2:], points, seg_a, seg_b):
         out[rows] = block[:, 0]
-    return out
+    return np.sqrt(out, out=out)
 
 
 def points_to_points(p, q) -> np.ndarray:

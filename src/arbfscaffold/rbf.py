@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from . import textio
 from .distance import distance_block, distance_tiles, points_to_points
@@ -39,8 +38,11 @@ _MODEL_MAGIC = "ARBF1"
 class Basis:
     """Basis kind plus shape parameter.
 
-    gaussian: exp(-(c r)^2)        mq:  sqrt(r^2 + c^2)
-    imq:      1 / sqrt(r^2 + c^2)  tps: r^2 ln r  (0 at r = 0; c unused)
+    gaussian: exp(-c^2 r^2)        mq:  sqrt(r^2 + c^2)
+    imq:      1 / sqrt(r^2 + c^2)  tps: 1/2 r^2 ln r^2  (0 at r = 0; c unused)
+
+    Each is a function of r^2, so the field is evaluated on squared
+    distances with no square root.
     """
 
     kind: str
@@ -55,29 +57,26 @@ class Basis:
             raise ValidationError(f"shape parameter must be positive, got {self.c}")
 
 
-def _fill_basis(basis: Basis, r: np.ndarray) -> None:
-    """Overwrite the distance array ``r`` with the basis values, in place."""
-    if basis.kind == "tps":  # r^2 ln r, defined as 0 at r = 0
-        pos = r > 0.0
-        log_r = np.log(r, out=np.zeros_like(r), where=pos)
-        r[~pos] = 0.0
-        r *= r
-        r *= log_r
-    elif basis.kind == "gaussian":  # exp(-(c r)^2)
-        r *= basis.c
-        r *= r
-        np.exp(np.negative(r, out=r), out=r)
+def _fill_basis(basis: Basis, r2: np.ndarray) -> None:
+    """Overwrite the squared distances ``r2`` with the basis values, in place."""
+    if basis.kind == "tps":  # r^2 ln r = 1/2 r^2 ln r^2, defined as 0 at r = 0
+        log_r2 = np.log(r2, out=np.zeros_like(r2), where=r2 > 0.0)
+        r2 *= log_r2
+        r2 *= 0.5
+    elif basis.kind == "gaussian":  # exp(-c^2 r^2)
+        r2 *= -(basis.c * basis.c)
+        np.exp(r2, out=r2)
     else:  # mq and imq share sqrt(r^2 + c^2)
-        r *= r
-        r += basis.c * basis.c
-        np.sqrt(r, out=r)
+        r2 += basis.c * basis.c
+        np.sqrt(r2, out=r2)
         if basis.kind == "imq":
-            np.divide(1.0, r, out=r)
+            np.divide(1.0, r2, out=r2)
 
 
 def eval_basis(basis: Basis, r):
     """Apply the basis to a scalar or array of distances."""
     out = np.array(r, dtype=np.float64)
+    out *= out
     _fill_basis(basis, out)
     return float(out) if out.ndim == 0 else out
 
@@ -87,7 +86,8 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
 
     Distances fill the point rows in one distance_block call, their
     transpose, and the minimum over four endpoint blocks between segments;
-    basis values then overwrite them in place.  Raises DuplicateCenterError
+    after the duplicate checks they are squared, as in eval_basis, and basis
+    values overwrite them in place.  Raises DuplicateCenterError
     when two centers coincide, which almost always means a degenerate mesh.
     """
     pts, sa, sb = centers.points, centers.seg_a, centers.seg_b
@@ -110,6 +110,7 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
         if len(upper):
             raise DuplicateCenterError(f"centers {off + i[upper[0]]} and {off + j[upper[0]]} "
                                        "coincide; check the mesh for degenerate cells")
+    dist *= dist
     _fill_basis(basis, dist)
     dist.flat[::n + 1] += lam
     return dist, centers.values
@@ -117,6 +118,7 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
 
 def _lu_solve_checked(a: np.ndarray, rhs: np.ndarray):
     """(weights, LU factors, 1-norm of A), from one |A| freed before the LU."""
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve  # only fits pay its import
     abs_a = np.abs(a)
     scale, norm_1 = abs_a.max(), abs_a.sum(axis=0).max()
     del abs_a
@@ -147,6 +149,7 @@ def _inverse_one_norm(lu_piv) -> float:
     steps and adds the alternating-sign vector as a second guess.  It takes
     only lu_solve and numpy sums, so it repeats bit for bit as the weights do.
     """
+    from scipy.linalg import lu_solve
     n = len(lu_piv[1])
     x, est = np.full(n, 1.0 / n), 0.0
     for _ in range(5):
@@ -195,10 +198,12 @@ class InterpolationModel(FieldSource):
         """Field values over coordinate arrays that broadcast to (rows, cols).
 
         x, y and z have at most two dims each; the result has their broadcast
-        shape.  Each tile of distance_tiles (see distance.py for how a grid
-        chunk's xs[None, :] is shared) becomes basis values, then weighted
-        row sums, in place.  No step mixes points, so every value equals
-        evaluate() of its point bit for bit.
+        shape.  Each tile of squared distances from distance_tiles (see
+        distance.py for how a grid chunk's xs[None, :] is shared) becomes
+        basis values in place, then weighted sums in one einsum pass.  No
+        step mixes points, so every value equals evaluate() of its point bit
+        for bit.  That is why the sum is an einsum and not ``phi @ w``: a
+        BLAS product may round a row differently with the number of rows.
         """
         coords = [np.asarray(v, dtype=np.float64) for v in (x, y, z)]
         shape = np.broadcast_shapes(*(v.shape for v in coords))
@@ -209,8 +214,7 @@ class InterpolationModel(FieldSource):
         c = self.centers
         for rows, cols, phi in distance_tiles(*coords, c.points, c.seg_a, c.seg_b):
             _fill_basis(self.basis, phi)
-            phi *= self.weights
-            out[rows, cols] = phi.reshape(-1, len(c)).sum(axis=1).reshape(phi.shape[:2])
+            out[rows, cols] = np.einsum("rcn,n->rc", phi, self.weights)
         return out.reshape(shape)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:

@@ -154,6 +154,22 @@ def test_unwritable_stats_path_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_import_and_tpms_load_no_scipy(fresh_python, tmp_path):
+    # only a fit needs scipy.linalg; the last line shows that the check sees it
+    out = str(tmp_path / "g")
+    code = ("import sys, arbfscaffold as ax\n"
+            "from arbfscaffold.cli import main\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            f"main(['tpms', '--kind', 'g', '--resolution', '8', '--out', {out!r}])\n"
+            "print(scipy())\n"
+            "from arbfscaffold.samples import unit_tet_mesh\n"
+            "ax.fit_mesh(unit_tet_mesh(), ax.Basis('imq'), 'anisotropic')\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    lines = fresh_python(code).splitlines()  # main's own report comes between
+    assert [lines[0]] + lines[-2:] == ["[]", "[]", "True"]
+
+
 def _flag(command, option):
     sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
     return next(a for a in sub._actions if option in a.option_strings)
