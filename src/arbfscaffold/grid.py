@@ -195,9 +195,11 @@ def sample_field(source, grid: VoxelGrid, workers: int = 1) -> VoxelGrid:
 def solid_fraction(grid: VoxelGrid, iso: float) -> float:
     """Fraction of samples with value >= iso (solid-above convention).
 
-    The float32 samples are compared in float64, as marching_cubes does.
+    The float32 samples are compared in float64 under any numpy promotion
+    rules, as marching_cubes does.
     """
-    return float(np.count_nonzero(grid.values >= np.float64(iso))) / grid.values.size
+    solid = np.greater_equal(grid.values, iso, signature="dd->?")
+    return float(np.count_nonzero(solid)) / grid.values.size
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Iso-surface and iso-contour extraction plus OBJ/PGM export.
 
-marching_cubes classifies every grid sample against the iso value (solid
-when value >= iso) and emits triangles from the classic 256-case tables,
-cells in order of their case.  Each triangle corner names a crossed grid
-edge, and that edge is the vertex's identity: its vertex is computed once,
-from the edge's low sample, by p = p_lo + t * (p_hi - p_lo) with
-t = (iso - v_lo) / (v_hi - v_lo).  When min(t, 1 - t) <= SNAP_T the vertex
-is the nearer sample instead, with that sample's id and exact position, so
-the edges that meet at a sample on the iso value share one vertex.  Only
-triangles that repeat a vertex are dropped.  The result is an indexed mesh
-whose vertices come in grid-edge order (by low sample, then axis), all of
-them used; identities are exact integers, so closedness does not depend on
+marching_cubes classifies every grid sample against the iso value, in
+float64 (solid when value >= iso), and emits triangles from the classic
+256-case tables, cells in order of their case.  Each triangle corner names a
+crossed grid edge, and that edge is the vertex's identity.  The crossed edges
+are marked in a dense mask over the grid edges (3 per sample), straight from
+the sample signs, and a vertex id is the edge's rank among the marked ones,
+scattered into a dense lookup: no corner id is sorted, and vertices come in
+grid-edge order (by low sample, then axis).  A vertex is computed once, from
+the edge's low sample, by p = p_lo + t * (p_hi - p_lo) with
+t = (iso - v_lo) / (v_hi - v_lo).  Each triangle names 3 distinct edges and
+every crossed edge is named, so the mesh is complete as it stands unless a
+vertex snaps: when min(t, 1 - t) <= SNAP_T the vertex is the nearer sample
+instead, with that sample's id and exact position, so the edges that meet at
+a sample on the iso value share one vertex.  Only after a snap are the vertices renumbered, the
+triangles that repeat a vertex dropped, and the vertices no triangle uses
+removed.  Identities are exact integers, so closedness does not depend on
 where the grid lies or how large it is.
 
 marching_squares does the same per cell in 2-D with a 16-case table.
@@ -92,16 +97,19 @@ def euler_characteristic(soup: TriangleSoup) -> int:
 
 
 # Cell edge e runs along axis _EDGE_AXIS[e] from the cell-relative grid point
-# _EDGE_LOW[e].  TRI_TABLE as one (256, 15) array, rows padded with 0, and
-# the row lengths.
+# _EDGE_LOW[e].  _CASE_OF_BITS maps a cell's corners as bits dx + 2*dy + 4*dz
+# to its case.  All TRI_TABLE rows as one array of cell edges, case c's row
+# from _TRI_START[c], with the row lengths.
 _OFFSETS = np.asarray(CORNER_OFFSETS, dtype=np.int64)
 _EDGE_C0, _EDGE_C1 = np.asarray(EDGE_CORNERS, dtype=np.int64).T
 _EDGE_AXIS = np.argmax(_OFFSETS[_EDGE_C0] != _OFFSETS[_EDGE_C1], axis=1)
 _EDGE_LOW = np.minimum(_OFFSETS[_EDGE_C0], _OFFSETS[_EDGE_C1])
+_CASE_OF_BITS = np.zeros(256, dtype=np.uint8)
+for _n, _bit in enumerate(_OFFSETS @ (1, 2, 4)):
+    _CASE_OF_BITS |= (((np.arange(256) >> _bit) & 1) << _n).astype(np.uint8)
 _TRI_LEN = np.array([len(t) for t in TRI_TABLE], dtype=np.int64)
-_TRI_PAD = np.zeros((256, 15), dtype=np.int64)
-for _case, _tri in enumerate(TRI_TABLE):
-    _TRI_PAD[_case, :len(_tri)] = _tri
+_TRI_START = np.cumsum(_TRI_LEN) - _TRI_LEN
+_TRI_EDGES = np.array([e for t in TRI_TABLE for e in t], dtype=np.int64)
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,44 +122,75 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     nx, ny, nz = grid.dims
     if nx < 2 or ny < 2 or nz < 2:
         raise ValidationError("marching cubes needs at least 2 samples per axis")
-    vol = grid.values_3d().astype(np.float64)
-    below = vol < iso
+    vol = grid.values_3d()
+    # The float32 samples are compared in float64 under any numpy promotion
+    # rules, as solid_fraction compares them.
+    below = np.less(vol, iso, signature="dd->?").view(np.uint8)
 
-    # Case of each cell, shape (nz-1, ny-1, nx-1): bit n set when corner n is below.
-    case = np.zeros((nz - 1, ny - 1, nx - 1), dtype=np.uint8)
-    for n, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
-        case |= below[dz: dz + nz - 1, dy: dy + ny - 1, dx: dx + nx - 1].view(np.uint8) << n
-    cells = np.flatnonzero((case != 0) & (case != 255))
+    # Case of each cell, shape (nz-1, ny-1, nx-1): bit n set when corner n is
+    # below.  The corners are gathered in pairs along x, then y, then z.
+    bits = below[:, :, 1:] << 1
+    bits |= below[:, :, :-1]
+    quad = bits[:, 1:] << 2
+    quad |= bits[:, :-1]
+    bits = quad[1:] << 4
+    bits |= quad[:-1]
+    cells = np.flatnonzero((bits != 0) & (bits != 255))
     if len(cells) == 0:
         return TriangleSoup()
-    cells = cells[np.argsort(case.ravel()[cells], kind="stable")]
-    cases = case.ravel()[cells]
-    base = np.ravel_multi_index(np.unravel_index(cells, case.shape), vol.shape)
+    cases = _CASE_OF_BITS[bits.ravel()[cells]]
+    order = np.argsort(cases, kind="stable")
+    cells, cases = cells[order], cases[order]
+    row = cells // (nx - 1)
+    base = cells + row + nx * (row // (ny - 1))   # sample at the cell's corner 0
 
-    # Triangle corners in emission order: cells by case, then TRI_TABLE order.
-    # Vertex ids: 4 * q + axis names the grid edge from sample q (flat index)
-    # along axis, and 4 * q + 3 names sample q itself.
+    # Grid edge 3 * q + axis runs from sample q (flat index) along axis.  The
+    # crossed ones are exactly the edges the triangle corners name, and a
+    # vertex id is the edge's rank among them, so vertices come in edge order.
+    crossed = np.zeros((nz, ny, nx, 3), dtype=np.uint8)
+    np.bitwise_xor(below[:, :, :-1], below[:, :, 1:], out=crossed[:, :, :-1, 0])
+    np.bitwise_xor(below[:, :-1], below[:, 1:], out=crossed[:, :-1, :, 1])
+    np.bitwise_xor(below[:-1], below[1:], out=crossed[:-1, :, :, 2])
+    edges = np.flatnonzero(crossed.view(bool))
+    rank = np.empty(crossed.size, dtype=np.int32 if len(edges) < 2 ** 31 else np.int64)
+    rank[edges] = np.arange(len(edges), dtype=rank.dtype)
+
+    # Triangle corners in emission order: cells by case, then TRI_TABLE
+    # order.  A cell's k-th corner is the cell edge _TRI_EDGES[_TRI_START[case]
+    # + k], which names grid edge 3 * base plus that edge's offset.
     stride = np.array([1, nx, nx * ny])
-    corner_cell, slot = _ragged(_TRI_LEN[cases])
-    corner_edge = _TRI_PAD[cases[corner_cell], slot]
-    edge_offset = 4 * (_EDGE_LOW @ stride) + _EDGE_AXIS
-    edges, corner_src = np.unique(4 * base[corner_cell] + edge_offset[corner_edge],
-                                  return_inverse=True)
+    counts = _TRI_LEN[cases]
+    corner = np.repeat(_TRI_START[cases] - (np.cumsum(counts) - counts), counts)
+    corner += np.arange(len(corner))
+    corner = (3 * (_EDGE_LOW @ stride) + _EDGE_AXIS)[_TRI_EDGES][corner]
+    corner += np.repeat(3 * base, counts)
+    corner_src = rank[corner]
+    del crossed, rank, corner
 
-    # One vertex per grid edge, interpolated from its low sample.
-    lo, axis = np.divmod(edges, 4)
+    # One vertex per grid edge, interpolated from its low sample.  The
+    # float32 samples widen exactly, so t is computed in float64.
+    lo, axis = np.divmod(edges, 3)
     hi = lo + stride[axis]
     samples = vol.ravel()
-    t = (iso - samples[lo]) / (samples[hi] - samples[lo])  # crossed: v_lo != v_hi
+    v_lo = samples[lo].astype(np.float64)
+    t = (iso - v_lo) / (samples[hi] - v_lo)  # crossed: v_lo != v_hi
     p_lo, p_hi = grid.positions(lo), grid.positions(hi)
     points = p_lo + t[:, None] * (p_hi - p_lo)
 
-    # A vertex within SNAP_T of a sample becomes that sample, so every edge
-    # meeting at a sample on the iso value shares one vertex at its exact position.
+    # Each triangle names 3 distinct grid edges, and every crossed edge is
+    # named, so unless a vertex snaps the mesh is complete as it stands.
     snap = np.minimum(t, 1 - t) <= SNAP_T
+    if not snap.any():
+        return TriangleSoup(vertices=points, triangles=corner_src.astype(np.int64).reshape(-1, 3))
+
+    # A vertex within SNAP_T of a sample becomes that sample, so every edge
+    # meeting at a sample on the iso value shares one vertex at its exact
+    # position.  Ids 4 * q + axis (edges) and 4 * q + 3 (sample q) keep the
+    # vertices in grid-edge order.
     up = t > 0.5
-    ids = np.where(snap, 4 * np.where(up, hi, lo) + 3, edges)
-    points[snap] = np.where(up[:, None], p_hi, p_lo)[snap]
+    ids = np.where(snap, 4 * np.where(up, hi, lo) + 3, 4 * lo + axis)
+    snap = np.flatnonzero(snap)
+    points[snap] = np.where(up[snap, None], p_hi[snap], p_lo[snap])
     ids, first, vertex_of = np.unique(ids, return_index=True, return_inverse=True)
 
     # Drop triangles that repeat a vertex, then the vertices no triangle uses.
