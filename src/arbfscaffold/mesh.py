@@ -6,7 +6,8 @@ top quad).  From a mesh we derive the nodal values that drive the scaffold
 field: every mesh vertex carries +1, and the interior centers (edge
 midpoints, triangle/face centers, cell centroids) carry -1.  The
 anisotropic center set replaces the face/tile and cell centers with line
-segments running from each face center to the owning cell center.
+segments running from each face center to the owning cell center.  A
+center that cells share is named by its entity's sorted vertex indices.
 
 Supported file formats:
 
@@ -24,10 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textio
+from ._mc_tables import EDGE_CORNERS
 from .errors import ParseError, ValidationError
 
-# Relative tolerances, both scaled by the mesh bbox diagonal.
-CENTER_DEDUP_TOL = 1e-9
+# Relative tolerances, both scaled by the mesh bbox diagonal: the shortest
+# face-to-cell segment (build_segments) and the smallest cell measure.
+DEGENERATE_SEGMENT_TOL = 1e-9
 DEGENERATE_MEASURE_TOL = 1e-12
 
 MESH_KINDS = ("tri2d", "tet", "hex")
@@ -37,19 +40,17 @@ _CELL_DIM = {"tri2d": 2, "tet": 3, "hex": 3}
 _TRI_EDGES = ((0, 1), (1, 2), (2, 0))
 _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _TET_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-# VTK hexahedron connectivity.
-_HEX_EDGES = (
-    (0, 1), (1, 2), (3, 2), (0, 3),
-    (4, 5), (5, 6), (7, 6), (4, 7),
-    (0, 4), (1, 5), (2, 6), (3, 7),
-)
+# VTK hexahedron connectivity; its corners and edges are numbered as the
+# marching-cubes cube's.
 _HEX_FACES = (
     (0, 4, 7, 3), (1, 2, 6, 5),
     (0, 1, 5, 4), (3, 7, 6, 2),
     (0, 3, 2, 1), (4, 5, 6, 7),
 )
+# The hex surface as 12 triangles, two per face.
+_HEX_TRIS = np.array([t for q in _HEX_FACES for t in ((q[0], q[1], q[2]), (q[0], q[2], q[3]))])
 
-_EDGES = {"tri2d": _TRI_EDGES, "tet": _TET_EDGES, "hex": _HEX_EDGES}
+_EDGES = {"tri2d": _TRI_EDGES, "tet": _TET_EDGES, "hex": EDGE_CORNERS}
 _FACES = {"tet": _TET_FACES, "hex": _HEX_FACES}
 _WHOLE = {kind: (tuple(range(n)),) for kind, n in _CELL_ARITY.items()}
 
@@ -125,15 +126,12 @@ def _tet_volumes(verts: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def _hex_volumes(verts: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    # Divergence theorem over the 6 quads, each split into two triangles.
-    total = np.zeros(len(cells))
-    for quad in _HEX_FACES:
-        for tri in ((quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3])):
-            p1 = verts[cells[:, tri[0]]]
-            p2 = verts[cells[:, tri[1]]]
-            p3 = verts[cells[:, tri[2]]]
-            total += np.einsum("ij,ij->i", np.cross(p1, p2), p3)
-    return np.abs(total) / 6.0
+    # Divergence theorem over the 12 surface triangles.  Corners are taken
+    # relative to corner 0, so the terms scale with the cell, not with its
+    # distance from the origin.
+    rel = verts[cells] - verts[cells[:, :1]]
+    p1, p2, p3 = np.moveaxis(rel[:, _HEX_TRIS], 2, 0)
+    return np.abs(np.einsum("ijk,ijk->i", np.cross(p1, p2), p3)) / 6.0
 
 
 def cell_measures(mesh: VolumetricMesh) -> np.ndarray:
@@ -146,7 +144,7 @@ def cell_measures(mesh: VolumetricMesh) -> np.ndarray:
 
 
 def validate_mesh(mesh: VolumetricMesh) -> None:
-    """Raise ValidationError on bad kind, arity, indices, or degenerate cells."""
+    """Raise ValidationError on bad kind, arity, indices, unused vertices or degenerate cells."""
     if mesh.kind not in MESH_KINDS:
         raise ValidationError(f"unknown mesh kind {mesh.kind!r}")
     verts = np.asarray(mesh.vertices, dtype=np.float64)
@@ -162,6 +160,9 @@ def validate_mesh(mesh: VolumetricMesh) -> None:
         raise ValidationError(
             f"cell index out of range: valid indices are 0..{len(verts) - 1}"
         )
+    unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(verts)) == 0)
+    if len(unused):
+        raise ValidationError(f"vertex {unused[0]} is used by no cell")
     floor = DEGENERATE_MEASURE_TOL * mesh.bbox_diagonal() ** _CELL_DIM[mesh.kind]
     measures = cell_measures(mesh)
     bad = np.nonzero(measures <= floor)[0]
@@ -187,21 +188,19 @@ def make_mesh(kind: str, vertices, cells) -> VolumetricMesh:
 # ---------------------------------------------------------------------------
 
 def _corner_means(mesh: VolumetricMesh, groups) -> np.ndarray:
-    """(nc, len(groups), 3) means of each cell's listed corners.
+    """(nc, len(groups), 3) means of each cell's listed corners, summed in index order."""
+    return mesh.vertices[np.sort(mesh.cells[:, np.asarray(groups)], axis=-1)].mean(axis=-2)
 
-    Summing in sorted vertex-index order makes shared centers bit-identical
-    across the cells that own them, so the quantized dedup is exact.
+
+def _distinct_means(mesh: VolumetricMesh, groups) -> np.ndarray:
+    """Means of the distinct entities among the groups, first occurrences in cell-major order.
+
+    An entity is named by its sorted vertex indices, so the cells that share
+    it find it exactly and sum its corners in the same order.
     """
-    idx = np.sort(mesh.cells[:, np.asarray(groups)], axis=-1)
-    return mesh.vertices[idx].mean(axis=-2)
-
-
-def _dedup_rows(positions: np.ndarray, tol: float) -> np.ndarray:
-    """First occurrence of each position, keyed by coordinates quantized at ``tol``."""
-    positions = positions.reshape(-1, 3)
-    keys = np.round(positions / tol).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return positions[np.sort(first)]
+    idx = np.sort(mesh.cells[:, np.asarray(groups)], axis=-1).reshape(-1, len(groups[0]))
+    _, first = np.unique(idx, axis=0, return_index=True)
+    return mesh.vertices[idx[np.sort(first)]].mean(axis=-2)
 
 
 def compute_centers(mesh: VolumetricMesh):
@@ -209,19 +208,17 @@ def compute_centers(mesh: VolumetricMesh):
 
     Each entry is a (k, 3) array in cell-major order.  Vertices carry +1;
     every derived center carries -1.  Edge and face centers shared between
-    adjacent cells appear exactly once (dedup by coordinates quantized at
-    1e-9 x bbox diagonal).  For tri2d meshes the tile centers are the
+    adjacent cells appear exactly once (named by sorted vertex indices, with
+    no coordinate quantization).  For tri2d meshes the tile centers are the
     triangle centers and the cell array is empty; for tet/hex meshes the
     tile centers are the face centers and the cell centers are the cell
     centroids.
     """
-    tol = CENTER_DEDUP_TOL * mesh.bbox_diagonal()
-    edges = _dedup_rows(_corner_means(mesh, _EDGES[mesh.kind]), tol)
-    whole = _dedup_rows(_corner_means(mesh, _WHOLE[mesh.kind]), tol)
+    edges = _distinct_means(mesh, _EDGES[mesh.kind])
+    whole = _distinct_means(mesh, _WHOLE[mesh.kind])
     if mesh.kind == "tri2d":
         return mesh.vertices.copy(), edges, whole, np.empty((0, 3))
-    faces = _dedup_rows(_corner_means(mesh, _FACES[mesh.kind]), tol)
-    return mesh.vertices.copy(), edges, faces, whole
+    return mesh.vertices.copy(), edges, _distinct_means(mesh, _FACES[mesh.kind]), whole
 
 
 def build_segments(mesh: VolumetricMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +228,7 @@ def build_segments(mesh: VolumetricMesh) -> tuple[np.ndarray, np.ndarray]:
     tet:   face center -> cell centroid   (4 per cell);
     hex:   face center -> cell centroid   (6 per cell).
     """
-    tol = CENTER_DEDUP_TOL * mesh.bbox_diagonal()
+    tol = DEGENERATE_SEGMENT_TOL * mesh.bbox_diagonal()
     outer = _corner_means(mesh, _FACES.get(mesh.kind, _TRI_EDGES))
     inner = np.broadcast_to(_corner_means(mesh, _WHOLE[mesh.kind]), outer.shape)
     if np.any(np.linalg.norm(outer - inner, axis=-1) <= tol):
@@ -249,15 +246,14 @@ def assemble_center_set(mesh: VolumetricMesh, mode: str) -> CenterSet:
     """
     if mode not in ("isotropic", "anisotropic"):
         raise ValidationError(f"unknown mode {mode!r}")
-    verts, edges, tiles, cells = compute_centers(mesh)
     if mode == "isotropic":
-        points = np.concatenate([verts, edges, tiles, cells])
+        points = np.concatenate(compute_centers(mesh))
         seg_a = seg_b = np.empty((0, 3))
     else:
-        points = np.concatenate([verts, edges])
+        points = np.concatenate([mesh.vertices, _distinct_means(mesh, _EDGES[mesh.kind])])
         seg_a, seg_b = build_segments(mesh)
     values = np.full(len(points), -1.0)
-    values[:len(verts)] = 1.0
+    values[:len(mesh.vertices)] = 1.0
     return CenterSet(points, values, seg_a, seg_b)
 
 

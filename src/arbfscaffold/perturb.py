@@ -46,15 +46,14 @@ class PerturbSpec:
 
 def shortest_incident_edge(mesh: VolumetricMesh) -> np.ndarray:
     """Per-vertex minimum length over all cell edges touching the vertex."""
+    ends = mesh.cells[:, np.asarray(_EDGES[mesh.kind])].reshape(-1, 2)
+    d = mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]]
+    # One dot per edge, the product np.linalg.norm takes of a single vector
+    # (np.vecdot would do, but needs NumPy 2).
+    length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
     shortest = np.full(len(mesh.vertices), np.inf)
-    for cell in mesh.cells:
-        for e0, e1 in _EDGES[mesh.kind]:
-            va, vb = cell[e0], cell[e1]
-            length = float(np.linalg.norm(mesh.vertices[va] - mesh.vertices[vb]))
-            if length < shortest[va]:
-                shortest[va] = length
-            if length < shortest[vb]:
-                shortest[vb] = length
+    np.minimum.at(shortest, ends[:, 0], length)
+    np.minimum.at(shortest, ends[:, 1], length)
     return shortest
 
 
@@ -72,17 +71,12 @@ def perturb_mesh(mesh: VolumetricMesh, spec: PerturbSpec) -> VolumetricMesh:
     for i in range(count):
         j = i + subset_rng.next_below(nv - i)
         order[i], order[j] = order[j], order[i]
-    chosen = sorted(order[:count])
+    chosen = np.sort(np.asarray(order[:count], dtype=np.int64))
 
-    edge_scale = shortest_incident_edge(mesh)
     dim = 2 if mesh.kind == "tri2d" else 3
+    directions = np.array([dir_rng.unit_vector(dim) for _ in chosen]).reshape(-1, 3)
     vertices = mesh.vertices.copy()
-    for v in chosen:
-        direction = dir_rng.unit_vector(dim)
-        scale = edge_scale[v]
-        if not np.isfinite(scale):
-            continue  # isolated vertex, nothing to scale against
-        vertices[v] = vertices[v] + spec.magnitude * scale * np.asarray(direction)
+    vertices[chosen] += spec.magnitude * shortest_incident_edge(mesh)[chosen, None] * directions
 
     out = VolumetricMesh(kind=mesh.kind, vertices=vertices, cells=mesh.cells.copy())
     try:

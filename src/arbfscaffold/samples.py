@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 
+from ._mc_tables import CORNER_OFFSETS
 from .mesh import VolumetricMesh, make_mesh, save_mesh
 
 
@@ -39,17 +40,12 @@ def regular_tet_mesh(scale: float = 0.5) -> VolumetricMesh:
     return make_mesh("tet", verts, [(0, 1, 2, 3)])
 
 
-# Corner offsets (di, dj, dk) of a hexahedron in VTK order.
-_HEX_CORNERS = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
-                (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
-
-
 def _hex_brick(xs, ys, zs) -> VolumetricMesh:
     """Hexahedra between consecutive axis coordinates; vertices and cells x fastest, then y."""
     nx, ny, nz = len(xs), len(ys), len(zs)
     z, y, x = np.meshgrid(zs, ys, xs, indexing="ij")
     vid = np.arange(nx * ny * nz).reshape(nz, ny, nx)
-    cells = [vid[k:nz - 1 + k, j:ny - 1 + j, i:nx - 1 + i].ravel() for i, j, k in _HEX_CORNERS]
+    cells = [vid[k:nz - 1 + k, j:ny - 1 + j, i:nx - 1 + i].ravel() for i, j, k in CORNER_OFFSETS]
     return make_mesh("hex", np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1),
                      np.stack(cells, axis=1))
 

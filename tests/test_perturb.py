@@ -6,7 +6,7 @@ import pytest
 import arbfscaffold as ax
 from arbfscaffold import samples
 from arbfscaffold.errors import DegenerateResultError, ValidationError
-from arbfscaffold.mesh import cell_measures
+from arbfscaffold.mesh import _EDGES, cell_measures
 from arbfscaffold.perturb import PerturbSpec, perturb_mesh, shortest_incident_edge
 
 
@@ -20,6 +20,34 @@ def test_spec_validation():
         PerturbSpec(vertex_fraction=1.5)
     with pytest.raises(ValidationError):
         PerturbSpec(seed=-1)
+
+
+def shortest_incident_edge_loop(mesh):
+    """Reference: the per-cell, per-edge loop that shortest_incident_edge vectorizes."""
+    shortest = np.full(len(mesh.vertices), np.inf)
+    for cell in mesh.cells:
+        for e0, e1 in _EDGES[mesh.kind]:
+            va, vb = cell[e0], cell[e1]
+            length = float(np.linalg.norm(mesh.vertices[va] - mesh.vertices[vb]))
+            if length < shortest[va]:
+                shortest[va] = length
+            if length < shortest[vb]:
+                shortest[vb] = length
+    return shortest
+
+
+@pytest.mark.parametrize("name", sorted(samples.SAMPLE_BUILDERS))
+def test_shortest_incident_edge_matches_loop_on_samples(name):
+    mesh = samples.SAMPLE_BUILDERS[name]()
+    assert np.array_equal(shortest_incident_edge(mesh), shortest_incident_edge_loop(mesh))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shortest_incident_edge_matches_loop_on_perturbed_blocks(seed):
+    spec = PerturbSpec(magnitude=0.3, seed=seed, vertex_fraction=1.0)
+    for mesh in (samples.hex_block_mesh(4, 3, 2), samples.icosahedron_tet_mesh()):
+        moved = perturb_mesh(mesh, spec)
+        assert np.array_equal(shortest_incident_edge(moved), shortest_incident_edge_loop(moved))
 
 
 def test_shortest_incident_edge_unit_hex(hex_mesh):
@@ -92,25 +120,26 @@ def test_planar_mesh_stays_planar(tri_mesh):
     assert not np.array_equal(out.vertices[:, :2], tri_mesh.vertices[:, :2])
 
 
-def test_isolated_vertex_stays_put():
-    # vertex 4 belongs to no cell: it has no edge to scale a displacement by
+def test_unused_vertex_is_rejected():
+    # vertex 4 belongs to no cell: it would be a stray +1 center, and it has
+    # no edge to scale a displacement by
     tet = samples.unit_tet_mesh()
-    mesh = ax.make_mesh("tet", np.vstack([tet.vertices, [(5.0, 5.0, 5.0)]]), tet.cells)
-    out = perturb_mesh(mesh, PerturbSpec(magnitude=0.2, seed=3, vertex_fraction=1.0))
-    assert np.array_equal(out.vertices[4], mesh.vertices[4])
-    assert np.all(np.any(out.vertices[:4] != mesh.vertices[:4], axis=1))
+    with pytest.raises(ValidationError, match="vertex 4 is used by no cell"):
+        ax.make_mesh("tet", np.vstack([tet.vertices, [(5.0, 5.0, 5.0)]]), tet.cells)
 
 
 def test_collapsed_cell_raises_degenerate_result():
-    # A far isolated vertex stretches the bbox, so the degeneracy floor
-    # (1e-12 x diagonal^2) is 0.42, just under the triangle's area of 0.5;
-    # seed 0 shrinks the area to 0.37 and seed 3 grows it to 0.64.
+    # A long second triangle reaches a far vertex and stretches the bbox, so
+    # the degeneracy floor (1e-12 x diagonal^2) lies near the unit triangle's
+    # area of 0.5: after the moves it is 0.45 for seed 0 and 0.24 for seed 3.
+    # Seed 0 shrinks the unit triangle to 0.37 and seed 3 grows it to 0.64.
     verts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (6.5e5, 0.0, 0.0)]
-    mesh = ax.make_mesh("tri2d", verts, [(0, 1, 2)])
+    mesh = ax.make_mesh("tri2d", verts, [(0, 1, 2), (1, 3, 2)])
     grown = perturb_mesh(mesh, PerturbSpec(magnitude=0.3, seed=3, vertex_fraction=1.0))
-    assert cell_measures(grown) == pytest.approx([0.6356], abs=1e-4)
+    assert cell_measures(grown)[0] == pytest.approx(0.6356, abs=1e-4)
     with pytest.raises(DegenerateResultError,
-                       match=r"collapsed a cell \(seed 0, magnitude 0.3\): cell 0 is degenerate"):
+                       match=r"collapsed a cell \(seed 0, magnitude 0.3\): cell 0 is degenerate "
+                             r"\(measure 3.709e-01\)"):
         perturb_mesh(mesh, PerturbSpec(magnitude=0.3, seed=0, vertex_fraction=1.0))
 
 
