@@ -52,10 +52,14 @@ def put(rows, outdir, name, soup, frac=None):
     rows.append((name, len(soup.triangles), "-" if frac is None else f"{frac:.4f}"))
 
 
+def fitted_volume(mesh, basis, resolution):
+    """The anisotropic fit of ``mesh`` sampled over its padded bbox."""
+    model = fit_mesh(mesh, basis, "anisotropic")[0]
+    return sample_field(model, make_grid(*model.bbox(), resolution, 0.05), workers=0)
+
+
 def block_iso_sweep(outdir, rows, resolution):
-    model = fit_mesh(samples.hex_block_mesh(), IMQ, "anisotropic")[0]
-    grid = make_grid(*model.bbox(), resolution, 0.05)
-    vol = sample_field(model, grid, workers=0)
+    vol = fitted_volume(samples.hex_block_mesh(), IMQ, resolution)
     for iso in (-0.3, -0.1, 0.1, 0.3):
         put(rows, outdir, f"block_iso{iso:g}.obj", marching_cubes(vol, iso),
             solid_fraction(vol, iso))
@@ -64,9 +68,7 @@ def block_iso_sweep(outdir, rows, resolution):
 def basis_sweep(outdir, rows, resolution):
     mesh = samples.icosahedron_tet_mesh()
     for kind in ("gaussian", "mq", "imq", "tps"):
-        model = fit_mesh(mesh, Basis(kind, 0.1), "anisotropic")[0]
-        grid = make_grid(*model.bbox(), resolution, 0.05)
-        vol = sample_field(model, grid, workers=0)
+        vol = fitted_volume(mesh, Basis(kind, 0.1), resolution)
         put(rows, outdir, f"icosa_{kind}.obj", marching_cubes(vol, 0.0),
             solid_fraction(vol, 0.0))
 
@@ -76,9 +78,7 @@ def perturbed_blocks(outdir, rows, resolution):
     for seed in (1, 2):
         mesh = perturb_mesh(base, PerturbSpec(magnitude=0.2, seed=seed,
                                               vertex_fraction=0.7))
-        model = fit_mesh(mesh, IMQ, "anisotropic")[0]
-        grid = make_grid(*model.bbox(), resolution, 0.05)
-        vol = sample_field(model, grid, workers=0)
+        vol = fitted_volume(mesh, IMQ, resolution)
         put(rows, outdir, f"block_jitter_seed{seed}.obj", marching_cubes(vol, 0.0),
             solid_fraction(vol, 0.0))
 

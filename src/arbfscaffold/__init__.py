@@ -27,7 +27,6 @@ from .mesh import (
     build_segments,
     compute_centers,
     load_mesh,
-    make_mesh,
     save_mesh,
 )
 from .rbf import (
@@ -102,7 +101,6 @@ __all__ = [
     "load_obj",
     "make_grid",
     "make_grid_2d",
-    "make_mesh",
     "marching_cubes",
     "marching_squares",
     "perturb_mesh",

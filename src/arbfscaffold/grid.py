@@ -82,10 +82,6 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
         raise InvalidBBoxError(f"padded bbox must have positive extent, got {lo} .. {hi + pad}")
     longest = float(extent.max())
     dims = tuple(max(2, int(round(resolution * float(e) / longest))) for e in extent)
-    # Rounding must not shave the longest axis itself.
-    dims = tuple(
-        resolution if e == longest else d for d, e in zip(dims, map(float, extent))
-    )
     return lo, extent / (np.array(dims, dtype=np.float64) - 1.0), dims
 
 

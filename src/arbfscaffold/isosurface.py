@@ -205,30 +205,31 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
 
 # 16-case marching squares: corner bit n set when corner n is >= iso,
 # corners 0:(i,j) 1:(i+1,j) 2:(i+1,j+1) 3:(i,j+1); edge e joins
-# 0:(c0,c1) 1:(c1,c2) 2:(c2,c3) 3:(c3,c0).  Cases 5 and 10 are ambiguous
-# and resolved by the cell-center average.
-_MS_SEGMENTS = {
-    0: [], 15: [],
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
-    11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(0, 3)],
-}
-_MS_CASE5_JOINED = [(0, 1), (2, 3)]      # center solid: corners 0 and 2 connect
-_MS_CASE5_SPLIT = [(3, 0), (1, 2)]
-_MS_CASE10_JOINED = [(3, 0), (1, 2)]     # center solid: corners 1 and 3 connect
-_MS_CASE10_SPLIT = [(0, 1), (2, 3)]
+# 0:(c0,c1) 1:(c1,c2) 2:(c2,c3) 3:(c3,c0).  _MS_SEGS[case, center_solid]
+# lists a cell's segments as (edge, edge) pairs, padded with (0, 0), which
+# joins no two edges.  Only the ambiguous cases 5 and 10 depend on the
+# cell-center average: a solid center (column 1) connects the solid corners.
+_MS_SEGS = np.array([
+    [[(0, 0), (0, 0)], [(0, 0), (0, 0)]],   # 0
+    [[(3, 0), (0, 0)], [(3, 0), (0, 0)]],   # 1
+    [[(0, 1), (0, 0)], [(0, 1), (0, 0)]],   # 2
+    [[(3, 1), (0, 0)], [(3, 1), (0, 0)]],   # 3
+    [[(1, 2), (0, 0)], [(1, 2), (0, 0)]],   # 4
+    [[(3, 0), (1, 2)], [(0, 1), (2, 3)]],   # 5: corners 0 and 2 solid
+    [[(0, 2), (0, 0)], [(0, 2), (0, 0)]],   # 6
+    [[(3, 2), (0, 0)], [(3, 2), (0, 0)]],   # 7
+    [[(2, 3), (0, 0)], [(2, 3), (0, 0)]],   # 8
+    [[(0, 2), (0, 0)], [(0, 2), (0, 0)]],   # 9
+    [[(0, 1), (2, 3)], [(3, 0), (1, 2)]],   # 10: corners 1 and 3 solid
+    [[(1, 2), (0, 0)], [(1, 2), (0, 0)]],   # 11
+    [[(1, 3), (0, 0)], [(1, 3), (0, 0)]],   # 12
+    [[(0, 1), (0, 0)], [(0, 1), (0, 0)]],   # 13
+    [[(0, 3), (0, 0)], [(0, 3), (0, 0)]],   # 14
+    [[(0, 0), (0, 0)], [(0, 0), (0, 0)]],   # 15
+], dtype=np.int64)
+_MS_NSEG = np.count_nonzero(_MS_SEGS[..., 0] != _MS_SEGS[..., 1], axis=-1)
 _MS_EDGE_CORNERS = np.array([(0, 1), (1, 2), (2, 3), (3, 0)])
 _MS_CORNER_OFFSETS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
-# _MS_SEGS[case, center_solid] lists a cell's segments as edge pairs (padded
-# with 0 past _MS_NSEG); only cases 5 and 10 depend on the center.
-_MS_AMBIGUOUS = {5: (_MS_CASE5_SPLIT, _MS_CASE5_JOINED),
-                 10: (_MS_CASE10_SPLIT, _MS_CASE10_JOINED)}
-_MS_NSEG = np.zeros((16, 2), dtype=np.int64)
-_MS_SEGS = np.zeros((16, 2, 2, 2), dtype=np.int64)
-for _case in range(16):
-    for _solid, _segs in enumerate(_MS_AMBIGUOUS.get(_case) or (_MS_SEGMENTS[_case],) * 2):
-        _MS_NSEG[_case, _solid] = len(_segs)
-        _MS_SEGS[_case, _solid, :len(_segs)] = np.reshape(_segs, (-1, 2))
 
 
 def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:

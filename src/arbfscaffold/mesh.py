@@ -9,6 +9,10 @@ anisotropic center set replaces the face/tile and cell centers with line
 segments running from each face center to the owning cell center.  A
 center that cells share is named by its entity's sorted vertex indices.
 
+A mesh is checked when it is built, with no separate factory or validate
+step: ``VolumetricMesh(kind, vertices, cells)`` raises ValidationError on a
+mesh the library cannot use, which the loaders re-raise as a ParseError.
+
 Supported file formats:
 
 * OFF         -- triangle surface / planar mesh ("OFF", "<nv> <nf> 0", ...)
@@ -98,11 +102,49 @@ class CenterSet:
 
 @dataclass(eq=False)
 class VolumetricMesh:
-    """Vertices (nv, 3) float64 plus integer cells (nc, arity)."""
+    """Vertices (nv, 3) float64 plus int64 cells (nc, arity), checked when built.
+
+    Construction converts the array-likes and raises ValidationError on an
+    unknown kind, a wrong shape, a non-finite coordinate, a non-integer or
+    out-of-range index, a vertex no cell uses or a degenerate cell.
+    """
 
     kind: str
     vertices: np.ndarray
     cells: np.ndarray
+
+    def __post_init__(self):
+        if self.kind not in MESH_KINDS:
+            raise ValidationError(f"unknown mesh kind {self.kind!r}")
+        try:
+            verts = np.ascontiguousarray(self.vertices, dtype=np.float64)
+            cells = np.asarray(self.cells)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"vertices and cells must be numeric arrays: {exc}") from None
+        if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:
+            raise ValidationError("vertices must be a non-empty (nv, 3) array")
+        if not np.all(np.isfinite(verts)):
+            raise ValidationError("vertex coordinates must be finite")
+        arity = _CELL_ARITY[self.kind]
+        if cells.ndim != 2 or cells.shape[1] != arity or len(cells) == 0:
+            raise ValidationError(f"{self.kind} cells must be a non-empty (nc, {arity}) array")
+        if cells.dtype.kind not in "iuf":
+            raise ValidationError(f"cell indices must be integers, got dtype {cells.dtype}")
+        whole = np.isfinite(cells) & (cells == np.floor(cells))
+        if not whole.all():
+            raise ValidationError(f"cell index {cells[~whole][0]} is not an integer")
+        if cells.min() < 0 or cells.max() >= len(verts):
+            raise ValidationError(f"cell index out of range: valid indices are 0..{len(verts) - 1}")
+        self.vertices = verts
+        self.cells = np.ascontiguousarray(cells, dtype=np.int64)
+        unused = np.flatnonzero(np.bincount(self.cells.ravel(), minlength=len(verts)) == 0)
+        if len(unused):
+            raise ValidationError(f"vertex {unused[0]} is used by no cell")
+        floor = DEGENERATE_MEASURE_TOL * self.bbox_diagonal() ** _CELL_DIM[self.kind]
+        measures = cell_measures(self)
+        bad = np.flatnonzero(measures <= floor)
+        if len(bad):
+            raise ValidationError(f"cell {bad[0]} is degenerate (measure {measures[bad[0]]:.3e})")
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -141,46 +183,6 @@ def cell_measures(mesh: VolumetricMesh) -> np.ndarray:
     if mesh.kind == "tet":
         return _tet_volumes(mesh.vertices, mesh.cells)
     return _hex_volumes(mesh.vertices, mesh.cells)
-
-
-def validate_mesh(mesh: VolumetricMesh) -> None:
-    """Raise ValidationError on bad kind, arity, indices, unused vertices or degenerate cells."""
-    if mesh.kind not in MESH_KINDS:
-        raise ValidationError(f"unknown mesh kind {mesh.kind!r}")
-    verts = np.asarray(mesh.vertices, dtype=np.float64)
-    cells = np.asarray(mesh.cells)
-    if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:
-        raise ValidationError("vertices must be a non-empty (nv, 3) array")
-    if not np.all(np.isfinite(verts)):
-        raise ValidationError("vertex coordinates must be finite")
-    arity = _CELL_ARITY[mesh.kind]
-    if cells.ndim != 2 or cells.shape[1] != arity or len(cells) == 0:
-        raise ValidationError(f"{mesh.kind} cells must be a non-empty (nc, {arity}) array")
-    if cells.min() < 0 or cells.max() >= len(verts):
-        raise ValidationError(
-            f"cell index out of range: valid indices are 0..{len(verts) - 1}"
-        )
-    unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(verts)) == 0)
-    if len(unused):
-        raise ValidationError(f"vertex {unused[0]} is used by no cell")
-    floor = DEGENERATE_MEASURE_TOL * mesh.bbox_diagonal() ** _CELL_DIM[mesh.kind]
-    measures = cell_measures(mesh)
-    bad = np.nonzero(measures <= floor)[0]
-    if len(bad):
-        raise ValidationError(
-            f"cell {bad[0]} is degenerate (measure {measures[bad[0]]:.3e})"
-        )
-
-
-def make_mesh(kind: str, vertices, cells) -> VolumetricMesh:
-    """Build and validate a mesh from array-likes."""
-    mesh = VolumetricMesh(
-        kind=kind,
-        vertices=np.ascontiguousarray(vertices, dtype=np.float64),
-        cells=np.ascontiguousarray(cells, dtype=np.int64),
-    )
-    validate_mesh(mesh)
-    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,7 @@ def _load_off(path: str) -> VolumetricMesh:
         if arity != 3:
             raise ParseError(f"only triangle faces supported, got arity {arity}", path, lineno)
         cells.append(textio.cell_row(corners, nv, 0, path, lineno))
-    return make_mesh("tri2d", verts, cells)
+    return VolumetricMesh("tri2d", verts, cells)
 
 
 def _node_ele_paths(path: str) -> tuple[str, str]:
@@ -335,7 +337,7 @@ def _load_node_ele(path: str) -> VolumetricMesh:
         textio.floats(t, 5 + n_attr, ele_path, ln)  # field count; attributes are dropped
         cells.append(textio.cell_row(textio.ints(t[:5], 5, ele_path, ln)[1:], nv, base,
                                      ele_path, ln))
-    return make_mesh("tet", verts, cells)
+    return VolumetricMesh("tet", verts, cells)
 
 
 def _load_hex_ascii(path: str) -> VolumetricMesh:
@@ -348,7 +350,7 @@ def _load_hex_ascii(path: str) -> VolumetricMesh:
     verts = [textio.floats(t, 3, path, ln) for ln, t in textio.rows(lines, nv, path, "vertices")]
     cells = [textio.cell_row(textio.ints(t, 8, path, ln), nv, 0, path, ln)
              for ln, t in textio.rows(lines, nc, path, "cells")]
-    return make_mesh("hex", verts, cells)
+    return VolumetricMesh("hex", verts, cells)
 
 
 _FORMAT_LOADERS = {
@@ -374,13 +376,19 @@ def infer_format(path: str) -> str:
 
 
 def load_mesh(path: str, fmt: str | None = None) -> VolumetricMesh:
-    """Load a validated mesh; ``fmt`` is one of MESH_FORMATS (inferred by default)."""
+    """Load a mesh; ``fmt`` is one of MESH_FORMATS (inferred by default).
+
+    A file whose mesh fails VolumetricMesh's checks raises ParseError naming ``path``.
+    """
     if fmt is None and not os.path.splitext(path)[1] and os.path.exists(path + ".node"):
         fmt = "nodeele"  # bare tetgen stem
     fmt = fmt or infer_format(path)
     if fmt not in MESH_FORMATS:
         raise ValidationError(f"unknown mesh format {fmt!r}, expected one of {MESH_FORMATS}")
-    return _FORMAT_LOADERS[fmt](path)
+    try:
+        return _FORMAT_LOADERS[fmt](path)
+    except ValidationError as exc:
+        raise ParseError(str(exc), path) from exc
 
 
 def save_mesh(mesh: VolumetricMesh, path: str) -> None:
@@ -401,10 +409,8 @@ def save_mesh(mesh: VolumetricMesh, path: str) -> None:
             fh.write(f"{nc} 4 0\n")
             textio.write_rows(fh, "%d %d %d %d %d\n",
                               np.column_stack([np.arange(1, nc + 1), mesh.cells + 1]))
-    elif mesh.kind == "hex":
+    else:
         with textio.create(path, "w") as fh:
             fh.write(f"HEX {nv} {nc}\n")
             textio.write_rows(fh, "%r %r %r\n", mesh.vertices)
             textio.write_rows(fh, " ".join(["%d"] * 8) + "\n", mesh.cells)
-    else:
-        raise ValidationError(f"unknown mesh kind {mesh.kind!r}")

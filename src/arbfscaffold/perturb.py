@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateResultError, ValidationError
-from .mesh import _EDGES, VolumetricMesh, validate_mesh
+from .mesh import _EDGES, VolumetricMesh
 from .rng import GaussianStream, SplitMix64
 
 MAX_MAGNITUDE = 0.3
@@ -78,12 +78,10 @@ def perturb_mesh(mesh: VolumetricMesh, spec: PerturbSpec) -> VolumetricMesh:
     vertices = mesh.vertices.copy()
     vertices[chosen] += spec.magnitude * shortest_incident_edge(mesh)[chosen, None] * directions
 
-    out = VolumetricMesh(kind=mesh.kind, vertices=vertices, cells=mesh.cells.copy())
     try:
-        validate_mesh(out)
+        return VolumetricMesh(kind=mesh.kind, vertices=vertices, cells=mesh.cells.copy())
     except ValidationError as exc:
         raise DegenerateResultError(
             f"perturbation collapsed a cell (seed {spec.seed}, "
             f"magnitude {spec.magnitude}): {exc}"
         ) from exc
-    return out

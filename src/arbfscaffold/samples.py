@@ -7,13 +7,13 @@ import os
 import numpy as np
 
 from ._mc_tables import CORNER_OFFSETS
-from .mesh import VolumetricMesh, make_mesh, save_mesh
+from .mesh import VolumetricMesh, save_mesh
 
 
 def triangle_mesh() -> VolumetricMesh:
     """One planar triangle: (0,0), (1,0), (0,1)."""
     verts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
-    return make_mesh("tri2d", verts, [(0, 1, 2)])
+    return VolumetricMesh("tri2d", verts, [(0, 1, 2)])
 
 
 def unit_tet_mesh() -> VolumetricMesh:
@@ -24,7 +24,7 @@ def unit_tet_mesh() -> VolumetricMesh:
         (0.0, 1.0, 0.0),
         (0.0, 0.0, 1.0),
     ]
-    return make_mesh("tet", verts, [(0, 1, 2, 3)])
+    return VolumetricMesh("tet", verts, [(0, 1, 2, 3)])
 
 
 def regular_tet_mesh(scale: float = 0.5) -> VolumetricMesh:
@@ -37,7 +37,7 @@ def regular_tet_mesh(scale: float = 0.5) -> VolumetricMesh:
     verts = np.array(
         [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)]
     ) * scale
-    return make_mesh("tet", verts, [(0, 1, 2, 3)])
+    return VolumetricMesh("tet", verts, [(0, 1, 2, 3)])
 
 
 def _hex_brick(xs, ys, zs) -> VolumetricMesh:
@@ -46,8 +46,8 @@ def _hex_brick(xs, ys, zs) -> VolumetricMesh:
     z, y, x = np.meshgrid(zs, ys, xs, indexing="ij")
     vid = np.arange(nx * ny * nz).reshape(nz, ny, nx)
     cells = [vid[k:nz - 1 + k, j:ny - 1 + j, i:nx - 1 + i].ravel() for i, j, k in CORNER_OFFSETS]
-    return make_mesh("hex", np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1),
-                     np.stack(cells, axis=1))
+    return VolumetricMesh("hex", np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1),
+                          np.stack(cells, axis=1))
 
 
 def hex_block_mesh(nx: int = 2, ny: int = 2, nz: int = 2,
@@ -85,7 +85,7 @@ def icosahedron_tet_mesh(radius: float = 1.0) -> VolumetricMesh:
     shell *= radius / np.linalg.norm(shell[0])
     verts = np.vstack([shell, np.zeros((1, 3))])
     center = len(shell)
-    return make_mesh("tet", verts, [(center, *face) for face in _ICOSA_FACES])
+    return VolumetricMesh("tet", verts, [(center, *face) for face in _ICOSA_FACES])
 
 
 SAMPLE_BUILDERS = {

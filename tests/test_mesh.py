@@ -1,5 +1,7 @@
 """Mesh construction, center extraction, and the three file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from arbfscaffold.mesh import (
     cell_measures,
     compute_centers,
     infer_format,
-    make_mesh,
 )
 
 
@@ -26,7 +27,7 @@ def two_tet_mesh():
         [0.0, 0.0, 1.0],
         [1.0, 1.0, 1.0],
     ])
-    return make_mesh("tet", verts, [[0, 1, 2, 3], [0, 2, 1, 4]])
+    return VolumetricMesh("tet", verts, [[0, 1, 2, 3], [0, 2, 1, 4]])
 
 
 # --- construction and validation ---------------------------------------
@@ -42,31 +43,49 @@ def test_block_measures_sum_to_unit_cube(block_mesh):
     assert cell_measures(block_mesh).sum() == pytest.approx(1.0)
 
 
-def test_make_mesh_rejects_bad_input():
+def test_mesh_rejects_bad_input():
     # "tri2d" is a valid kind, so each raise below comes from the check it names
     verts = np.eye(3)
     with pytest.raises(ValidationError, match=r"vertices must be a non-empty \(nv, 3\) array"):
-        make_mesh("tri2d", verts[:, :2], [[0, 1, 2]])  # 2 columns
+        VolumetricMesh("tri2d", verts[:, :2], [[0, 1, 2]])  # 2 columns
     with pytest.raises(ValidationError, match=r"vertices must be a non-empty \(nv, 3\) array"):
-        make_mesh("tri2d", np.empty((0, 3)), [[0, 1, 2]])
+        VolumetricMesh("tri2d", np.empty((0, 3)), [[0, 1, 2]])
     with pytest.raises(ValidationError, match="vertex coordinates must be finite"):
-        make_mesh("tri2d", [[0, 0, 0], [1, 0, 0], [0, np.nan, 0]], [[0, 1, 2]])
+        VolumetricMesh("tri2d", [[0, 0, 0], [1, 0, 0], [0, np.nan, 0]], [[0, 1, 2]])
     for bad in (5, -1):
         with pytest.raises(ValidationError,
                            match=r"cell index out of range: valid indices are 0\.\.2"):
-            make_mesh("tri2d", verts, [[0, 1, bad]])
+            VolumetricMesh("tri2d", verts, [[0, 1, bad]])
     with pytest.raises(ValidationError, match=r"tri2d cells must be a non-empty \(nc, 3\) array"):
-        make_mesh("tri2d", verts, [[0, 1, 2, 0]])  # wrong arity for kind
+        VolumetricMesh("tri2d", verts, [[0, 1, 2, 0]])  # wrong arity for kind
     with pytest.raises(ValidationError, match=r"tet cells must be a non-empty \(nc, 4\) array"):
-        make_mesh("tet", verts, np.empty((0, 4)))
+        VolumetricMesh("tet", verts, np.empty((0, 4)))
     with pytest.raises(ValidationError, match="unknown mesh kind 'prism'"):
-        make_mesh("prism", verts, [[0, 1, 2]])
+        VolumetricMesh("prism", verts, [[0, 1, 2]])
 
 
-def test_make_mesh_rejects_degenerate_cell():
+def test_mesh_rejects_degenerate_cell():
     verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])  # collinear
     with pytest.raises(ValidationError, match=r"cell 0 is degenerate \(measure 0\.000e\+00\)"):
-        make_mesh("tri2d", verts, [[0, 1, 2]])
+        VolumetricMesh("tri2d", verts, [[0, 1, 2]])
+
+
+def test_cell_indices_must_be_integers():
+    verts = np.eye(3)
+    with pytest.raises(ValidationError, match="cell index 2.7 is not an integer"):
+        VolumetricMesh("tri2d", verts, [[0, 1, 2.7]])  # an int64 cast truncates it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning before the check
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match=f"cell index {bad} is not an integer"):
+                VolumetricMesh("tri2d", verts, [[0, 1, bad]])
+    with pytest.raises(ValidationError, match="cell indices must be integers, got dtype <U1"):
+        VolumetricMesh("tri2d", verts, [["0", "1", "2"]])
+    with pytest.raises(ValidationError, match="vertices and cells must be numeric arrays"):
+        VolumetricMesh("tri2d", verts, [[0, 1, 2], [0, 1]])  # ragged
+    # integral floats are indices; the cells are stored as int64
+    mesh = VolumetricMesh("tri2d", verts, np.array([[0.0, 1.0, 2.0]]))
+    assert mesh.cells.dtype == np.int64 and mesh.cells.tolist() == [[0, 1, 2]]
 
 
 def test_center_set_rejects_mismatched_or_empty_arrays():
@@ -83,7 +102,7 @@ def test_build_segments_rejects_face_center_on_cell_center():
     # cell center both land on the bottom face's center; the volume is 1/3
     verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
              (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, -3)]
-    mesh = make_mesh("hex", verts, [list(range(8))])
+    mesh = VolumetricMesh("hex", verts, [list(range(8))])
     assert cell_measures(mesh) == pytest.approx([1.0 / 3.0])
     with pytest.raises(ValidationError, match="degenerate cell: face center meets cell center"):
         build_segments(mesh)
@@ -94,9 +113,9 @@ def test_unknown_mode_format_and_kind_are_rejected(tmp_path, tet_mesh):
         ax.assemble_center_set(tet_mesh, "spherical")
     with pytest.raises(ValidationError, match="unknown mesh format 'stl'"):
         ax.load_mesh(str(tmp_path / "m.off"), "stl")
-    prism = VolumetricMesh("prism", tet_mesh.vertices, tet_mesh.cells)
+    # a prism mesh cannot be built, so save_mesh never sees an unknown kind
     with pytest.raises(ValidationError, match="unknown mesh kind 'prism'"):
-        ax.save_mesh(prism, str(tmp_path / "m.off"))
+        VolumetricMesh("prism", tet_mesh.vertices, tet_mesh.cells)
 
 
 def test_samples_need_no_convex_hull_code(fresh_python):
@@ -324,6 +343,19 @@ def test_cell_index_out_of_range_reports_line(tmp_path, files, load, where, inde
     with pytest.raises(ParseError, match=f"vertex index {index} out of range") as err:
         ax.load_mesh(str(tmp_path / load))
     assert where in str(err.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n5 5 5\n3 0 1 2\n", "vertex 3 is used by no cell"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n", "cell 0 is degenerate (measure 0.000e+00)"),
+], ids=["unused-vertex", "zero-area-face"])
+def test_invalid_mesh_in_file_names_the_file(tmp_path, text, message):
+    p = tmp_path / "m.off"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        ax.load_mesh(str(p))
+    assert str(err.value) == f"{p}: {message}"
+    assert isinstance(err.value.__cause__, ValidationError)
 
 
 def test_off_parse_error_reports_line(tmp_path):

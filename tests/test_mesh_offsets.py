@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from arbfscaffold import samples
 from arbfscaffold.errors import ValidationError
-from arbfscaffold.mesh import assemble_center_set, cell_measures, make_mesh
+from arbfscaffold.mesh import VolumetricMesh, assemble_center_set, cell_measures
 
 BASES = {
     "hex8": samples.hex_block_mesh,
@@ -27,7 +27,7 @@ BASES = {
 def test_centers_do_not_depend_on_offset_or_scale(name, offset, log_extent):
     base = BASES[name]()
     scale, offset = 10.0 ** log_extent, np.asarray(offset)
-    mesh = make_mesh(base.kind, base.vertices * scale + offset, base.cells)
+    mesh = VolumetricMesh(base.kind, base.vertices * scale + offset, base.cells)
     # A center is a mean of at most 8 mapped corners: mapping, summing and the
     # reference's own mapping each round by a few eps of the largest magnitude.
     bound = 8 * np.finfo(float).eps * (np.abs(offset).max() + scale * np.abs(base.vertices).max())
@@ -43,7 +43,7 @@ def test_centers_do_not_depend_on_offset_or_scale(name, offset, log_extent):
 @pytest.mark.parametrize("offset", [0.0, 1e4])
 def test_hex_volumes_do_not_depend_on_offset(offset):
     block = samples.hex_block_mesh(size=1e-3)
-    moved = make_mesh("hex", block.vertices + offset, block.cells)
+    moved = VolumetricMesh("hex", block.vertices + offset, block.cells)
     assert cell_measures(moved) == pytest.approx(np.full(8, 1.25e-10), rel=1e-6)
 
 
@@ -51,4 +51,4 @@ def test_flat_hex_far_from_origin_is_rejected():
     cube = samples.unit_hex_mesh()
     flat = cube.vertices * (1e-3, 1e-3, 0.0) + 1e4  # top quad on the bottom quad
     with pytest.raises(ValidationError, match="cell 0 is degenerate"):
-        make_mesh("hex", flat, cube.cells)
+        VolumetricMesh("hex", flat, cube.cells)

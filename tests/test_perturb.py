@@ -125,7 +125,7 @@ def test_unused_vertex_is_rejected():
     # no edge to scale a displacement by
     tet = samples.unit_tet_mesh()
     with pytest.raises(ValidationError, match="vertex 4 is used by no cell"):
-        ax.make_mesh("tet", np.vstack([tet.vertices, [(5.0, 5.0, 5.0)]]), tet.cells)
+        ax.VolumetricMesh("tet", np.vstack([tet.vertices, [(5.0, 5.0, 5.0)]]), tet.cells)
 
 
 def test_collapsed_cell_raises_degenerate_result():
@@ -134,7 +134,7 @@ def test_collapsed_cell_raises_degenerate_result():
     # area of 0.5: after the moves it is 0.45 for seed 0 and 0.24 for seed 3.
     # Seed 0 shrinks the unit triangle to 0.37 and seed 3 grows it to 0.64.
     verts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (6.5e5, 0.0, 0.0)]
-    mesh = ax.make_mesh("tri2d", verts, [(0, 1, 2), (1, 3, 2)])
+    mesh = ax.VolumetricMesh("tri2d", verts, [(0, 1, 2), (1, 3, 2)])
     grown = perturb_mesh(mesh, PerturbSpec(magnitude=0.3, seed=3, vertex_fraction=1.0))
     assert cell_measures(grown)[0] == pytest.approx(0.6356, abs=1e-4)
     with pytest.raises(DegenerateResultError,

@@ -128,7 +128,7 @@ def test_segments_sharing_an_endpoint_are_fine():
     # legitimate there and must not be flagged as a duplicate center
     verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0],
                       [0.0, 0, 1], [1.0, 1, 1]])
-    mesh = ax.make_mesh("tet", verts, [[0, 1, 2, 3], [0, 2, 1, 4]])
+    mesh = ax.VolumetricMesh("tet", verts, [[0, 1, 2, 3], [0, 2, 1, 4]])
     model, report = fit_mesh(mesh, Basis("imq", 0.1), "anisotropic")
     assert report.residual_inf < 1e-8
 
