@@ -4,15 +4,21 @@
 Runs ``perfbench/run.py --workload all`` twice as subprocesses, untraced
 (``--trace 0``: end-to-end metrics) and traced (``--trace 1``: per-layer
 metrics), and writes, per workload, both results and the machine block
-the run recorded, with the git revision of the checkout:
+the run recorded:
 
     python3 scripts/bench_record.py --tag N    # BENCH_N.json
+
+The file names the code it measured: ``parent`` is the commit checked out
+and ``diff_sha256`` the sha256 of ``git diff HEAD --binary``, the changes
+on top of it (files not yet added to git are not in that diff).  A record
+made on a clean checkout has the hash of the empty diff.
 
 Every record uses seed 0 and 20 s per workload, so that any two such files
 compare metric by metric; a speed claim is their difference.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -25,9 +31,8 @@ SEED = 0
 SECONDS = 20
 
 
-def git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                          check=True).stdout.strip()
+def git(*args) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
 
 
 def run_all(trace: int) -> dict:
@@ -63,8 +68,8 @@ def main(argv=None) -> int:
 
     runs = {trace: run_all(trace) for trace in (0, 1)}
     record = {
-        "revision": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "parent": git("rev-parse", "HEAD").decode().strip(),
+        "diff_sha256": hashlib.sha256(git("diff", "HEAD", "--binary")).hexdigest(),
         "command": f"perfbench/run.py --workload all --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0|1",
         "workloads": {name: {"trace0": runs[0][name], "trace1": runs[1][name],

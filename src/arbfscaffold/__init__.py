@@ -19,7 +19,6 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .distance import dist_point_point, dist_point_segment, dist_segment_segment
 from .mesh import (
     CenterSet,
     VolumetricMesh,
@@ -87,9 +86,6 @@ __all__ = [
     "assemble_matrix",
     "build_segments",
     "compute_centers",
-    "dist_point_point",
-    "dist_point_segment",
-    "dist_segment_segment",
     "euler_characteristic",
     "eval_basis",
     "export_obj",

@@ -1,19 +1,24 @@
-"""Distance kernels between points and line segments, walked in tiles.
+"""Squared distances from points to point and segment centers, walked in tiles.
 
 ``distance_tiles`` is the package's one tile walk: for query points given
 as 2-D coordinate arrays x, y, z that broadcast to (rows, cols), it yields
 each tile's squared distances to a set of points, then to a set of
-segments.  Every basis is a function of r², so
-``InterpolationModel.evaluate_axes`` turns the tiles into field values with
-no square root.  ``distance_block`` gathers them into (n, P + S) blocks and
-takes the one square root, for the kernels below and for the point rows of
-``assemble_matrix``.
+segments.  A point-to-segment distance is measured to the foot of the
+perpendicular, with its parameter clamped to [0, 1], so a point beyond an
+end measures to that endpoint; a point whose foot lies inside the segment
+and whose squared distance falls below ON_SEGMENT_TOL² gets exactly 0; a
+degenerate segment (a == b) gives the point distance.  Every basis is a
+function of r², so ``InterpolationModel.evaluate_axes`` turns the tiles
+into field values, and ``assemble_matrix`` into matrix entries, with no
+square root.  ``squared_distance_block`` gathers the tiles into one
+(n, P + S) block.
 
 The arithmetic is elementwise, never a dot or matrix product whose rounding
-depends on the block shape, so a distance is bit-identical in any tile,
-block or call.  It is split by axis: a table such as (x - c_x)² has the
-shape of its own coordinate operand.  An operand with one row, such as a
-grid chunk's x row, has its tables built once per block of columns and
+depends on the block shape, so a squared distance is bit-identical in any
+tile, block or call: a collocation matrix row and the field at its center
+come from the same bits.  It is split by axis: a table such as (x - c_x)²
+has the shape of its own coordinate operand.  An operand with one row, such
+as a grid chunk's x row, has its tables built once per block of columns and
 shared by every tile; the others are built per tile.
 
 A tile holds TILE_ELEMS query-center pairs when some operand has one row,
@@ -23,10 +28,11 @@ cache.  Shared tables leave a tile far less work per pair, and at the
 smaller size its fixed cost dominates: the hex2_sample benchmark item,
 with 2 worker threads, took about 1.4 times as long.
 
-The segment-segment distance is deliberately the minimum over the four
-endpoint pairs, not the true geometric distance between the segments;
-closed-form distances involving a whole segment are only ever needed with
-a point on one side.
+No segment-to-segment distance is computed here.  Between two segment
+centers the collocation matrix takes the minimum over their four endpoint
+pairs (``assemble_matrix`` in rbf.py): a deliberate model choice and an
+upper bound on the true distance between the segments.  So a whole segment
+only ever meets a point.
 """
 
 from __future__ import annotations
@@ -50,9 +56,6 @@ def as_points(x) -> np.ndarray:
     if x.shape != (3,) and (x.ndim != 2 or x.shape[1] != 3):
         raise ValidationError(f"points must have shape (n, 3) or (3,), got {x.shape}")
     return x.reshape(-1, 3)
-
-
-_NO_ROWS = np.empty((0, 3))  # no points, or no segments, for distance_block
 
 
 class _Scratch:
@@ -136,8 +139,8 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
     x, y and z are 2-D arrays that broadcast to (n_rows, n_cols); rows and
     cols are slices of that shape.  ``block``, of shape (rows, cols, P + S),
     holds each query point's squared distances to the P ``points``, then to
-    the S segments [seg_a, seg_b] as in points_to_segments.  The next step reuses
-    the block's buffer, so a caller may overwrite it in place.
+    the S segments [seg_a, seg_b].  The next step reuses the block's buffer,
+    so a caller may overwrite it in place.
     """
     points = as_points(points)
     frame = a, d, _ = _segment_frame(seg_a, seg_b)
@@ -162,48 +165,10 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
             yield slice(r0, r1), slice(c0, c1), block
 
 
-def distance_block(q, points, seg_a, seg_b) -> np.ndarray:
-    """(len(q), P + S) distances from each row of ``q`` to the points, then the segments."""
+def squared_distance_block(q, points, seg_a, seg_b) -> np.ndarray:
+    """(len(q), P + S) squared distances from each row of ``q`` to the points, then the segments."""
     q, points, seg_a = as_points(q), as_points(points), as_points(seg_a)
     out = np.empty((len(q), len(points) + len(seg_a)))
     for rows, _, block in distance_tiles(q[:, :1], q[:, 1:2], q[:, 2:], points, seg_a, seg_b):
         out[rows] = block[:, 0]
-    return np.sqrt(out, out=out)
-
-
-def points_to_points(p, q) -> np.ndarray:
-    """(len(p), len(q)) Euclidean distances between the rows of p and q."""
-    return distance_block(p, q, _NO_ROWS, _NO_ROWS)
-
-
-def points_to_segments(pts, a, b) -> np.ndarray:
-    """(n, s) distances from each row of ``pts`` to each segment [a_j, b_j].
-
-    The distance is measured to the foot of the perpendicular, with its
-    parameter t clamped to [0, 1], so a point beyond an end measures to
-    that endpoint.  A point whose foot lies inside [a, b] and whose
-    distance falls below ON_SEGMENT_TOL counts as on the segment and gets
-    exactly 0.  A degenerate segment (a == b) gives the point distance.
-    """
-    return distance_block(pts, _NO_ROWS, a, b)
-
-
-def dist_point_point(p, q) -> float:
-    """Euclidean distance between two points."""
-    return float(points_to_points(p, q)[0, 0])
-
-
-def dist_point_segment(x, a, b) -> float:
-    """Distance from the point ``x`` to the segment [a, b]."""
-    return float(points_to_segments(x, a, b)[0, 0])
-
-
-def dist_segment_segment(a, b, c, d) -> float:
-    """Minimum distance over the four endpoint pairs of [a, b] and [c, d].
-
-    This is an upper bound on the true segment-segment distance; the two
-    agree whenever the minimum is attained at an endpoint, which holds for
-    every segment pair produced by the center construction (all segments
-    meet, if at all, at shared face centers).
-    """
-    return float(points_to_points([a, b], [c, d]).min())
+    return out

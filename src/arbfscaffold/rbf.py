@@ -3,10 +3,18 @@
 The field is s(x) = sum_i w_i * phi(d_i(x)) where d_i is the Euclidean
 distance to a point center or the point-to-segment distance to a segment
 center.  Weights come from the dense collocation system A w = f with
-A[i][j] = phi(d(center_i, center_j)); the distance between two segment
-centers is the minimum over their endpoint pairs.  No polynomial term is
-appended; an optional Tikhonov lambda can be added to the diagonal when a
-basis/shape combination turns out near-singular.
+A[i][j] = phi(d(center_i, center_j)).  No polynomial term is appended; an
+optional Tikhonov lambda can be added to the diagonal when a basis/shape
+combination turns out near-singular.
+
+Between two segment centers, d is the minimum over their four endpoint
+pairs.  That is a deliberate model choice, not the geometric distance
+between the segments, and an upper bound on it: the closest points of two
+skew segments may lie inside both.  Against a 401 x 401 brute force of the
+true distance, the two are equal on the unperturbed 8-hex block (0 of 1128
+pairs above); the minimum is above on 382 of 1128 pairs, by at most 1.29 %,
+on that block perturbed with magnitude 0.2 and seed 0, and on 810 of 3160
+pairs, by at most 0.23 %, on the 20-tet icosahedron.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .distance import distance_block, distance_tiles, points_to_points
+from .distance import distance_tiles, squared_distance_block
 from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError
 from .grid import FieldSource
 from .mesh import CenterSet, VolumetricMesh, assemble_center_set
@@ -32,6 +40,7 @@ PIVOT_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 
 _MODEL_MAGIC = "ARBF1"
+_NO_ROWS = np.empty((0, 3))  # no segments, for point-to-point blocks
 
 
 @dataclass(frozen=True)
@@ -84,36 +93,46 @@ def eval_basis(basis: Basis, r):
 def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     """Dense collocation system (A, rhs) for a center set.
 
-    Distances fill the point rows in one distance_block call, their
-    transpose, and the minimum over four endpoint blocks between segments;
-    after the duplicate checks they are squared, as in eval_basis, and basis
-    values overwrite them in place.  Raises DuplicateCenterError
+    A holds squared distances until basis values overwrite them in place.
+    The point rows come from the tile walk of evaluate_axes, through one
+    squared_distance_block call, and become basis values by the step
+    evaluate_axes applies to its tiles, so a point center's row has the
+    bits of the field's terms at that center.  Their transpose fills the
+    point columns.  Between segments i and j the entry is the minimum of
+    |a_i - a_j|², |a_i - b_j|², |b_i - a_j|² and |b_i - b_j|², built in
+    place with one s x s scratch at a time.  Raises DuplicateCenterError
     when two centers coincide, which almost always means a degenerate mesh.
     """
     pts, sa, sb = centers.points, centers.seg_a, centers.seg_b
     p, n = len(pts), len(centers)
-    dist = np.empty((n, n))
-    dist[:p] = distance_block(pts, pts, sa, sb)
-    dist[p:, :p] = dist[:p, p:].T
-    aa, bb = points_to_points(sa, sa), points_to_points(sb, sb)
-    ab = points_to_points(sa, sb)
-    ba = ab.T  # |b_i - a_j| rounds exactly as |a_j - b_i|
-    dist[p:, p:] = np.minimum(np.minimum(aa, ab), np.minimum(ba, bb))
+    tol = DUPLICATE_TOL ** 2
+    r2 = np.empty((n, n))
+    r2[:p] = squared_distance_block(pts, pts, sa, sb)
+    r2[p:, :p] = r2[:p, p:].T
+    seg = r2[p:, p:]
+    seg[:] = squared_distance_block(sa, sa, _NO_ROWS, _NO_ROWS)
+    same = seg < tol
+    ab = squared_distance_block(sa, sb, _NO_ROWS, _NO_ROWS)
+    flipped = (ab < tol) & (ab.T < tol)
+    np.minimum(seg, ab, out=seg)
+    np.minimum(seg, ab.T, out=seg)  # |b_i - a_j|² rounds exactly as |a_j - b_i|²
+    del ab  # one s x s scratch at a time
+    bb = squared_distance_block(sb, sb, _NO_ROWS, _NO_ROWS)
+    same &= bb < tol
+    np.minimum(seg, bb, out=seg)
+    del bb
 
     # Point pairs, then segment pairs with identical geometry in either
     # orientation; segments that merely touch (shared face center) are fine.
-    tol = DUPLICATE_TOL
-    for off, same in ((0, dist[:p, :p] < tol),
-                      (p, ((aa < tol) & (bb < tol)) | ((ab < tol) & (ba < tol)))):
-        i, j = np.nonzero(same)
+    for off, dup in ((0, r2[:p, :p] < tol), (p, same | flipped)):
+        i, j = np.nonzero(dup)
         upper = np.flatnonzero(i < j)
         if len(upper):
             raise DuplicateCenterError(f"centers {off + i[upper[0]]} and {off + j[upper[0]]} "
                                        "coincide; check the mesh for degenerate cells")
-    dist *= dist
-    _fill_basis(basis, dist)
-    dist.flat[::n + 1] += lam
-    return dist, centers.values
+    _fill_basis(basis, r2)
+    r2.flat[::n + 1] += lam
+    return r2, centers.values
 
 
 def _lu_solve_checked(a: np.ndarray, rhs: np.ndarray):

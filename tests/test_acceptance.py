@@ -13,7 +13,7 @@ import pytest
 import arbfscaffold as ax
 from arbfscaffold import samples
 from arbfscaffold.cli import main as cli_main
-from arbfscaffold.distance import dist_point_point, dist_point_segment
+from arbfscaffold.distance import squared_distance_block
 from arbfscaffold.grid import make_grid, read_volume, sample_field, solid_fraction, write_volume
 from arbfscaffold.isosurface import (
     euler_characteristic,
@@ -66,14 +66,16 @@ def test_criterion_02_distance_kernel_oracle(capsys):
     worst_rel = 0.0
     sym_exact = deg_exact = True
     ts = np.linspace(0.0, 1.0, 10_000)[:, None]
+    none = np.empty((0, 3))
     for _ in range(1000):
         p, a, b = rng.uniform(-2.0, 2.0, size=(3, 3))
-        d = dist_point_segment(p, a, b)
+        r2 = squared_distance_block(p, none, a, b)[0, 0]
         brute = float(np.linalg.norm(a + ts * (b - a) - p, axis=1).min())
         seglen = float(np.linalg.norm(b - a))
-        worst_rel = max(worst_rel, abs(d - brute) / seglen)
-        sym_exact &= dist_point_segment(p, b, a) == d
-        deg_exact &= dist_point_segment(p, a, a) == dist_point_point(p, a)
+        worst_rel = max(worst_rel, abs(np.sqrt(r2) - brute) / seglen)
+        sym_exact &= squared_distance_block(p, none, b, a)[0, 0] == r2
+        deg_exact &= (squared_distance_block(p, none, a, a)[0, 0]
+                      == squared_distance_block(p, a, none, none)[0, 0])
     dt = time.perf_counter() - t0
     ok = worst_rel <= 1e-3 and sym_exact and deg_exact and dt < 5.0
     report(capsys, 2, "distance kernel vs brute force", ok,

@@ -1,11 +1,11 @@
 """Block assembly of the collocation matrix against a per-pair reference loop.
 
-The reference walks every center pair (i < j) with the scalar kernels of
-``distance.py``, exactly as the assembly did before it was split into
-point-point, point-segment and segment-segment blocks.  All three blocks
-must match it bit for bit: the scalar kernels are one-entry views of the
-batched ones, which use elementwise arithmetic only, so a distance rounds
-the same way whatever the block shape.
+The reference walks every center pair (i < j) with one-entry blocks of
+``squared_distance_block``, exactly as the assembly did before it was split
+into point-point, point-segment and segment-segment blocks, and puts the
+squared distances through the same basis step.  All three blocks must match
+it bit for bit: the kernel uses elementwise arithmetic only, so a squared
+distance rounds the same way whatever the block shape.
 """
 
 import numpy as np
@@ -13,53 +13,67 @@ import pytest
 
 import arbfscaffold as ax
 from arbfscaffold import samples
-from arbfscaffold.distance import (TILE_ELEMS, dist_point_point, dist_point_segment,
-                                   dist_segment_segment, distance_block, points_to_points,
-                                   points_to_segments)
+from arbfscaffold.distance import TILE_ELEMS, squared_distance_block
 from arbfscaffold.errors import DuplicateCenterError
 from arbfscaffold.mesh import CenterSet
-from arbfscaffold.rbf import DUPLICATE_TOL, Basis, assemble_matrix, eval_basis
+from arbfscaffold.rbf import DUPLICATE_TOL, Basis, InterpolationModel, _fill_basis, assemble_matrix
 
 BASES = [Basis(kind, 0.1) for kind in ("gaussian", "mq", "imq", "tps")]
+NONE = np.empty((0, 3))
 
 
-def reference_distances(cs: CenterSet):
-    """(distance matrix, first duplicate pair or None) from the per-pair loop."""
+def basis_of_r2(basis, r2):
+    """Basis values of the squared distances ``r2``, by the step assemble_matrix takes."""
+    out = np.array(r2, dtype=np.float64)
+    _fill_basis(basis, out)
+    return out
+
+
+def r2_point(p, q) -> float:
+    return float(squared_distance_block(p, q, NONE, NONE)[0, 0])
+
+
+def r2_segment(x, a, b) -> float:
+    return float(squared_distance_block(x, NONE, a, b)[0, 0])
+
+
+def reference_squared_distances(cs: CenterSet):
+    """(squared distance matrix, first duplicate pair or None) from the per-pair loop."""
     centers = [("P", q) for q in cs.points]
     centers += [("S", (a, b)) for a, b in zip(cs.seg_a, cs.seg_b)]
-    n = len(centers)
-    dist = np.zeros((n, n))
+    n, tol = len(centers), DUPLICATE_TOL ** 2
+    r2 = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             (ki, ci), (kj, cj) = centers[i], centers[j]
             if ki == "P" and kj == "P":
-                d = dist_point_point(ci, cj)
+                d = r2_point(ci, cj)
                 same = True
             elif ki == "S" and kj == "S":
-                d = dist_segment_segment(ci[0], ci[1], cj[0], cj[1])
-                near = [dist_point_point(x, y) < DUPLICATE_TOL
-                        for x, y in ((ci[0], cj[0]), (ci[1], cj[1]),
-                                     (ci[0], cj[1]), (ci[1], cj[0]))]
+                ends = [r2_point(x, y) for x, y in ((ci[0], cj[0]), (ci[1], cj[1]),
+                                                    (ci[0], cj[1]), (ci[1], cj[0]))]
+                d = min(ends)
+                near = [e < tol for e in ends]
                 same = (near[0] and near[1]) or (near[2] and near[3])
             else:
                 q, (a, b) = (ci, cj) if ki == "P" else (cj, ci)
-                d = dist_point_segment(q, a, b)
+                d = r2_segment(q, a, b)
                 same = False
-            if d < DUPLICATE_TOL and same:
+            if d < tol and same:
                 return None, (i, j)
-            dist[i, j] = dist[j, i] = d
-    return dist, None
+            r2[i, j] = r2[j, i] = d
+    return r2, None
 
 
 @pytest.mark.parametrize("mode", ["isotropic", "anisotropic"])
 @pytest.mark.parametrize("name", sorted(samples.SAMPLE_BUILDERS))
 def test_blocks_match_reference_loop(name, mode):
     cs = ax.assemble_center_set(samples.SAMPLE_BUILDERS[name](), mode)
-    dist, dup = reference_distances(cs)
+    r2, dup = reference_squared_distances(cs)
     assert dup is None
     p = len(cs.points)
     for basis in BASES:
-        ref = eval_basis(basis, dist)
+        ref = basis_of_r2(basis, r2)
         a, rhs = assemble_matrix(cs, basis)
         assert np.array_equal(a[:p, :p], ref[:p, :p])
         assert np.array_equal(a[p:, p:], ref[p:, p:])
@@ -75,15 +89,15 @@ def test_multi_tile_rows_equal_rows_built_alone(mode):
     cs = ax.assemble_center_set(mesh, mode)
     pts, sa, sb = cs.points, cs.seg_a, cs.seg_b
     assert len(pts) * len(cs) > TILE_ELEMS  # the point rows span several tiles
-    rows = [distance_block(q, pts, sa, sb)[0] for q in pts]
+    rows = [squared_distance_block(q, pts, sa, sb)[0] for q in pts]
     for a, b in zip(sa, sb):
-        ends = [points_to_points(e, f)[0] for e in (a, b) for f in (sa, sb)]
-        rows.append(np.concatenate([points_to_segments(pts, a, b)[:, 0],
+        ends = [squared_distance_block(e, f, NONE, NONE)[0] for e in (a, b) for f in (sa, sb)]
+        rows.append(np.concatenate([squared_distance_block(pts, NONE, a, b)[:, 0],
                                     np.minimum.reduce(ends)]))
     for basis in BASES:
         matrix, _ = assemble_matrix(cs, basis)
         for i, row in enumerate(rows):
-            assert np.array_equal(matrix[i], eval_basis(basis, row)), i
+            assert np.array_equal(matrix[i], basis_of_r2(basis, row)), i
 
 
 def _duplicate_cases():
@@ -106,7 +120,7 @@ def _duplicate_cases():
 @pytest.mark.parametrize("name", sorted(_duplicate_cases()))
 def test_duplicates_match_reference_loop(name):
     cs = _duplicate_cases()[name]
-    _, dup = reference_distances(cs)
+    _, dup = reference_squared_distances(cs)
     apart = ("just-apart", "point-on-segment-end", "touching-segments")
     assert (dup is None) == (name in apart)
     if dup is None:
@@ -114,3 +128,21 @@ def test_duplicates_match_reference_loop(name):
         return
     with pytest.raises(DuplicateCenterError, match=f"centers {dup[0]} and {dup[1]} coincide"):
         assemble_matrix(cs, BASES[2])
+
+
+@pytest.mark.parametrize("kind", ["mq", "imq", "tps"])
+@pytest.mark.parametrize("mode", ["isotropic", "anisotropic"])
+@pytest.mark.parametrize("name", sorted(samples.SAMPLE_BUILDERS))
+def test_point_rows_are_the_field_at_the_point_centers(name, mode, kind, rng):
+    """The field at a point center is its row of A times the weights, bit for bit.
+
+    Both take their squared distances from the one tile walk and apply the
+    same basis step, and the weighted sum is an einsum on either side, so
+    this holds for any weights.
+    """
+    cs = ax.assemble_center_set(samples.SAMPLE_BUILDERS[name](), mode)
+    basis = Basis(kind, 0.1)
+    model = InterpolationModel(cs, basis, 0.0, rng.standard_normal(len(cs)))
+    a, _ = assemble_matrix(cs, basis)
+    rows = np.einsum("pn,n->p", a[:len(cs.points)], model.weights)
+    assert np.array_equal(model.evaluate_many(cs.points), rows)

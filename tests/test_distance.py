@@ -1,21 +1,35 @@
-"""Point/segment/segment distance kernel, checked against brute-force minima."""
+"""The squared-distance kernel against known values and brute-force minima.
+
+``squared_distance_block`` is the one block kernel; its one-entry blocks,
+``r2_point`` and ``r2_segment`` below, serve as the scalar kernels.  Between
+two segment centers the distance is the collocation matrix's endpoint-pair
+minimum, so those tests read it from ``assemble_matrix``.
+"""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from arbfscaffold.distance import (
-    ON_SEGMENT_TOL,
-    dist_point_point,
-    dist_point_segment,
-    dist_segment_segment,
-    distance_block,
-    points_to_points,
-    points_to_segments,
-)
+import arbfscaffold as ax
+from arbfscaffold import samples
+from arbfscaffold.distance import ON_SEGMENT_TOL, squared_distance_block
+from arbfscaffold.errors import DuplicateCenterError
+from arbfscaffold.mesh import CenterSet
+from arbfscaffold.rbf import Basis, assemble_matrix, eval_basis
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord, coord).map(np.array)
 point_rows = st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=6).map(np.array)
+NONE = np.empty((0, 3))
+IMQ = Basis("imq", 0.1)
+
+
+def r2_point(p, q) -> float:
+    return float(squared_distance_block(p, q, NONE, NONE)[0, 0])
+
+
+def r2_segment(x, a, b) -> float:
+    return float(squared_distance_block(x, NONE, a, b)[0, 0])
 
 
 def brute_point_segment(p, a, b, n=10_000):
@@ -24,66 +38,64 @@ def brute_point_segment(p, a, b, n=10_000):
 
 
 def test_point_point_known_values():
-    assert dist_point_point(np.zeros(3), np.array([1.0, 0, 0])) == 1.0
-    assert dist_point_point(np.zeros(3), np.array([1.0, 1.0, 0])) == np.sqrt(2.0)
-    assert dist_point_point(np.ones(3), np.ones(3)) == 0.0
+    assert r2_point(np.zeros(3), np.array([1.0, 0, 0])) == 1.0
+    assert r2_point(np.zeros(3), np.array([1.0, 1.0, 0])) == 2.0
+    assert r2_point(np.ones(3), np.ones(3)) == 0.0
 
 
 def test_point_segment_perpendicular_case():
     a, b = np.zeros(3), np.array([1.0, 0, 0])
-    assert dist_point_segment(np.array([0.5, 1.0, 0]), a, b) == 1.0
-    assert dist_point_segment(np.array([0.25, 0, 2.0]), a, b) == 2.0
+    assert r2_segment(np.array([0.5, 1.0, 0]), a, b) == 1.0
+    assert r2_segment(np.array([0.25, 0, 2.0]), a, b) == 4.0
 
 
 def test_point_segment_endpoint_case():
     a, b = np.zeros(3), np.array([1.0, 0, 0])
     # projection parameter outside [0, 1] falls back to nearest endpoint
-    assert dist_point_segment(np.array([2.0, 0, 0]), a, b) == 1.0
-    assert dist_point_segment(np.array([-3.0, 4.0, 0]), a, b) == 5.0
+    assert r2_segment(np.array([2.0, 0, 0]), a, b) == 1.0
+    assert r2_segment(np.array([-3.0, 4.0, 0]), a, b) == 25.0
 
 
 def test_point_on_segment_is_exactly_zero():
     a, b = np.zeros(3), np.array([1.0, 1.0, 1.0])
     for t in (0.0, 0.25, 0.5, 1.0):
-        assert dist_point_segment(a + t * (b - a), a, b) == 0.0
+        assert r2_segment(a + t * (b - a), a, b) == 0.0
 
 
 def test_near_segment_residual_clamp():
     # residual below ON_SEGMENT_TOL counts as on-segment
     a, b = np.zeros(3), np.array([1.0, 0, 0])
     p = np.array([0.5, ON_SEGMENT_TOL / 10, 0.0])
-    assert dist_point_segment(p, a, b) == 0.0
+    assert r2_segment(p, a, b) == 0.0
 
 
 def test_degenerate_segment_is_point_distance():
     a = np.array([1.0, 2.0, 3.0])
     p = np.array([1.0, 2.0, 7.0])
-    assert dist_point_segment(p, a, a) == dist_point_point(p, a) == 4.0
+    assert r2_segment(p, a, a) == r2_point(p, a) == 16.0
+
+
+def _segment_block(a, b, c, d):
+    """The 2 x 2 segment block of A for the segments [a, b] and [c, d], or None on a duplicate."""
+    try:
+        return assemble_matrix(CenterSet(NONE, [], [a, c], [b, d]), IMQ)[0]
+    except DuplicateCenterError:
+        return None
 
 
 def test_segment_segment_is_endpoint_pair_minimum():
     # crossing segments: geometric gap is 1.0 but all endpoint pairs are 1.5
     a, b = np.zeros(3), np.array([1.0, 0, 0])
     c, d = np.array([0.5, -1.0, 1.0]), np.array([0.5, 1.0, 1.0])
-    assert dist_segment_segment(a, b, c, d) == 1.5
+    assert _segment_block(a, b, c, d)[0, 1] == eval_basis(IMQ, 1.5)
     # shared endpoint gives zero
-    assert dist_segment_segment(a, b, b, d) == 0.0
-
-
-def test_vectorized_matches_scalar(rng):
-    a, b = rng.standard_normal(3), rng.standard_normal(3)
-    pts = rng.standard_normal((50, 3))
-    vec = points_to_segments(pts, a, b)[:, 0]
-    for p, d in zip(pts, vec):
-        assert dist_point_segment(p, a, b) == d
-    assert np.array_equal(points_to_points(pts, a)[:, 0],
-                          np.linalg.norm(pts - a, axis=1))
+    assert _segment_block(a, b, b, d)[0, 1] == eval_basis(IMQ, 0.0)
 
 
 def test_brute_force_agreement(rng):
     for _ in range(200):
         p, a, b = rng.standard_normal((3, 3))
-        exact = dist_point_segment(p, a, b)
+        exact = np.sqrt(r2_segment(p, a, b))
         seglen = np.linalg.norm(b - a)
         assert abs(exact - brute_point_segment(p, a, b)) <= 1e-3 * seglen
 
@@ -91,24 +103,27 @@ def test_brute_force_agreement(rng):
 @settings(max_examples=200, deadline=None)
 @given(p=point, a=point, b=point)
 def test_endpoint_swap_symmetry_is_bitwise(p, a, b):
-    assert dist_point_segment(p, a, b) == dist_point_segment(p, b, a)
+    assert r2_segment(p, a, b) == r2_segment(p, b, a)
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=point, a=point, b=point)
 def test_bounded_by_endpoint_distances(p, a, b):
-    d = dist_point_segment(p, a, b)
-    assert d >= 0.0
-    assert d <= min(dist_point_point(p, a), dist_point_point(p, b)) + 1e-12
+    r2 = r2_segment(p, a, b)
+    assert r2 >= 0.0
+    assert np.sqrt(r2) <= np.sqrt(min(r2_point(p, a), r2_point(p, b))) + 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(a=point, b=point, c=point, d=point)
 def test_segment_segment_symmetry(a, b, c, d):
-    ref = dist_segment_segment(a, b, c, d)
-    assert dist_segment_segment(c, d, a, b) == ref
-    assert dist_segment_segment(b, a, d, c) == ref
-    assert ref >= 0.0
+    ref = _segment_block(a, b, c, d)
+    if ref is None:  # [a, b] and [c, d] coincide in either orientation, so must every view
+        assert _segment_block(c, d, a, b) is None and _segment_block(b, a, d, c) is None
+        return
+    assert ref[0, 1] == ref[1, 0]
+    assert _segment_block(c, d, a, b)[0, 1] == ref[0, 1]
+    assert _segment_block(b, a, d, c)[0, 1] == ref[0, 1]
 
 
 @given(pts=point_rows, ends=point_rows, flips=st.lists(st.booleans(), min_size=6, max_size=6))
@@ -118,20 +133,63 @@ def test_batched_blocks_equal_scalar_kernels_bitwise(pts, ends, flips):
     b = np.roll(ends, -1, axis=0)
     degenerate = np.array(flips[:len(a)])
     b[degenerate] = a[degenerate]
-    seg = points_to_segments(pts, a, b)
-    pp = points_to_points(pts, a)
-    assert seg.shape == pp.shape == (len(pts), len(a))
+    block = squared_distance_block(pts, a, a, b)
+    m = len(a)
+    assert block.shape == (len(pts), 2 * m)
     for i, p in enumerate(pts):
-        for j in range(len(a)):
-            assert seg[i, j] == dist_point_segment(p, a[j], b[j])
-            assert pp[i, j] == dist_point_point(p, a[j])
+        for j in range(m):
+            assert block[i, j] == r2_point(p, a[j])
+            assert block[i, m + j] == r2_segment(p, a[j], b[j])
 
 
 def test_empty_blocks_keep_their_shape():
     none, q = np.empty((0, 3)), np.ones((4, 3))
-    assert distance_block(none, q, q, q).shape == (0, 8)
-    assert distance_block(q, none, none, none).shape == (4, 0)
-    assert distance_block(q, q[:1], none, none).shape == (4, 1)
-    assert points_to_points(none, q).shape == (0, 4)
-    assert points_to_segments(q, none, none).shape == (4, 0)
-    assert points_to_segments(none, q, q).shape == (0, 4)
+    assert squared_distance_block(none, q, q, q).shape == (0, 8)
+    assert squared_distance_block(q, none, none, none).shape == (4, 0)
+    assert squared_distance_block(q, q[:1], none, none).shape == (4, 1)
+    assert squared_distance_block(none, q, none, none).shape == (0, 4)
+    assert squared_distance_block(q, none, q, q).shape == (4, 4)
+    assert squared_distance_block(none, none, q, q).shape == (0, 4)
+
+
+# The endpoint-pair minimum exceeds the true segment distance by at most this
+# factor on the sample meshes and the perturbed block.  Measured against the
+# 101 x 101 brute force below: above on 382 of 1128 pairs, by at most a
+# factor 1.0129, on the perturbed block; on 810 of 3160 pairs, by at most
+# 1.0023, on the icosahedron; equal on every other sample mesh.
+ENDPOINT_BOUND = 1.015
+BOUND_MESHES = {**samples.SAMPLE_BUILDERS, "hex8-perturbed": lambda: ax.perturb_mesh(
+    samples.hex_block_mesh(), ax.PerturbSpec(magnitude=0.2, seed=0))}
+ABOVE = ("hex8-perturbed", "icosa20.node")
+
+
+def brute_segment_distances(sa, sb, n=101):
+    """(s, s) minima of |a_i + u d_i - a_j - v d_j| over an n x n grid of (u, v) in [0, 1]².
+
+    The grid holds both ends of each segment, so every minimum lies between
+    the true distance and the endpoint-pair minimum.
+    """
+    u = np.linspace(0.0, 1.0, n)[:, None]
+    on = sa[:, None] + u * (sb - sa)[:, None]  # (s, n, 3): the grid points of each segment
+    best = np.empty((len(sa), len(sa)))
+    for i in range(len(sa)):
+        # (s, n, n) squared gaps between segment i at u and each segment j at v
+        sq = sum((on[i, :, k][:, None] - on[:, None, :, k]) ** 2 for k in range(3))
+        best[i] = np.sqrt(sq.min(axis=(1, 2)))
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_MESHES))
+def test_segment_block_bounds_the_segment_distance(name):
+    cs = ax.assemble_center_set(BOUND_MESHES[name](), "anisotropic")
+    p = len(cs.points)
+    # gaussian with c = 1 turns the entries back into squared distances: -log(exp(-r²))
+    r2 = -np.log(assemble_matrix(cs, Basis("gaussian", 1.0))[0][p:, p:])
+    endpoint = np.sqrt(np.maximum(r2, 0.0))
+    brute = brute_segment_distances(cs.seg_a, cs.seg_b)
+    assert np.all(brute <= endpoint + 1e-12)
+    if name in ABOVE:
+        assert np.all(endpoint <= ENDPOINT_BOUND * brute + 1e-12)
+        assert np.any(endpoint > brute + 1e-12)
+    else:  # the endpoint minimum is the segment distance here
+        assert np.abs(endpoint - brute).max() <= 1e-12

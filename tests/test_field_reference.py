@@ -6,8 +6,8 @@ distances to the points and to the clamped foot on each segment, the basis
 as a function of r, then a weighted sum.  The bitwise self-consistency tests
 of test_field_kernel.py cannot see a wrong squared distance in the tile walk
 (a dropped clip, a lost snap, a missing axis), since both sides of them run
-the same kernel; the public distance functions run it too, so they are
-checked against the same definitions.
+the same kernel; squared_distance_block runs it too, so it is checked
+against the same definitions.
 """
 
 import functools
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import arbfscaffold as ax
 from arbfscaffold import samples
-from arbfscaffold.distance import points_to_points, points_to_segments
+from arbfscaffold.distance import squared_distance_block
 from arbfscaffold.grid import VoxelGrid, make_grid
 from arbfscaffold.rbf import eval_basis
 
@@ -48,16 +48,16 @@ def _grid(model, resolution):
 
 
 def _distances(q, centers):
-    """(public distances, distances from the definitions) from the rows of q to the centers."""
+    """(kernel distances, distances from the definitions) from the rows of q to the centers."""
     c = centers
-    public = np.hstack([points_to_points(q, c.points), points_to_segments(q, c.seg_a, c.seg_b)])
+    kernel = np.sqrt(squared_distance_block(q, c.points, c.seg_a, c.seg_b))
     rel = q[:, None, :] - c.seg_a[None]
     d = c.seg_b - c.seg_a
     t = np.clip((rel * d).sum(axis=2) / (d * d).sum(axis=1), 0.0, 1.0)
     to_foot = rel - t[..., None] * d
     defined = np.hstack([np.linalg.norm(q[:, None, :] - c.points[None], axis=2),
                          np.linalg.norm(to_foot, axis=2)])
-    return public, defined
+    return kernel, defined
 
 
 def _basis_of_r(basis, r):
@@ -91,12 +91,12 @@ def test_field_equals_basis_of_public_distances(kind, c, mode):
     field = model.evaluate_axes(xs[None, :], ys[rows % ny, None], zs[rows // ny, None]).ravel()
     probes = _segment_probes()  # column operands: every tile builds its own tables
     field = np.concatenate([field, model.evaluate_many(probes)])
-    public, defined = _distances(np.vstack([grid.positions(), probes]), model.centers)
-    assert np.abs(public - defined).max() <= 1e-14  # 1e-7 off a segment is not on it
+    kernel, defined = _distances(np.vstack([grid.positions(), probes]), model.centers)
+    assert np.abs(kernel - defined).max() <= 1e-14  # 1e-7 off a segment is not on it
     ref = _basis_of_r(model.basis, defined) @ model.weights
     tol = REFERENCE_TOL * np.abs(ref).max()
     assert np.abs(field - ref).max() <= tol
-    assert np.abs(eval_basis(model.basis, public) @ model.weights - ref).max() <= tol
+    assert np.abs(eval_basis(model.basis, kernel) @ model.weights - ref).max() <= tol
 
 
 @settings(max_examples=30)
