@@ -37,7 +37,6 @@ from .rbf import (
     fit_with_report,
     load_model,
     save_model,
-    solve_weights,
 )
 from .grid import (
     VoxelGrid,
@@ -105,7 +104,6 @@ __all__ = [
     "save_mesh",
     "save_model",
     "solid_fraction",
-    "solve_weights",
     "surface_area",
     "write_volume",
 ]

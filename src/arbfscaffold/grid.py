@@ -27,10 +27,6 @@ class VoxelGrid:
     dims: tuple[int, int, int]
     values: np.ndarray  # flat float32, x-fastest
 
-    def index(self, i: int, j: int, k: int) -> int:
-        nx, ny, _ = self.dims
-        return i + nx * (j + ny * k)
-
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample coordinates along each axis: origin[a] + i * spacing[a]."""
         return tuple(self.origin[a] + np.arange(n, dtype=np.float64) * self.spacing[a]

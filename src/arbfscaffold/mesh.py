@@ -86,6 +86,8 @@ class CenterSet:
             raise ValidationError("center set is empty")
         if not np.all(np.isin(self.point_values, (1.0, -1.0))):
             raise ValidationError(f"point values must be +1 or -1, got {self.point_values}")
+        if not all(np.isfinite(a).all() for a in (self.points, self.seg_a, self.seg_b)):
+            raise ValidationError("center coordinates must be finite")
 
     def __len__(self) -> int:
         return len(self.points) + len(self.seg_a)
@@ -106,7 +108,8 @@ class VolumetricMesh:
 
     Construction converts the array-likes and raises ValidationError on an
     unknown kind, a wrong shape, a non-finite coordinate, a non-integer or
-    out-of-range index, a vertex no cell uses or a degenerate cell.
+    out-of-range index, a cell that repeats another's vertex set, a vertex
+    no cell uses or a degenerate cell.
     """
 
     kind: str
@@ -137,6 +140,13 @@ class VolumetricMesh:
             raise ValidationError(f"cell index out of range: valid indices are 0..{len(verts) - 1}")
         self.vertices = verts
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
+        # a cell is named by its sorted vertex indices, as _distinct_means names entities
+        _, first, inverse = np.unique(np.sort(self.cells, axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        earlier = first[inverse.reshape(-1)]  # the first cell with each cell's vertex set
+        i = int(np.argmax(earlier != np.arange(len(earlier))))  # the first repeat, if any
+        if earlier[i] != i:
+            raise ValidationError(f"cell {i} repeats the vertices of cell {earlier[i]}")
         unused = np.flatnonzero(np.bincount(self.cells.ravel(), minlength=len(verts)) == 0)
         if len(unused):
             raise ValidationError(f"vertex {unused[0]} is used by no cell")

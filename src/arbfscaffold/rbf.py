@@ -135,31 +135,6 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     return r2, centers.values
 
 
-def _lu_solve_checked(a: np.ndarray, rhs: np.ndarray):
-    """(weights, LU factors, 1-norm of A), from one |A| freed before the LU."""
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve  # only fits pay its import
-    abs_a = np.abs(a)
-    scale, norm_1 = abs_a.max(), abs_a.sum(axis=0).max()
-    del abs_a
-    try:
-        with warnings.catch_warnings():
-            # the pivot check below reports singularity on our own terms
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(a)
-    except Exception as exc:  # scipy raises LinAlgError on hard failure
-        raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
-    pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or pivots.min() < PIVOT_TOL * scale:
-        raise SingularMatrixError(
-            "interpolation matrix is numerically singular; "
-            "a small Tikhonov lambda (e.g. 1e-10) usually fixes this"
-        )
-    w = lu_solve((lu, piv), rhs)
-    # One step of iterative refinement tightens the residual cheaply.
-    w = w + lu_solve((lu, piv), rhs - a @ w)
-    return w, (lu, piv), norm_1
-
-
 def _inverse_one_norm(lu_piv) -> float:
     """Hager's estimate, from below, of ||A^-1||_1 from A's LU factors.
 
@@ -186,12 +161,6 @@ def _inverse_one_norm(lu_piv) -> float:
     alt = np.linspace(1.0, 2.0, n)
     alt[1::2] *= -1.0
     return float(max(est, np.abs(lu_solve(lu_piv, alt)).sum() / np.abs(alt).sum()))
-
-
-def solve_weights(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A w = rhs by dense LU with partial pivoting."""
-    return _lu_solve_checked(np.asarray(a, dtype=np.float64),
-                             np.asarray(rhs, dtype=np.float64))[0]
 
 
 @dataclass(eq=False)
@@ -248,7 +217,10 @@ class FitReport:
 
     ``condition_estimate`` is ||A||_1 times Hager's estimate of ||A^-1||_1
     on the fit's LU factors: an estimate, from below, of the 1-norm
-    condition number, the same bits on every run.
+    condition number, the same bits on every run.  ||A||_1 is read by LAPACK
+    dlange with no |A| copy; it adds each column's entries in row order, as
+    numpy's column sums of |A| do, so the bits are theirs.  ``residual_inf``
+    is ||A w - f||_inf after the refinement step.
     """
 
     n_centers: int
@@ -257,19 +229,41 @@ class FitReport:
 
 
 def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
-    """Assemble and solve the collocation system, returning (model, report)."""
+    """Assemble and solve the collocation system, returning (model, report).
+
+    Dense LU with partial pivoting plus one refinement step.  A failed
+    factorization, a pivot below PIVOT_TOL * max|A| or a residual above
+    RESIDUAL_TOL * (1 + ||f||_inf) raises SingularMatrixError.
+    """
     if not np.isfinite(lam):
         raise ValidationError(f"lambda must be finite, got {lam}")
     a, rhs = assemble_matrix(centers, basis, lam)
-    w, lu_piv, norm_1 = _lu_solve_checked(a, rhs)
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, norm  # only fits pay its import
+    try:
+        with warnings.catch_warnings():
+            # the pivot check below reports singularity on our own terms
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(a)
+    except Exception as exc:  # scipy raises LinAlgError on hard failure
+        raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
+    scale = max(a.max(), -a.min())  # max|A| with no |A| copy
+    if scale == 0.0 or np.abs(np.diag(lu)).min() < PIVOT_TOL * scale:
+        raise SingularMatrixError(
+            "interpolation matrix is numerically singular; "
+            "a small Tikhonov lambda (e.g. 1e-10) usually fixes this"
+        )
+    w = lu_solve((lu, piv), rhs)
+    # One step of iterative refinement tightens the residual cheaply.
+    w = w + lu_solve((lu, piv), rhs - a @ w)
     residual = float(np.abs(a @ w - rhs).max())
     if residual > RESIDUAL_TOL * (1.0 + float(np.abs(rhs).max())):
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds tolerance; "
             "the system is too ill-conditioned at this shape parameter"
         )
+    norm_1 = norm(a, 1, check_finite=False)  # dlange: no |A| copy (see FitReport)
     model = InterpolationModel(centers=centers, basis=basis, lam=lam, weights=w)
-    return model, FitReport(len(centers), norm_1 * _inverse_one_norm(lu_piv), residual)
+    return model, FitReport(len(centers), norm_1 * _inverse_one_norm((lu, piv)), residual)
 
 
 def fit_mesh(mesh: VolumetricMesh, basis: Basis, mode: str, lam: float = 0.0):

@@ -101,7 +101,7 @@ def test_index_position_round_trip():
     nx, ny, nz = g.dims
     flat = g.positions()
     for (i, j, k) in [(0, 0, 0), (1, 2, 3), (nx - 1, ny - 1, nz - 1)]:
-        idx = g.index(i, j, k)
+        idx = i + nx * (j + ny * k)
         assert np.array_equal(flat[idx], g.positions([idx])[0])
     assert np.array_equal(flat[10:40], g.positions(np.arange(10, 40)))
 
@@ -113,7 +113,7 @@ def test_positions_are_origin_plus_index_times_spacing(origin, spacing, dims, da
                   values=np.zeros(int(np.prod(dims)), dtype=np.float32))
     ijk = np.array(data.draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in dims]),
                                       min_size=1, max_size=50)))
-    idx = [g.index(*t) for t in ijk]
+    idx = ijk[:, 0] + dims[0] * (ijk[:, 1] + dims[1] * ijk[:, 2])
     assert g.positions(idx).tobytes() == (g.origin + ijk * g.spacing).tobytes()
 
 
@@ -122,7 +122,7 @@ def test_values_3d_is_a_view():
     g.values[:] = np.arange(64, dtype=np.float32)
     v = g.values_3d()
     assert v.shape == (4, 4, 4)
-    assert v[2, 1, 3] == g.values[g.index(3, 1, 2)]
+    assert v[2, 1, 3] == g.values[3 + 4 * (1 + 4 * 2)]
     v[0, 0, 0] = -5.0
     assert g.values[0] == -5.0
 
@@ -220,7 +220,7 @@ def test_axes_hold_the_positions_values():
     assert np.array_equal(pos[:, 1], np.tile(np.repeat(ys, 5), 4))
     assert np.array_equal(pos[:, 2], np.repeat(zs, 15))
     assert np.array_equal(g.positions(np.arange(7, 23)), pos[7:23])
-    assert np.array_equal(g.positions([g.index(4, 2, 3)])[0], pos[g.index(4, 2, 3)])
+    assert np.array_equal(g.positions([4 + 5 * (2 + 3 * 3)])[0], pos[4 + 5 * (2 + 3 * 3)])
 
 
 def test_volume_round_trip_is_bit_exact(tmp_path):

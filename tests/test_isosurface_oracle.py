@@ -232,7 +232,7 @@ def test_every_case_of_a_single_cell_matches_reference():
     for case in range(256):
         below = (case >> np.arange(8)) & 1
         for n, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
-            g.values[g.index(dx, dy, dz)] = -ramp[n] if below[n] else ramp[n]
+            g.values_3d()[dz, dy, dx] = -ramp[n] if below[n] else ramp[n]
         soup, _ = assert_same_soup(g, 0.0)
         assert (len(soup.triangles) > 0) == (case not in (0, 255))
 

@@ -88,6 +88,30 @@ def test_cell_indices_must_be_integers():
     assert mesh.cells.dtype == np.int64 and mesh.cells.tolist() == [[0, 1, 2]]
 
 
+@pytest.mark.parametrize("mode", ["isotropic", "anisotropic"])
+@pytest.mark.parametrize("kind,original,order", [("hex", 0, list(range(8))),
+                                                 ("tet", 2, [3, 1, 0, 2])])
+def test_repeated_cell_is_rejected(kind, original, order, mode):
+    # the mesh itself is refused, so neither mode can merge or trip on the copy
+    mesh = samples.hex_block_mesh(2, 1, 1) if kind == "hex" else samples.icosahedron_tet_mesh()
+    cells = np.vstack([mesh.cells, mesh.cells[original, order]])
+    with pytest.raises(ValidationError,
+                       match=f"cell {len(mesh.cells)} repeats the vertices of cell {original}"):
+        ax.fit_mesh(VolumetricMesh(kind, mesh.vertices, cells), ax.Basis("imq"), mode)
+
+
+def test_center_set_rejects_non_finite_coordinates():
+    # a NaN would reach LAPACK as a "singular" matrix, an inf the model's bbox
+    one = np.ones((1, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="center coordinates must be finite"):
+            CenterSet([[0.0, 0.0, bad]], [1.0])
+        with pytest.raises(ValidationError, match="center coordinates must be finite"):
+            CenterSet(np.zeros((1, 3)), [1.0], one, [[bad, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="center coordinates must be finite"):
+            CenterSet(np.zeros((1, 3)), [1.0], one * bad, one)
+
+
 def test_center_set_rejects_mismatched_or_empty_arrays():
     with pytest.raises(ValidationError, match="one value per point center required"):
         CenterSet(np.zeros((2, 3)), [1.0])
@@ -348,7 +372,8 @@ def test_cell_index_out_of_range_reports_line(tmp_path, files, load, where, inde
 @pytest.mark.parametrize("text,message", [
     ("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n5 5 5\n3 0 1 2\n", "vertex 3 is used by no cell"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n", "cell 0 is degenerate (measure 0.000e+00)"),
-], ids=["unused-vertex", "zero-area-face"])
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 0 1\n", "cell 1 repeats the vertices of cell 0"),
+], ids=["unused-vertex", "zero-area-face", "repeated-face"])
 def test_invalid_mesh_in_file_names_the_file(tmp_path, text, message):
     p = tmp_path / "m.off"
     p.write_text(text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import arbfscaffold as ax
-from arbfscaffold import samples
+from arbfscaffold import rbf, samples
 from arbfscaffold.errors import (
     DuplicateCenterError,
     SingularMatrixError,
@@ -19,7 +19,6 @@ from arbfscaffold.rbf import (
     fit_with_report,
     load_model,
     save_model,
-    solve_weights,
 )
 
 ALL_MESHES = {
@@ -137,22 +136,38 @@ def test_segments_sharing_an_endpoint_are_fine():
 
 
 def test_solve_matches_reference(rng):
-    a = rng.standard_normal((40, 40))
-    a = a @ a.T + 40 * np.eye(40)  # SPD, well conditioned
-    rhs = rng.standard_normal(40)
-    w = solve_weights(a, rhs)
-    assert np.allclose(a @ w, rhs, atol=1e-10)
+    centers = CenterSet(rng.random((40, 3)), rng.choice([1.0, -1.0], 40))
+    model, report = fit_with_report(centers, Basis("imq", 0.5))
+    a, rhs = assemble_matrix(centers, Basis("imq", 0.5))
+    assert np.allclose(a @ model.weights, rhs, atol=1e-10)
+    assert report.residual_inf == np.abs(a @ model.weights - rhs).max() < 1e-10
 
 
 def test_singular_matrix_raises_with_hint():
-    a = np.ones((4, 4))
+    # 1e-9 apart is no duplicate, but the two gaussian rows are equal in float64
+    centers = CenterSet([[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]], [1.0, -1.0])
     with pytest.raises(SingularMatrixError, match="lambda"):
-        solve_weights(a, np.ones(4))
+        fit_with_report(centers, Basis("gaussian", 0.1))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_failed_factorization_is_singular_matrix_error():
+    # r² = 1e400 overflows to inf, so A is not finite
+    centers = CenterSet([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]], [1.0, -1.0])
     with pytest.raises(SingularMatrixError, match="LU factorization failed"):
-        solve_weights(np.full((2, 2), np.nan), np.ones(2))
+        fit_with_report(centers, Basis("mq", 0.1))
+
+
+@pytest.mark.parametrize("name", ["tet", "block", "icosa"])
+@pytest.mark.parametrize("mode", ["isotropic", "anisotropic"])
+def test_condition_estimate_is_column_sum_norm_times_hager(name, mode):
+    # pins the order in which the 1-norm adds |A|: each column in row order
+    from scipy.linalg import lu_factor
+    centers = ax.assemble_center_set(ALL_MESHES[name](), mode)
+    a, _ = assemble_matrix(centers, Basis("imq", 0.1))
+    _, report = fit_with_report(centers, Basis("imq", 0.1))
+    expected = np.abs(a).sum(axis=0).max() * rbf._inverse_one_norm(lu_factor(a))
+    assert report.condition_estimate.hex() == float(expected).hex()
 
 
 def test_residual_above_tolerance_is_singular_matrix_error(tet_mesh):
