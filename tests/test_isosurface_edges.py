@@ -1,11 +1,14 @@
-"""Marching cubes vertex numbering: the crossed grid edges and the iso comparison."""
+"""Iso vertices on grid edges: marching cubes numbering, the iso comparison, and
+the joins of marching squares segments."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from arbfscaffold.grid import VoxelGrid, solid_fraction
-from arbfscaffold.isosurface import SNAP_T, marching_cubes
+from arbfscaffold.grid import VoxelGrid, make_grid, make_grid_2d, sample_field, solid_fraction
+from arbfscaffold.isosurface import SNAP_T, marching_cubes, marching_squares
+from arbfscaffold.tpms import TpmsField
 
 
 def lattice(dims, values):
@@ -59,3 +62,83 @@ def test_without_a_snap_every_crossed_edge_is_one_vertex(nx, ny, nz, seed, iso):
     assert np.all((tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
                   & (tris[:, 2] != tris[:, 0]))
     assert len(np.unique(tris)) == len(soup.vertices)
+
+
+# Samples on quarter steps, half the time, so that some equal the iso value.
+quarter_or_not = st.booleans()
+isos = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-0.5, 0.0, 0.25]))
+
+
+def lattice_values(n, seed, quarters):
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    return np.round(values * 4) / 4 if quarters else values
+
+
+def assert_vertices_on_grid_lines(g, iso):
+    """At least two coordinates of every vertex are entries of grid.axes().
+
+    A vertex with all three is a sample position.  One with exactly two lies
+    inside the grid edge along the third axis; it did not snap, and it is
+    p_lo + t * (p_hi - p_lo), from the edge's low sample.  Returns the number
+    of vertices at sample positions.
+    """
+    soup = marching_cubes(g, iso)
+    axes = g.axes()
+    on = np.stack([np.isin(soup.vertices[:, a], axes[a]) for a in range(3)], axis=1)
+    assert np.all(on.sum(axis=1) >= 2)
+    inside = ~on.all(axis=1)
+    v, axis = soup.vertices[inside], np.argmin(on[inside], axis=1)
+    i, j, k = (np.searchsorted(axes[a], v[:, a], side="right") - 1 for a in range(3))
+    nx, ny, _ = g.dims
+    lo = i + nx * (j + ny * k)
+    hi = lo + np.array([1, nx, nx * ny])[axis]
+    v_lo = g.values[lo].astype(np.float64)
+    t = (iso - v_lo) / (g.values[hi] - v_lo)
+    assert np.all(np.minimum(t, 1 - t) > SNAP_T)
+    rows = np.arange(len(v))
+    p_lo, p_hi = g.positions(lo)[rows, axis], g.positions(hi)[rows, axis]
+    assert np.array_equal(v[rows, axis], p_lo + t * (p_hi - p_lo))
+    return int(np.count_nonzero(~inside))
+
+
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5),
+       st.integers(0, 2 ** 32 - 1), quarter_or_not, isos)
+def test_marching_cubes_vertices_lie_on_grid_lines(nx, ny, nz, seed, quarters, iso):
+    g = lattice((nx, ny, nz), lattice_values(nx * ny * nz, seed, quarters))
+    assert_vertices_on_grid_lines(g, iso)
+
+
+def test_snapped_tpms_vertices_lie_on_grid_lines():
+    # D at iso 0 has samples that are zero in exact arithmetic, so it snaps.
+    vol = sample_field(TpmsField("d"), make_grid(np.zeros(3), np.full(3, 2.0 * np.pi), 40, 0.0))
+    assert assert_vertices_on_grid_lines(vol, 0.0) > 0
+    assert assert_vertices_on_grid_lines(vol, 0.2) == 0
+
+
+def interior_open_ends(g, iso):
+    """Segment ends strictly inside the slice that occur an odd number of times.
+
+    An edge inside the slice borders two cells, and each emits one segment end
+    on it when it is crossed, so every interior end pairs up, compared bit for
+    bit.
+    """
+    xs, ys, _ = g.axes()
+    polylines = marching_squares(g, iso).polylines
+    ends = np.concatenate(polylines) if polylines else np.zeros((0, 3))
+    inside = (xs[0] < ends[:, 0]) & (ends[:, 0] < xs[-1]) & (ys[0] < ends[:, 1]) & (ends[:, 1] < ys[-1])
+    _, counts = np.unique(ends[inside].view(np.int64), axis=0, return_counts=True)
+    return int(np.count_nonzero(counts % 2))
+
+
+@pytest.mark.parametrize("kind", ["p", "d", "g", "iwp"])
+def test_tpms_slice_contours_join_exactly(kind):
+    plane = make_grid_2d(np.zeros(2), np.full(2, 2.0 * np.pi), 96)
+    field = sample_field(TpmsField(kind), plane)
+    for iso in (-0.5, 0.0, 0.3):
+        assert interior_open_ends(field, iso) == 0
+
+
+@given(st.integers(2, 8), st.integers(2, 8), st.integers(0, 2 ** 32 - 1), quarter_or_not, isos)
+def test_lattice_contours_join_exactly(nx, ny, seed, quarters, iso):
+    g = lattice((nx, ny, 1), lattice_values(nx * ny, seed, quarters))
+    assert interior_open_ends(g, iso) == 0

@@ -5,7 +5,8 @@ marching cubes computes every crossed edge of every active cell from that
 cell's own corner values, names it by its grid edge (or by the nearer grid
 point when t is within SNAP_T of 0 or 1), drops the triangles that repeat a
 name and numbers the names the others use in order; marching squares walks
-the cells in a Python double loop; OBJ export formats one line at a time.
+the cells in a Python double loop and interpolates each cell edge from its
+low corner; OBJ export formats one line at a time.
 The library computes one vertex per crossed grid edge and formats whole
 chunks, so vertices, triangles, polylines and file bytes must all match the
 references bit for bit.
@@ -120,7 +121,9 @@ _MS_SEGMENTS = {
     6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
     11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(0, 3)],
 }
-_MS_EDGE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))
+# Each cell edge runs from its low corner to its high one, so a segment end
+# is interpolated from the edge's low sample, as a marching cubes vertex is.
+_MS_EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
 
 
 def reference_marching_squares(grid, iso):
