@@ -24,6 +24,13 @@ repeat a vertex dropped, and the vertices no triangle uses removed.
 Identities are exact integers, so closedness does not depend on where the
 grid lies or how large it is.
 
+Triangle indices keep the dtype of the ranks from marching_cubes to the OBJ
+file: _index_dtype(n) is int32 for n < 2**31 vertices (or crossed edges),
+else int64, and marching_cubes, load_obj and the empty TriangleSoup use it.
+So a soup's indices take 12 bytes a triangle, not 24.  Arithmetic on them
+that can pass nv must widen first: euler_characteristic builds its edge keys
+a * nv + b in int64.
+
 export_obj writes the bytes of 'v %.9g %.9g %.9g' and 'f %d %d %d' lines
 without formatting numbers one by one.  Each chunk of OBJ_CHUNK_ROWS lines
 is an array of uint32 words, 3-digit groups looked up in a table, with NUL
@@ -58,12 +65,26 @@ from .grid import VoxelGrid
 SNAP_T = float(np.finfo(np.float32).eps)
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """Dtype of vertex indices 0..n - 1: int32 while n < 2**31, else int64.
+
+    Below that bound the 1-based OBJ index n fits int32 too.
+    """
+    return np.dtype(np.int32 if n < 2 ** 31 else np.int64)
+
+
 @dataclass(eq=False)
 class TriangleSoup:
-    """Welded triangle mesh: (nv, 3) float64 vertices, (nt, 3) int64 triangles."""
+    """Welded triangle mesh: (nv, 3) float64 vertices, (nt, 3) integer triangles.
+
+    marching_cubes, load_obj and the empty default give triangles in
+    ``_index_dtype(nv)``: int32 below 2**31 vertices.  Arithmetic on the
+    indices that can pass nv, such as an edge key a * nv + b, must widen
+    them to int64 first.
+    """
 
     vertices: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    triangles: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=np.int64))
+    triangles: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=_index_dtype(0)))
 
 
 @dataclass(eq=False)
@@ -95,7 +116,8 @@ def euler_characteristic(soup: TriangleSoup) -> int:
     tris = soup.triangles
     a, b = tris, np.roll(tris, -1, axis=1)   # edges (0,1), (1,2), (2,0)
     nv = int(tris.max()) + 1
-    n_edges = len(np.unique(np.minimum(a, b) * nv + np.maximum(a, b)))
+    # keys reach nv**2, so they are built in int64 whatever the index dtype
+    n_edges = len(np.unique(np.minimum(a, b).astype(np.int64) * nv + np.maximum(a, b)))
     n_verts = len(np.unique(tris))
     return int(n_verts - n_edges + len(tris))
 
@@ -168,7 +190,8 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     np.bitwise_xor(below[:, :-1], below[:, 1:], out=crossed[:, :-1, :, 1])
     np.bitwise_xor(below[:-1], below[1:], out=crossed[:-1, :, :, 2])
     edges = np.flatnonzero(crossed.view(bool))
-    rank = np.empty(crossed.size, dtype=np.int32 if len(edges) < 2 ** 31 else np.int64)
+    del crossed, below, bits, quad   # freed before rank, the largest array
+    rank = np.empty(3 * nx * ny * nz, dtype=_index_dtype(len(edges)))
     rank[edges] = np.arange(len(edges), dtype=rank.dtype)
 
     # Triangle corners in emission order: cells by case, then TRI_TABLE
@@ -181,13 +204,13 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     corner = (3 * (_EDGE_LOW @ stride) + _EDGE_AXIS)[_TRI_EDGES][corner]
     corner += np.repeat(3 * base, counts)
     corner_src = rank[corner]
-    del crossed, rank, corner
+    del rank, corner
 
     lo, axis = np.divmod(edges, 3)
     t, points = _edge_vertices(grid, lo, axis, iso)
     snap = np.minimum(t, 1 - t) <= SNAP_T
     if not snap.any():
-        return TriangleSoup(vertices=points, triangles=corner_src.astype(np.int64).reshape(-1, 3))
+        return TriangleSoup(vertices=points, triangles=corner_src.reshape(-1, 3))
 
     # A snapped vertex is its nearer sample q.  Ids 4 * q + axis (edges) and
     # 4 * q + 3 (sample q) keep the vertices in grid-edge order.
@@ -198,13 +221,15 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     ids, first, vertex_of = np.unique(ids, return_index=True, return_inverse=True)
 
     # Drop triangles that repeat a vertex, then the vertices no triangle uses.
-    triangles = vertex_of[corner_src].reshape(-1, 3)
+    # The renumbering stays in the ranks' dtype.
+    triangles = vertex_of.astype(corner_src.dtype)[corner_src].reshape(-1, 3)
     triangles = triangles[(triangles[:, 0] != triangles[:, 1])
                           & (triangles[:, 1] != triangles[:, 2])
                           & (triangles[:, 2] != triangles[:, 0])]
     used = np.zeros(len(ids), dtype=bool)
     used[triangles] = True
-    return TriangleSoup(vertices=points[first[used]], triangles=(np.cumsum(used) - 1)[triangles])
+    renumber = (np.cumsum(used) - 1).astype(corner_src.dtype)
+    return TriangleSoup(vertices=points[first[used]], triangles=renumber[triangles])
 
 
 # 16-case marching squares: corner bit n set when corner n is >= iso,
@@ -378,12 +403,36 @@ def _vertex_lines(x: np.ndarray) -> bytes:
     return _line_bytes(words)
 
 
-def export_obj(soup: TriangleSoup, path: str) -> None:
-    """ASCII OBJ: 'v x y z' lines (%.9g) then 1-based 'f a b c' lines."""
-    vertices = np.asarray(soup.vertices, dtype=np.float64)
-    triangles = np.asarray(soup.triangles, dtype=np.int64)
-    if len(triangles) and triangles.min() < 0:
+def _face_indices(triangles) -> np.ndarray:
+    """The triangles as non-negative integers whose 1-based form cannot wrap.
+
+    A signed integer array wide enough is kept as it is, with no copy;
+    integral floats and other integers become ``_index_dtype(max + 1)``.
+    """
+    tris = np.asarray(triangles)
+    if tris.dtype.kind not in "iuf":
+        raise ValidationError(f"triangle indices must be integers, got dtype {tris.dtype}")
+    if tris.size == 0:
+        return tris
+    if tris.dtype.kind == "f":
+        whole = np.isfinite(tris) & (tris == np.floor(tris))
+        if not whole.all():
+            raise ValidationError(f"triangle index {tris[~whole][0]} is not an integer")
+    if tris.min() < 0:
         raise ValidationError("triangle vertex indices must be >= 0")
+    dtype = _index_dtype(int(tris.max()) + 1)
+    if tris.dtype.kind == "i" and tris.dtype.itemsize >= dtype.itemsize:
+        return tris
+    return tris.astype(dtype)
+
+
+def export_obj(soup: TriangleSoup, path: str) -> None:
+    """ASCII OBJ: 'v x y z' lines (%.9g) then 1-based 'f a b c' lines.
+
+    Triangle indices must be integers >= 0; integral floats are accepted.
+    """
+    vertices = np.asarray(soup.vertices, dtype=np.float64)
+    triangles = _face_indices(soup.triangles)
     with textio.create(path, "wb") as fh:
         for start in range(0, len(vertices), OBJ_CHUNK_ROWS):
             fh.write(_vertex_lines(vertices[start: start + OBJ_CHUNK_ROWS]))
@@ -413,7 +462,7 @@ def load_obj(path: str) -> TriangleSoup:
         tris.extend([c[0], c[i], c[i + 1]] for i in range(1, len(c) - 1))
     return TriangleSoup(
         vertices=np.asarray(verts, dtype=np.float64).reshape(-1, 3),
-        triangles=np.asarray(tris, dtype=np.int64).reshape(-1, 3),
+        triangles=np.asarray(tris, dtype=_index_dtype(len(verts))).reshape(-1, 3),
     )
 
 

@@ -220,10 +220,48 @@ def test_obj_round_trip(tmp_path):
     path = str(tmp_path / "s.obj")
     export_obj(soup, path)
     back = load_obj(path)
+    assert soup.triangles.dtype == back.triangles.dtype == np.int32
     assert np.array_equal(back.triangles, soup.triangles)
     assert np.allclose(back.vertices, soup.vertices, atol=1e-6)
     first = open(path, encoding="ascii").readline().split()
     assert first[0] == "v"
+    export_obj(back, str(tmp_path / "again.obj"))
+    assert (tmp_path / "again.obj").read_bytes() == (tmp_path / "s.obj").read_bytes()
+
+
+def test_obj_bytes_do_not_depend_on_the_index_dtype(tmp_path):
+    soup = marching_cubes(sphere_grid(np.zeros(3), 0.6, 16), 0.0)
+    wide = TriangleSoup(vertices=soup.vertices, triangles=soup.triangles.astype(np.int64))
+    floats = TriangleSoup(vertices=soup.vertices, triangles=soup.triangles.astype(np.float64))
+    for name, s in (("int32", soup), ("int64", wide), ("float", floats)):
+        export_obj(s, str(tmp_path / f"{name}.obj"))
+    assert ((tmp_path / "int32.obj").read_bytes() == (tmp_path / "int64.obj").read_bytes()
+            == (tmp_path / "float.obj").read_bytes())
+    assert TriangleSoup().triangles.dtype == np.int32
+
+
+def test_obj_face_indices_past_int32_do_not_wrap(tmp_path):
+    # 2**31 - 1 is the largest int32: its 1-based index needs int64.
+    last = 2 ** 31 - 1
+    for dtype in (np.int32, np.int64):
+        soup = TriangleSoup(vertices=np.eye(3), triangles=np.array([[0, 1, last]], dtype=dtype))
+        export_obj(soup, str(tmp_path / "big.obj"))
+        assert (tmp_path / "big.obj").read_text().splitlines()[-1] == f"f 1 2 {last + 1}"
+    soup = TriangleSoup(vertices=np.eye(3), triangles=np.array([[0, 2 ** 40, 2 ** 31]]))
+    export_obj(soup, str(tmp_path / "big.obj"))
+    assert (tmp_path / "big.obj").read_text().splitlines()[-1] == f"f 1 {2 ** 40 + 1} {2 ** 31 + 1}"
+
+
+@pytest.mark.parametrize("triangles,message", [
+    ([[0, 1, 2.5]], "triangle index 2.5 is not an integer"),
+    ([[0, 1, np.nan]], "triangle index nan is not an integer"),
+    ([[0, 1, -1.0]], "indices must be >= 0"),
+    ([["0", "1", "2"]], "must be integers"),
+], ids=["fraction", "nan", "negative-float", "strings"])
+def test_obj_export_rejects_non_integral_indices(tmp_path, triangles, message):
+    soup = TriangleSoup(vertices=np.eye(3), triangles=np.array(triangles))
+    with pytest.raises(ValidationError, match=message):
+        export_obj(soup, str(tmp_path / "bad.obj"))
 
 
 def test_obj_export_rejects_negative_indices(tmp_path):
@@ -293,6 +331,14 @@ def test_pgm_validation(tmp_path):
     g2 = make_grid_2d(np.zeros(2), np.ones(2), 4, 0.0)
     with pytest.raises(ValidationError):
         export_pgm(g2, str(tmp_path / "x.pgm"), 1.0, 1.0)
+
+
+def test_euler_keys_do_not_wrap_on_int32_triangles():
+    # min * nv + max reaches 2**32 here: int32 keys would wrap and collide.
+    tris = np.array([[0, 40000, 131071], [32768, 40000, 131071]], dtype=np.int32)
+    verts = np.zeros((131072, 3))
+    assert euler_characteristic(TriangleSoup(vertices=verts, triangles=tris)) == 1
+    assert euler_characteristic(TriangleSoup(vertices=verts, triangles=tris.astype(np.int64))) == 1
 
 
 def test_euler_of_single_triangle():

@@ -187,7 +187,7 @@ def hex_volume():
 def assert_same_soup(grid, iso):
     ref, dropped = reference_marching_cubes(grid, iso)
     soup = marching_cubes(grid, iso)
-    assert soup.vertices.dtype == np.float64 and soup.triangles.dtype == np.int64
+    assert soup.vertices.dtype == np.float64 and soup.triangles.dtype == np.int32
     assert np.array_equal(soup.vertices, ref.vertices)
     assert np.array_equal(soup.triangles, ref.triangles)
     assert euler_characteristic(soup) == reference_euler(ref)
