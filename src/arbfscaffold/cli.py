@@ -42,7 +42,7 @@ _MODE_NAMES = {"iso": "isotropic", "aniso": "anisotropic",
 
 
 def _float_list(text: str) -> list[float]:
-    """argparse type for --iso: one or more comma-separated finite floats."""
+    """argparse type: one or more comma-separated finite floats."""
     values = [float(t) for t in text.split(",") if t.strip()]
     if not values or not all(math.isfinite(v) for v in values):
         raise argparse.ArgumentTypeError(f"needs one or more finite values, got {text!r}")
@@ -63,6 +63,18 @@ def _stem(path: str) -> str:
 
 def _iso_tag(value: float) -> str:
     return f"{value:g}"
+
+
+def _iso_list(text: str) -> list[float]:
+    """argparse type for --iso: finite floats whose OBJ names (_iso_tag) all differ."""
+    values, seen = _float_list(text), {}
+    for v in values:
+        tag = _iso_tag(v)
+        if tag in seen:
+            raise argparse.ArgumentTypeError(
+                f"iso values {seen[tag]!r} and {v!r} would both write *_iso{tag}.obj")
+        seen[tag] = v
+    return values
 
 
 def _write_surfaces(grid, iso_values, out_stem, stats) -> int:
@@ -245,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iso", help="extract iso-surfaces from a sampled volume")
     p.add_argument("--volume", required=True, help="volume stem or .vhdr path")
-    p.add_argument("--iso", type=_float_list, required=True,
+    p.add_argument("--iso", type=_iso_list, required=True,
                    help="comma-separated iso values (use --iso=-0.5,0,0.5)")
     p.add_argument("--out", help="output OBJ stem (default: volume stem)")
     _add_stats_flag(p)
@@ -253,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tpms", help="sample a TPMS baseline field")
     p.add_argument("--kind", choices=TPMS_KINDS, required=True)
-    p.add_argument("--iso", type=_float_list, default="0",
+    p.add_argument("--iso", type=_iso_list, default="0",
                    help="comma-separated iso values (default: 0)")
     p.add_argument("--periods", type=_periods, default="1,1,1",
                    help="per-axis frequency multipliers (default: 1,1,1)")
@@ -277,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_flags(p)
     _add_fit_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--iso", type=_float_list, required=True,
+    p.add_argument("--iso", type=_iso_list, required=True,
                    help="comma-separated iso values (use --iso=-0.5,0,0.5)")
     p.add_argument("--out", help="output stem (default: mesh stem)")
     _add_stats_flag(p)

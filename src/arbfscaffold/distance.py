@@ -24,9 +24,10 @@ shared by every tile; the others are built per tile.
 A tile holds TILE_ELEMS query-center pairs when some operand has one row,
 and TILE_ELEMS // 4 otherwise.  A tile that builds all its tables needs
 about ten temporaries of its own size, which the smaller tile keeps in
-cache.  Shared tables leave a tile far less work per pair, and at the
-smaller size its fixed cost dominates: the hex2_sample benchmark item,
-with 2 worker threads, took about 1.4 times as long.
+cache; they are freed before the tile is yielded, and a call keeps only
+one block buffer.  Shared tables leave a tile far less work per pair, and
+at the smaller size its fixed cost dominates: the hex2_sample benchmark
+item, with 2 worker threads, took about 1.4 times as long.
 
 No segment-to-segment distance is computed here.  Between two segment
 centers the collocation matrix takes the minimum over their four endpoint
@@ -36,8 +37,6 @@ only ever meets a point.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -58,34 +57,12 @@ def as_points(x) -> np.ndarray:
     return x.reshape(-1, 3)
 
 
-class _Scratch:
-    """Float64 buffers handed out in call order and reused after reset().
-
-    A tiled caller resets once per tile, so from the second tile on the
-    n-th take() is a view into the n-th buffer of the first tile instead of
-    a fresh, page-faulting array.  No buffer is larger than one take.
-    """
-
-    def __init__(self):
-        self._bufs, self._next = [], 0
-
-    def reset(self) -> None:
-        self._next = 0
-
-    def take(self, shape) -> np.ndarray:
-        size, n = math.prod(shape), self._next
-        if n == len(self._bufs) or self._bufs[n].size < size:
-            self._bufs[n:n + 1] = [np.empty(size)]
-        self._next += 1
-        return self._bufs[n][:size].reshape(shape)
-
-
-def _tables(c, qk, ak, dk, alloc):
+def _tables(c, qk, ak, dk):
     """((c - qk)², c - ak, (c - ak) * dk): one axis of a tile's point and segment arithmetic."""
-    sq = np.subtract(c[..., None], qk, out=alloc(c.shape + qk.shape))
+    sq = c[..., None] - qk
     sq *= sq
-    diff = np.subtract(c[..., None], ak, out=alloc(c.shape + ak.shape))
-    return sq, diff, np.multiply(diff, dk, out=alloc(diff.shape))
+    diff = c[..., None] - ak
+    return sq, diff, diff * dk
 
 
 def _segment_frame(a, b):
@@ -103,7 +80,7 @@ def _segment_frame(a, b):
     return a, d, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
 
 
-def _fill_block(tables, frame, block, p, alloc) -> None:
+def _fill_block(tables, frame, block, p) -> None:
     """Fill block[..., :p] with point and block[..., p:] with segment squared distances.
 
     The three _tables results broadcast to their part of the block (a
@@ -116,11 +93,13 @@ def _fill_block(tables, frame, block, p, alloc) -> None:
     out += pz
     out = block[..., p:]
     _, d, dd = frame
-    t = np.add(tx, ty, out=alloc(out.shape))
-    t += tz
-    t /= np.where(dd == 0.0, 1.0, dd)  # d == 0 there, so t == 0
+    np.add(tx, ty, out=out)
+    out += tz
+    t = out / np.where(dd == 0.0, 1.0, dd)  # d == 0 there, so t == 0
     tc = np.clip(t, 0.0, 1.0, out=out)
-    sq = [alloc(out.shape) for _ in range(3)]
+    # One allocation, not three: freed, it lifts glibc's trim threshold above
+    # a tile's needs, so a fresh process's first walk does not fault per tile.
+    sq = np.empty((3,) + out.shape)
     for k, (diff, r) in enumerate(zip((dx, dy, dz), sq)):
         np.multiply(tc, d[:, k], out=r)
         np.subtract(diff, r, out=r)
@@ -139,8 +118,8 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
     x, y and z are 2-D arrays that broadcast to (n_rows, n_cols); rows and
     cols are slices of that shape.  ``block``, of shape (rows, cols, P + S),
     holds each query point's squared distances to the P ``points``, then to
-    the S segments [seg_a, seg_b].  The next step reuses the block's buffer,
-    so a caller may overwrite it in place.
+    the S segments [seg_a, seg_b].  Every block is a view of one buffer,
+    sized for the call's largest tile, so a caller may overwrite it in place.
     """
     points = as_points(points)
     frame = a, d, _ = _segment_frame(seg_a, seg_b)
@@ -150,18 +129,20 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
     budget = TILE_ELEMS if 1 in (len(x), len(y), len(z)) else TILE_ELEMS // 4
     cols = max(1, min(n_cols, budget // n))
     rows = max(1, budget // (cols * n))
-    scratch = _Scratch()
+    buf = None
     for c0 in range(0, n_cols, cols):
         c1 = min(c0 + cols, n_cols)
         tile = [v[:, c0:c1] if v.shape[1] > 1 else v for v in (x, y, z)]
-        shared = {k: _tables(v, *axes[k], np.empty) for k, v in enumerate(tile) if len(v) == 1}
+        shared = {k: _tables(v, *axes[k]) for k, v in enumerate(tile) if len(v) == 1}
         for r0 in range(0, n_rows, rows):
             r1 = min(r0 + rows, n_rows)
-            scratch.reset()
-            block = scratch.take((r1 - r0, c1 - c0, p + len(a)))
-            tabs = [shared[k] if k in shared else _tables(v[r0:r1], *axes[k], scratch.take)
-                    for k, v in enumerate(tile)]
-            _fill_block(tabs, frame, block, p, scratch.take)
+            if buf is None:  # after the first shared tables, so their ufunc buffers add no peak
+                buf = np.empty(min(rows, n_rows) * cols * (p + len(a)))
+            shape = (r1 - r0, c1 - c0, p + len(a))
+            block = buf[:np.prod(shape)].reshape(shape)
+            # the tables are an argument, not a name, so they are freed before the yield
+            _fill_block([shared[k] if k in shared else _tables(v[r0:r1], *axes[k])
+                         for k, v in enumerate(tile)], frame, block, p)
             yield slice(r0, r1), slice(c0, c1), block
 
 

@@ -57,6 +57,7 @@ from . import textio
 from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from .errors import ValidationError
 from .grid import VoxelGrid
+from .mesh import triangle_areas
 
 # A vertex whose edge parameter t lies within SNAP_T of 0 or 1 is the nearer
 # sample.  It is relative, so it holds at any grid offset and scale.  TPMS
@@ -98,15 +99,10 @@ class ContourSet:
                          for p in self.polylines))
 
 
-def triangle_areas(soup: TriangleSoup) -> np.ndarray:
-    a = soup.vertices[soup.triangles[:, 0]]
-    b = soup.vertices[soup.triangles[:, 1]]
-    c = soup.vertices[soup.triangles[:, 2]]
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-
-
 def surface_area(soup: TriangleSoup) -> float:
-    return float(triangle_areas(soup).sum()) if len(soup.triangles) else 0.0
+    if len(soup.triangles) == 0:
+        return 0.0
+    return float(triangle_areas(soup.vertices, soup.triangles).sum())
 
 
 def euler_characteristic(soup: TriangleSoup) -> int:
@@ -403,11 +399,12 @@ def _vertex_lines(x: np.ndarray) -> bytes:
     return _line_bytes(words)
 
 
-def _face_indices(triangles) -> np.ndarray:
-    """The triangles as non-negative integers whose 1-based form cannot wrap.
+def _face_indices(triangles, nv: int) -> np.ndarray:
+    """The triangles as integers in 0..nv - 1 whose 1-based form cannot wrap.
 
-    A signed integer array wide enough is kept as it is, with no copy;
-    integral floats and other integers become ``_index_dtype(max + 1)``.
+    A signed integer array at least as wide as ``_index_dtype(nv)`` is kept
+    as it is, with no copy; integral floats and other integers become that
+    dtype, which holds the 1-based index nv too.
     """
     tris = np.asarray(triangles)
     if tris.dtype.kind not in "iuf":
@@ -420,7 +417,10 @@ def _face_indices(triangles) -> np.ndarray:
             raise ValidationError(f"triangle index {tris[~whole][0]} is not an integer")
     if tris.min() < 0:
         raise ValidationError("triangle vertex indices must be >= 0")
-    dtype = _index_dtype(int(tris.max()) + 1)
+    if tris.max() >= nv:
+        raise ValidationError(f"triangle vertex index {int(tris.max())} out of range "
+                              f"for {nv} vertices")
+    dtype = _index_dtype(nv)
     if tris.dtype.kind == "i" and tris.dtype.itemsize >= dtype.itemsize:
         return tris
     return tris.astype(dtype)
@@ -429,10 +429,11 @@ def _face_indices(triangles) -> np.ndarray:
 def export_obj(soup: TriangleSoup, path: str) -> None:
     """ASCII OBJ: 'v x y z' lines (%.9g) then 1-based 'f a b c' lines.
 
-    Triangle indices must be integers >= 0; integral floats are accepted.
+    Triangle indices must be integers in 0..nv - 1, checked before the file
+    is created; integral floats are accepted.
     """
     vertices = np.asarray(soup.vertices, dtype=np.float64)
-    triangles = _face_indices(soup.triangles)
+    triangles = _face_indices(soup.triangles, len(vertices))
     with textio.create(path, "wb") as fh:
         for start in range(0, len(vertices), OBJ_CHUNK_ROWS):
             fh.write(_vertex_lines(vertices[start: start + OBJ_CHUNK_ROWS]))

@@ -164,8 +164,9 @@ class VolumetricMesh:
         return float(np.linalg.norm(hi - lo))
 
 
-def _tri_areas(verts: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    a, b, c = verts[cells[:, 0]], verts[cells[:, 1]], verts[cells[:, 2]]
+def triangle_areas(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Area of each triangle (3 vertex indices a row): of tri2d cells and of iso surfaces."""
+    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
     return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
@@ -189,7 +190,7 @@ def _hex_volumes(verts: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def cell_measures(mesh: VolumetricMesh) -> np.ndarray:
     """Per-cell area (tri2d) or volume (tet/hex)."""
     if mesh.kind == "tri2d":
-        return _tri_areas(mesh.vertices, mesh.cells)
+        return triangle_areas(mesh.vertices, mesh.cells)
     if mesh.kind == "tet":
         return _tet_volumes(mesh.vertices, mesh.cells)
     return _hex_volumes(mesh.vertices, mesh.cells)

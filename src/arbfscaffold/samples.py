@@ -66,11 +66,11 @@ def hex_rod_mesh(n: int = 4) -> VolumetricMesh:
     return _hex_brick(np.arange(n + 1, dtype=np.float64), [0.0, 1.0], [0.0, 1.0])
 
 
-# The 20 faces over the 12 shell vertices, in the order and corner order of
-# qhull's hull, which the icosa20.node/.ele sample files were written in.
-_ICOSA_FACES = ((6, 0, 9), (2, 5, 8), (2, 0, 8), (2, 0, 9), (10, 5, 8), (10, 3, 1), (10, 3, 5),
-                (11, 3, 1), (11, 6, 1), (11, 6, 9), (4, 0, 8), (4, 6, 0), (4, 6, 1), (4, 10, 1),
-                (4, 10, 8), (7, 2, 9), (7, 3, 5), (7, 2, 5), (7, 11, 3), (7, 11, 9))
+# The 20 faces over the 12 shell vertices, in the order of qhull's hull, with
+# corners ordered so that every tet (centroid, *face) has positive signed volume.
+_ICOSA_FACES = ((6, 9, 0), (2, 5, 8), (2, 8, 0), (2, 0, 9), (10, 8, 5), (10, 3, 1), (10, 5, 3),
+                (11, 1, 3), (11, 6, 1), (11, 9, 6), (4, 0, 8), (4, 6, 0), (4, 1, 6), (4, 10, 1),
+                (4, 8, 10), (7, 2, 9), (7, 3, 5), (7, 5, 2), (7, 11, 3), (7, 9, 11))
 
 
 def icosahedron_tet_mesh(radius: float = 1.0) -> VolumetricMesh:

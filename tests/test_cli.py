@@ -356,3 +356,16 @@ def test_non_finite_number_is_input_error(mesh_dir, tmp_path, capsys, argv, mess
 def test_bad_periods_is_an_argparse_error(periods, capsys):
     assert main(["tpms", "--kind", "p", "--periods", periods]) == EXIT_INPUT
     assert "argument --periods:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("isos,first,second", [
+    ("0.1,0.1000001,0.1", "0.1", "0.1000001"),
+    ("0.5,-0.5,0.5", "0.5", "0.5"),
+])
+def test_iso_values_sharing_a_file_name_exit_2(tmp_path, capsys, isos, first, second):
+    out = tmp_path / "p"
+    assert main(["tpms", "--kind", "p", "--resolution", "8", f"--iso={isos}",
+                 "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"argument --iso: iso values {first} and {second} would both write" in err
+    assert list(tmp_path.iterdir()) == []

@@ -9,6 +9,8 @@ from arbfscaffold.errors import ParseError, ValidationError
 from arbfscaffold.grid import VoxelGrid, make_grid, make_grid_2d, sample_field
 from arbfscaffold.isosurface import (
     TriangleSoup,
+    _face_indices,
+    _face_lines,
     euler_characteristic,
     export_obj,
     export_pgm,
@@ -16,8 +18,8 @@ from arbfscaffold.isosurface import (
     marching_cubes,
     marching_squares,
     surface_area,
-    triangle_areas,
 )
+from arbfscaffold.mesh import triangle_areas
 from arbfscaffold.tpms import TpmsField
 
 
@@ -136,7 +138,8 @@ def test_welding_shares_vertices():
     nt = len(soup.triangles)
     assert nt > 0
     assert len(soup.vertices) < 3 * nt  # welded, not a raw soup
-    assert np.all(triangle_areas(soup) > 0)  # no sample lies on the iso value
+    # no sample lies on the iso value
+    assert np.all(triangle_areas(soup.vertices, soup.triangles) > 0)
     assert soup.triangles.min() >= 0
     assert soup.triangles.max() < len(soup.vertices)
 
@@ -240,16 +243,23 @@ def test_obj_bytes_do_not_depend_on_the_index_dtype(tmp_path):
     assert TriangleSoup().triangles.dtype == np.int32
 
 
-def test_obj_face_indices_past_int32_do_not_wrap(tmp_path):
-    # 2**31 - 1 is the largest int32: its 1-based index needs int64.
+def test_obj_face_indices_past_int32_do_not_wrap():
+    # 2**31 - 1 is the largest int32: its 1-based index needs int64, which
+    # _index_dtype gives from 2**31 vertices on.
     last = 2 ** 31 - 1
     for dtype in (np.int32, np.int64):
-        soup = TriangleSoup(vertices=np.eye(3), triangles=np.array([[0, 1, last]], dtype=dtype))
-        export_obj(soup, str(tmp_path / "big.obj"))
-        assert (tmp_path / "big.obj").read_text().splitlines()[-1] == f"f 1 2 {last + 1}"
-    soup = TriangleSoup(vertices=np.eye(3), triangles=np.array([[0, 2 ** 40, 2 ** 31]]))
-    export_obj(soup, str(tmp_path / "big.obj"))
-    assert (tmp_path / "big.obj").read_text().splitlines()[-1] == f"f 1 {2 ** 40 + 1} {2 ** 31 + 1}"
+        tris = _face_indices(np.array([[0, 1, last]], dtype=dtype), last + 1)
+        assert _face_lines(tris + 1) == f"f 1 2 {last + 1}\n".encode()
+    big = np.array([[0, 2 ** 40, 2 ** 31]])
+    assert _face_lines(big + 1) == f"f 1 {2 ** 40 + 1} {2 ** 31 + 1}\n".encode()
+
+
+def test_obj_export_rejects_indices_past_the_vertices(tmp_path):
+    path = tmp_path / "past.obj"
+    soup = TriangleSoup(np.zeros((3, 3)), [[0, 1, 5]])
+    with pytest.raises(ValidationError, match="vertex index 5 out of range for 3 vertices"):
+        export_obj(soup, str(path))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("triangles,message", [

@@ -25,6 +25,7 @@ from arbfscaffold._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from arbfscaffold.isosurface import (
     SNAP_T,
     TriangleSoup,
+    _face_lines,
     euler_characteristic,
     export_obj,
     marching_cubes,
@@ -332,10 +333,17 @@ def obj_dir(tmp_path_factory):
 def test_obj_bytes_match_reference_on_edge_values(obj_dir, coords, indices):
     coords += [0.0] * (-len(coords) % 3)
     indices += [0] * (-len(indices) % 3)
-    soup = TriangleSoup(vertices=np.array(coords, dtype=np.float64).reshape(-1, 3),
-                        triangles=np.array(indices, dtype=np.int64).reshape(-1, 3))
+    vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    tris = np.array(indices, dtype=np.int64).reshape(-1, 3)
+    # export_obj takes only indices below nv, so the digits of larger ones
+    # are checked on the face lines themselves
+    nv = len(vertices)
+    soup = TriangleSoup(vertices=vertices, triangles=tris % nv if nv else tris[:0])
     export_obj(soup, str(obj_dir / "got.obj"))
     assert (obj_dir / "got.obj").read_bytes() == reference_obj_bytes(soup, obj_dir / "ref.obj")
+    if len(tris):
+        assert _face_lines(tris + 1) == "".join(
+            "f %d %d %d\n" % tuple(t) for t in (tris + 1).tolist()).encode()
 
 
 # --- marching squares -----------------------------------------------------

@@ -149,7 +149,6 @@ def test_samples_need_no_convex_hull_code(fresh_python):
 
 def test_icosahedron_faces_close_the_shell(icosa_mesh):
     # 20 faces of one edge length, each of the 30 edges shared by two faces
-    # (the shell's corner order alternates, as the hull's did)
     faces = icosa_mesh.cells[:, 1:]
     edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     _, uses = np.unique(edges, axis=0, return_counts=True)
@@ -158,6 +157,13 @@ def test_icosahedron_faces_close_the_shell(icosa_mesh):
     assert np.ptp(lengths) < 1e-15
     a = lengths[0, 0]
     assert cell_measures(icosa_mesh).sum() == pytest.approx(5 * (3 + np.sqrt(5)) / 12 * a**3)
+
+
+def test_icosahedron_tets_are_positively_oriented(icosa_mesh, tmp_path):
+    written = ax.load_mesh(samples.write_sample_meshes(str(tmp_path))["icosa20.node"])
+    for mesh in (icosa_mesh, written):
+        a, b, c, d = (mesh.vertices[mesh.cells[:, k]] for k in range(4))
+        assert np.all(np.einsum("ij,ij->i", b - a, np.cross(c - a, d - a)) > 0)
 
 
 def test_nodal_value_signs_are_constrained():
