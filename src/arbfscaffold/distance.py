@@ -23,11 +23,19 @@ shared by every tile; the others are built per tile.
 
 A tile holds TILE_ELEMS query-center pairs when some operand has one row,
 and TILE_ELEMS // 4 otherwise.  A tile that builds all its tables needs
-about ten temporaries of its own size, which the smaller tile keeps in
+about six temporaries of its own size, which the smaller tile keeps in
 cache; they are freed before the tile is yielded, and a call keeps only
 one block buffer.  Shared tables leave a tile far less work per pair, and
 at the smaller size its fixed cost dominates: the hex2_sample benchmark
 item, with 2 worker threads, took about 1.4 times as long.
+
+The block's point and segment parts are strided views, on which a ufunc
+runs one inner loop per query point over only P or S centers.  So each
+part is computed in contiguous arrays, with the centers' coordinates as
+one contiguous row per axis, and written into the block once.  A center
+set with no segments (an isotropic fit, the fit's endpoint blocks) gets
+no segment tables and no segment arithmetic; one with no points, no point
+arithmetic.
 
 No segment-to-segment distance is computed here.  Between two segment
 centers the collocation matrix takes the minimum over their four endpoint
@@ -58,18 +66,30 @@ def as_points(x) -> np.ndarray:
 
 
 def _tables(c, qk, ak, dk):
-    """((c - qk)², c - ak, (c - ak) * dk): one axis of a tile's point and segment arithmetic."""
-    sq = c[..., None] - qk
-    sq *= sq
-    diff = c[..., None] - ak
+    """((c - qk)², c - ak, (c - ak) * dk): one axis of a tile's point and segment arithmetic.
+
+    A part with no centers passes None for its operands and gets None for
+    its tables.
+    """
+    c = c[..., None]
+    sq = None
+    if qk is not None:
+        sq = c - qk
+        sq *= sq
+    if ak is None:
+        return sq, None, None
+    diff = c - ak
     return sq, diff, diff * dk
 
 
 def _segment_frame(a, b):
-    """Per-segment start, direction and squared length, endpoints ordered.
+    """Per-segment start, direction, divisor for t, and whether the segment has length.
 
     Each segment's endpoints are put in lexicographic order, so [a, b] and
-    [b, a] give bit-identical frames and distances.
+    [b, a] give bit-identical frames and distances.  The start and the
+    direction come as (3, S) rows, one per axis, so that a ufunc's inner
+    loop over the segments has unit stride.  The divisor is the squared
+    length, or 1 for a degenerate segment, where d == 0 and so t == 0.
     """
     a, b = as_points(a), as_points(b)
     d = b - a
@@ -77,7 +97,15 @@ def _segment_frame(a, b):
     swap = (d[np.arange(len(d)), first] < 0.0)[:, None]
     a = np.where(swap, b, a)
     d = np.where(swap, -d, d)  # exact: a - b == -(b - a)
-    return a, d, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    dd = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    return a.T.copy(), d.T.copy(), np.where(dd == 0.0, 1.0, dd), dd > 0.0
+
+
+def _sum3(u, v, w, out):
+    """(u + v) + w into ``out``: the order in which every distance adds its axes."""
+    np.add(u, v, out=out)
+    out += w
+    return out
 
 
 def _fill_block(tables, frame, block, p) -> None:
@@ -85,31 +113,38 @@ def _fill_block(tables, frame, block, p) -> None:
 
     The three _tables results broadcast to their part of the block (a
     grid chunk's x tables are (1, nx, m), its y and z tables (rows, 1, m)),
-    and every entry rounds as for a single point.
+    and every entry rounds as for a single point.  ``frame`` holds the
+    segments' direction rows, divisors and has-length flags.  With segments
+    present, each part is computed in a C-contiguous (rows, cols, m) array
+    and written into the block once; with points only, the block is the
+    point part and no segment arithmetic runs.
     """
     (px, dx, tx), (py, dy, ty), (pz, dz, tz) = tables
-    out = block[..., :p]
-    np.add(px, py, out=out)
-    out += pz
-    out = block[..., p:]
-    _, d, dd = frame
-    np.add(tx, ty, out=out)
-    out += tz
-    t = out / np.where(dd == 0.0, 1.0, dd)  # d == 0 there, so t == 0
-    tc = np.clip(t, 0.0, 1.0, out=out)
-    # One allocation, not three: freed, it lifts glibc's trim threshold above
-    # a tile's needs, so a fresh process's first walk does not fault per tile.
-    sq = np.empty((3,) + out.shape)
-    for k, (diff, r) in enumerate(zip((dx, dy, dz), sq)):
-        np.multiply(tc, d[:, k], out=r)
-        np.subtract(diff, r, out=r)
-        r *= r
-    np.add(sq[0], sq[1], out=out)
-    out += sq[2]
-    snap = out < ON_SEGMENT_TOL ** 2
-    if snap.any():
-        snap &= (t >= 0.0) & (t <= 1.0) & (dd > 0.0)
-        out[snap] = 0.0
+    if tx is None:
+        if px is not None:
+            _sum3(px, py, pz, block)
+        return
+    if px is not None:
+        block[..., :p] = _sum3(px, py, pz, np.empty(block[..., :p].shape))
+    d, dd, live = frame
+    t = _sum3(tx, ty, tz, np.empty(block[..., p:].shape))
+    t /= dd
+    np.clip(t, 0.0, 1.0, out=t)
+    # The x and y residuals share one allocation; the z residual, last,
+    # overwrites t.
+    r = np.empty((2,) + t.shape)
+    for diff, dk, rk in zip((dx, dy, dz), d, (r[0], r[1], t)):
+        np.multiply(t, dk, out=rk)
+        np.subtract(diff, rk, out=rk)
+        rk *= rk
+    r2 = _sum3(r[0], r[1], t, r[0])
+    snap = r2 < ON_SEGMENT_TOL ** 2
+    if snap.any():  # the foot must lie inside: t again, before its clamp
+        t = _sum3(tx, ty, tz, t)
+        t /= dd
+        snap &= (t >= 0.0) & (t <= 1.0) & live
+        r2[snap] = 0.0
+    block[..., p:] = r2
 
 
 def distance_tiles(x, y, z, points, seg_a, seg_b):
@@ -121,11 +156,14 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
     the S segments [seg_a, seg_b].  Every block is a view of one buffer,
     sized for the call's largest tile, so a caller may overwrite it in place.
     """
-    points = as_points(points)
-    frame = a, d, _ = _segment_frame(seg_a, seg_b)
-    p, n = len(points), max(len(points) + len(a), 1)
+    points = as_points(points).T.copy()  # (3, P) rows, as the segment frame's
+    a, d, dd, live = _segment_frame(seg_a, seg_b)
+    p, s = points.shape[1], a.shape[1]
+    n = max(p + s, 1)
     n_rows, n_cols = np.broadcast_shapes(x.shape, y.shape, z.shape)
-    axes = [(points[:, k], a[:, k], d[:, k]) for k in range(3)]
+    # a part with no centers gets no tables, so no per-tile work
+    axes = [(points[k] if p else None, a[k] if s else None, d[k] if s else None)
+            for k in range(3)]
     budget = TILE_ELEMS if 1 in (len(x), len(y), len(z)) else TILE_ELEMS // 4
     cols = max(1, min(n_cols, budget // n))
     rows = max(1, budget // (cols * n))
@@ -137,12 +175,11 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
         for r0 in range(0, n_rows, rows):
             r1 = min(r0 + rows, n_rows)
             if buf is None:  # after the first shared tables, so their ufunc buffers add no peak
-                buf = np.empty(min(rows, n_rows) * cols * (p + len(a)))
-            shape = (r1 - r0, c1 - c0, p + len(a))
-            block = buf[:np.prod(shape)].reshape(shape)
+                buf = np.empty(min(rows, n_rows) * cols * (p + s))
+            block = buf[:(r1 - r0) * (c1 - c0) * (p + s)].reshape(r1 - r0, c1 - c0, p + s)
             # the tables are an argument, not a name, so they are freed before the yield
             _fill_block([shared[k] if k in shared else _tables(v[r0:r1], *axes[k])
-                         for k, v in enumerate(tile)], frame, block, p)
+                         for k, v in enumerate(tile)], (d, dd, live), block, p)
             yield slice(r0, r1), slice(c0, c1), block
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check of its API values."""
+
+import operator
 
 
 class ScaffoldError(Exception):
@@ -41,3 +43,15 @@ class HeaderMismatchError(ScaffoldError):
 
 class DegenerateResultError(ScaffoldError):
     """An operation produced a degenerate mesh (zero-measure cell)."""
+
+
+def integer(value, name: str) -> int:
+    """``value`` as a Python int if it is a Python or numpy integer.
+
+    Anything else, a float even when its value is whole, raises
+    ValidationError naming the value, before it can be rounded or used.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None

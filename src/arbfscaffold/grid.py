@@ -17,7 +17,7 @@ import numpy as np
 
 from . import textio
 from .distance import as_points
-from .errors import HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError
+from .errors import HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError, integer
 
 
 @dataclass(eq=False)
@@ -67,6 +67,7 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
     """
     if not np.all(hi >= lo):
         raise InvalidBBoxError(f"bbox must have hi >= lo, got {lo} .. {hi}")
+    resolution = integer(resolution, "resolution")
     if resolution < 2:
         raise ValidationError(f"resolution must be at least 2, got {resolution}")
     if not (np.isfinite(pad_fraction) and pad_fraction >= 0.0):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResultError, ValidationError
+from .errors import DegenerateResultError, ValidationError, integer
 from .mesh import _EDGES, VolumetricMesh
 from .rng import GaussianStream, SplitMix64
 
@@ -40,8 +40,9 @@ class PerturbSpec:
             raise ValidationError(
                 f"vertex_fraction must be in [0, 1], got {self.vertex_fraction}"
             )
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
+            raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
 
 
 def shortest_incident_edge(mesh: VolumetricMesh) -> np.ndarray:

@@ -1,9 +1,12 @@
-"""The squared-distance kernel against known values and brute-force minima.
+"""The squared-distance kernel against known values, brute-force minima and a bit oracle.
 
 ``squared_distance_block`` is the one block kernel; its one-entry blocks,
-``r2_point`` and ``r2_segment`` below, serve as the scalar kernels.  Between
-two segment centers the distance is the collocation matrix's endpoint-pair
-minimum, so those tests read it from ``assemble_matrix``.
+``r2_point`` and ``r2_segment`` below, serve as the scalar kernels.  The
+bit oracle, ``oracle_r2_segment``, evaluates the documented formula in
+Python floats, so a reordered operation in the tile walk shows as a
+changed bit.  Between two segment centers the distance is the collocation
+matrix's endpoint-pair minimum, so those tests read it from
+``assemble_matrix``.
 """
 
 import numpy as np
@@ -11,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import arbfscaffold as ax
-from arbfscaffold import samples
-from arbfscaffold.distance import ON_SEGMENT_TOL, squared_distance_block
+from arbfscaffold import distance, samples
+from arbfscaffold.distance import ON_SEGMENT_TOL, distance_tiles, squared_distance_block
 from arbfscaffold.errors import DuplicateCenterError
 from arbfscaffold.mesh import CenterSet
 from arbfscaffold.rbf import Basis, assemble_matrix, eval_basis
@@ -140,6 +143,126 @@ def test_batched_blocks_equal_scalar_kernels_bitwise(pts, ends, flips):
         for j in range(m):
             assert block[i, j] == r2_point(p, a[j])
             assert block[i, m + j] == r2_segment(p, a[j], b[j])
+
+
+def oracle_r2_point(x, q) -> float:
+    """|x - q|² in Python floats, added (x + y) + z."""
+    dx, dy, dz = (float(xk) - float(qk) for xk, qk in zip(x, q))
+    return (dx * dx + dy * dy) + dz * dz
+
+
+def oracle_r2_segment(x, a, b) -> float:
+    """Squared distance from x to the segment [a, b] in Python floats, by the documented formula.
+
+    Every Python float operation rounds once, with no fused multiply-add, so
+    this fixes the kernel's order of operations by hand: endpoints in
+    lexicographic order; dd = (dx·dx + dy·dy) + dz·dz; the projection
+    ((x - a_x)·d_x + (y - a_y)·d_y) + (z - a_z)·d_z; t = proj / dd, with dd
+    taken as 1 where it is 0, clamped to [0, 1]; r² = Σ(diff_k - t·d_k)²,
+    added (x + y) + z, and 0 where it is below ON_SEGMENT_TOL² with the
+    foot inside a segment of positive length.
+    """
+    x, a, b = (tuple(map(float, v)) for v in (x, a, b))
+    if b < a:
+        a, b = b, a
+    d = [bk - ak for ak, bk in zip(a, b)]
+    diff = [xk - ak for xk, ak in zip(x, a)]
+    dd = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
+    proj = (diff[0] * d[0] + diff[1] * d[1]) + diff[2] * d[2]
+    t = proj / (dd if dd != 0.0 else 1.0)
+    tc = min(max(t, 0.0), 1.0)
+    r = [ek - tc * dk for ek, dk in zip(diff, d)]
+    r2 = (r[0] * r[0] + r[1] * r[1]) + r[2] * r[2]
+    if r2 < ON_SEGMENT_TOL ** 2 and 0.0 <= t <= 1.0 and dd > 0.0:
+        return 0.0
+    return r2
+
+
+def oracle_row(x, a, b) -> list:
+    """The oracle's squared distances from x to the points a, then to the segments [a, b]."""
+    return [oracle_r2_point(x, c) for c in a] + [oracle_r2_segment(x, *s) for s in zip(a, b)]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def assert_walks_match_oracle(q, a, b):
+    """Both ``squared_distance_block`` and a sample_field-shaped walk equal the oracle, bit for bit.
+
+    The points are the segments' starts.  The walk takes xs[None, :],
+    ys[:, None] and zs[:, None], as sample_field does, so it measures every
+    (xs[j], ys[i], zs[i]), q itself on the diagonal; it runs once with the
+    default tiles and once with tiles of a few pairs, partial ones included.
+    """
+    ref = np.array([oracle_row(x, a, b) for x in q])
+    assert np.array_equal(_bits(squared_distance_block(q, a, a, b)), _bits(ref))
+
+    xs, ys, zs = q[:, 0], q[:, 1], q[:, 2]
+    ref = np.array([[oracle_row((x, y, z), a, b) for x in xs] for y, z in zip(ys, zs)])
+    for elems in (distance.TILE_ELEMS, 3 * ref.shape[-1]):
+        out = np.full(ref.shape, np.nan)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "TILE_ELEMS", elems)
+            for rows, cols, block in distance_tiles(xs[None, :], ys[:, None], zs[:, None], a, a, b):
+                out[rows, cols] = block
+        assert np.array_equal(_bits(out), _bits(ref))
+
+
+def _on_line(a, b, u, offset):
+    """a + u (b - a) + offset, rounded as numpy rounds it."""
+    return a + u * (b - a) + offset
+
+
+# One segment per regime of the foot's parameter t, each with query points
+# before, on and past the segment, off it and on it exactly.
+ORACLE_CASES = [
+    (np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
+    (np.array([0.3, -1.7, 2.2]), np.array([-0.4, 0.9, 1.1])),  # b before a: swapped
+    (np.array([1.5, 1.5, -2.0]), np.array([1.5, 1.5, -2.0])),  # degenerate
+    (np.array([-3.0, 0.25, 7.0]), np.array([4.0, -1.0, 0.5])),
+]
+ORACLE_US = (-0.75, 0.0, 0.3, 0.5, 1.0, 1.6)
+ORACLE_OFFSETS = (np.zeros(3), np.array([0.0, 1e-14, 0.0]), np.array([0.2, -0.5, 0.9]))
+
+
+def test_segment_oracle_regimes_are_covered():
+    t_regimes, snapped = set(), 0
+    for a, b in ORACLE_CASES:
+        d = b - a
+        for u in ORACLE_US:
+            for off in ORACLE_OFFSETS:
+                x = _on_line(a, b, u, off)
+                if d @ d == 0.0:
+                    t_regimes.add("degenerate")
+                    continue
+                t = (x - a) @ d / (d @ d)
+                t_regimes.add("before" if t < 0.0 else "past" if t > 1.0 else "inside")
+                snapped += oracle_r2_segment(x, a, b) == 0.0 and float(np.sum((x - a) ** 2)) > 0.0
+    assert t_regimes == {"before", "inside", "past", "degenerate"}
+    assert snapped > 0  # some foot inside a segment, off its start, measures exactly 0
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_walks_equal_segment_oracle_bitwise(case):
+    a, b = ORACLE_CASES[case]
+    q = np.array([_on_line(a, b, u, off) for u in ORACLE_US for off in ORACLE_OFFSETS])
+    sa, sb = np.array([a, b, a]), np.array([b, a, a])  # both orientations and a degenerate one
+    assert_walks_match_oracle(q, sa, sb)
+
+
+@settings(max_examples=60)
+@given(ends=st.lists(st.tuples(point, point, st.booleans()), min_size=1, max_size=3),
+       feet=st.lists(st.tuples(st.integers(0, 2), st.floats(-1.0, 2.0), st.sampled_from(range(3)),
+                               point), min_size=1, max_size=6))
+def test_walks_equal_segment_oracle_bitwise_random(ends, feet):
+    # segment j runs from a[j] to b[j], degenerate where its flag is set; each
+    # query point lies at u along a segment, exactly or off it by some offset
+    a = np.array([e[0] for e in ends])
+    b = np.array([e[0] if e[2] else e[1] for e in ends])
+    q = np.array([_on_line(a[j % len(a)], b[j % len(a)], u, (0.0, 1e-14, 1.0)[kind] * off)
+                  for j, u, kind, off in feet])
+    assert_walks_match_oracle(q, a, b)
 
 
 def test_empty_blocks_keep_their_shape():

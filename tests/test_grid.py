@@ -61,6 +61,22 @@ def test_make_grid_needs_a_finite_pad_fraction(pad):
         make_grid(np.zeros(3), np.ones(3), 8, pad_fraction=pad)
 
 
+@pytest.mark.parametrize("build", [make_grid, make_grid_2d])
+@pytest.mark.parametrize("resolution", [64.7, 64.0, np.float64(8.0), "8", None])
+def test_grids_reject_a_resolution_that_is_not_an_integer(build, resolution):
+    # 64.7 used to round to 65 samples per axis
+    with pytest.raises(ValidationError, match="resolution must be an integer") as err:
+        build(np.zeros(3), np.array([1.0, 1.0, 0.0]), resolution)
+    assert str(err.value).endswith(f"got {resolution!r}")
+
+
+@pytest.mark.parametrize("build", [make_grid, make_grid_2d])
+@pytest.mark.parametrize("resolution", [9, np.int64(9), np.int32(9), np.uint8(9)])
+def test_grids_accept_python_and_numpy_integer_resolutions(build, resolution):
+    g = build(np.zeros(3), np.array([1.0, 1.0, 0.0]), resolution, 0.1)
+    assert g.dims[:2] == (9, 9)
+
+
 def test_make_grid_rejects_a_bbox_without_three_coordinates():
     # a ScaffoldError, not numpy's "cannot reshape" ValueError
     with pytest.raises(ValidationError, match="3 coordinates"):

@@ -22,6 +22,28 @@ def test_spec_validation():
         PerturbSpec(seed=-1)
 
 
+@pytest.mark.parametrize("seed", [2.0, 1.5, np.float64(3.0), "3", None])
+def test_spec_rejects_a_seed_that_is_not_an_integer(seed):
+    # 2.0 and 1.5 used to build, then fail in perturb_mesh with a raw TypeError;
+    # "3" raised a raw TypeError
+    with pytest.raises(ValidationError, match="seed must be an integer") as err:
+        PerturbSpec(magnitude=0.1, seed=seed)
+    assert str(err.value).endswith(f"got {seed!r}")
+
+
+def test_spec_rejects_a_seed_past_64_bits():
+    with pytest.raises(ValidationError, match=r"seed must fit in 64 bits, got 18446744073709551616"):
+        PerturbSpec(seed=2**64)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.int32(7), np.uint64(7), np.uint8(7)])
+def test_spec_accepts_numpy_integer_seeds_as_python_ints(block_mesh, seed):
+    spec = PerturbSpec(magnitude=0.2, seed=seed)
+    assert type(spec.seed) is int and spec == PerturbSpec(magnitude=0.2, seed=7)
+    expected = perturb_mesh(block_mesh, PerturbSpec(magnitude=0.2, seed=7)).vertices
+    assert np.array_equal(perturb_mesh(block_mesh, spec).vertices, expected)
+
+
 def shortest_incident_edge_loop(mesh):
     """Reference: the per-cell, per-edge loop that shortest_incident_edge vectorizes."""
     shortest = np.full(len(mesh.vertices), np.inf)
