@@ -17,7 +17,8 @@ import numpy as np
 
 from . import textio
 from .distance import as_points
-from .errors import HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError, integer
+from .errors import (HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError,
+                     integer, real)
 
 
 @dataclass(eq=False)
@@ -67,12 +68,8 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
     """
     if not np.all(hi >= lo):
         raise InvalidBBoxError(f"bbox must have hi >= lo, got {lo} .. {hi}")
-    resolution = integer(resolution, "resolution")
-    if resolution < 2:
-        raise ValidationError(f"resolution must be at least 2, got {resolution}")
-    if not (np.isfinite(pad_fraction) and pad_fraction >= 0.0):
-        raise ValidationError(f"pad_fraction must be finite and >= 0, got {pad_fraction}")
-    pad = pad_fraction * float(np.linalg.norm(hi - lo))
+    resolution = integer(resolution, "resolution", 2)
+    pad = real(pad_fraction, "pad_fraction", 0.0) * float(np.linalg.norm(hi - lo))
     lo = lo - pad
     extent = (hi + pad) - lo
     if not np.all(extent > 0):
@@ -156,9 +153,7 @@ def sample_field(source, grid: VoxelGrid, workers: int = 1) -> VoxelGrid:
         raise ValidationError(f"field source {type(source).__name__} lacks evaluate_axes(x, y, z)")
     nx, ny, nz = grid.dims
     xs, ys, zs = grid.axes()
-    if workers < 0:
-        raise ValidationError(f"worker count must be >= 0, got {workers}")
-    workers = workers or os.cpu_count() or 1
+    workers = integer(workers, "worker count", 0) or os.cpu_count() or 1
     total, rows = nx * ny * nz, ny * nz
     out = np.empty(total, dtype=np.float32)
 
@@ -193,7 +188,7 @@ def solid_fraction(grid: VoxelGrid, iso: float) -> float:
     The float32 samples are compared in float64 under any numpy promotion
     rules, as marching_cubes does.
     """
-    solid = np.greater_equal(grid.values, iso, signature="dd->?")
+    solid = np.greater_equal(grid.values, real(iso, "iso"), signature="dd->?")
     return float(np.count_nonzero(solid)) / grid.values.size
 
 
@@ -214,11 +209,14 @@ def _volume_paths(stem: str) -> tuple[str, str]:
 
 def write_volume(grid: VoxelGrid, stem: str) -> None:
     hdr_path, raw_path = _volume_paths(stem)
+    values = grid.values.astype("<f4", copy=False)
+    if values.size != np.prod(grid.dims) or not np.isfinite(values).all():
+        raise ValidationError(f"a volume needs {np.prod(grid.dims)} finite float32 samples")
     with textio.create(hdr_path, "w") as fh:
         fh.write("DIMS %d %d %d\nORIGIN %r %r %r\nSPACING %r %r %r\nDTYPE %s\n"
                  % (*grid.dims, *map(float, grid.origin), *map(float, grid.spacing),
                     _DTYPE_TAG))
-    grid.values.astype("<f4", copy=False).tofile(raw_path)
+    values.tofile(raw_path)
 
 
 def read_volume(stem: str) -> VoxelGrid:

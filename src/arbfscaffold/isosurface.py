@@ -55,7 +55,7 @@ import numpy as np
 
 from . import textio
 from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
-from .errors import ValidationError
+from .errors import ValidationError, real
 from .grid import VoxelGrid
 from .mesh import triangle_areas
 
@@ -156,6 +156,7 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     nx, ny, nz = grid.dims
     if nx < 2 or ny < 2 or nz < 2:
         raise ValidationError("marching cubes needs at least 2 samples per axis")
+    iso = real(iso, "iso")
     vol = grid.values_3d()
     # The float32 samples are compared in float64 under any numpy promotion
     # rules, as solid_fraction compares them.
@@ -267,6 +268,7 @@ def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:
     if nx < 2 or ny < 2:
         raise ValidationError("marching squares needs at least 2 samples per axis")
     vals = grid.values_3d()[0].astype(np.float64)  # (ny, nx) -> [j, i]
+    iso = real(iso, "iso")
 
     solid = vals >= iso
     case = np.zeros((ny - 1, nx - 1), dtype=np.uint8)
@@ -429,10 +431,12 @@ def _face_indices(triangles, nv: int) -> np.ndarray:
 def export_obj(soup: TriangleSoup, path: str) -> None:
     """ASCII OBJ: 'v x y z' lines (%.9g) then 1-based 'f a b c' lines.
 
-    Triangle indices must be integers in 0..nv - 1, checked before the file
-    is created; integral floats are accepted.
+    Finite (nv, 3) vertices and triangle indices in 0..nv - 1, integers or
+    integral floats, are checked before the file is created.
     """
     vertices = np.asarray(soup.vertices, dtype=np.float64)
+    if vertices.ndim != 2 or vertices.shape[1] != 3 or not np.isfinite(vertices).all():
+        raise ValidationError(f"vertices must be a finite (nv, 3) array, shape {vertices.shape}")
     triangles = _face_indices(soup.triangles, len(vertices))
     with textio.create(path, "wb") as fh:
         for start in range(0, len(vertices), OBJ_CHUNK_ROWS):
@@ -477,6 +481,9 @@ def export_pgm(grid: VoxelGrid, path: str, lo: float, hi: float) -> None:
     nx, ny, nz = grid.dims
     if nz != 1:
         raise ValidationError("PGM export expects a single-slice grid (nz = 1)")
+    if grid.values.size != nx * ny or not np.isfinite(grid.values).all():
+        raise ValidationError(f"a PGM image needs {nx * ny} finite samples")
+    lo, hi = real(lo, "lo"), real(hi, "hi")
     if not hi > lo:
         raise ValidationError(f"need hi > lo, got [{lo}, {hi}]")
     img = grid.values_3d()[0].astype(np.float64)  # (ny, nx)

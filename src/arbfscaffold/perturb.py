@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResultError, ValidationError, integer
+from .errors import DegenerateResultError, ValidationError, integer, real
 from .mesh import _EDGES, VolumetricMesh
 from .rng import GaussianStream, SplitMix64
 
@@ -32,14 +32,9 @@ class PerturbSpec:
     vertex_fraction: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.magnitude <= MAX_MAGNITUDE:
-            raise ValidationError(
-                f"magnitude must be in [0, {MAX_MAGNITUDE}], got {self.magnitude}"
-            )
-        if not 0.0 <= self.vertex_fraction <= 1.0:
-            raise ValidationError(
-                f"vertex_fraction must be in [0, 1], got {self.vertex_fraction}"
-            )
+        object.__setattr__(self, "magnitude", real(self.magnitude, "magnitude", 0.0, MAX_MAGNITUDE))
+        object.__setattr__(self, "vertex_fraction",
+                           real(self.vertex_fraction, "vertex_fraction", 0.0, 1.0))
         object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import textio
 from .distance import distance_tiles, squared_distance_block
-from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError
+from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError, real
 from .grid import FieldSource
 from .mesh import CenterSet, VolumetricMesh, assemble_center_set
 
@@ -60,10 +60,8 @@ class Basis:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValidationError(f"unknown basis {self.kind!r}, expected one of {BASIS_KINDS}")
-        if not np.isfinite(self.c):  # save_model writes c for every kind
-            raise ValidationError(f"shape parameter must be finite, got {self.c}")
-        if self.kind != "tps" and not self.c > 0.0:
-            raise ValidationError(f"shape parameter must be positive, got {self.c}")
+        lo = -np.inf if self.kind == "tps" else 0.0  # finite for tps too: save_model writes c
+        object.__setattr__(self, "c", real(self.c, "shape parameter", lo, above=True))
 
 
 def _fill_basis(basis: Basis, r2: np.ndarray) -> None:
@@ -235,8 +233,7 @@ def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
     factorization, a pivot below PIVOT_TOL * max|A| or a residual above
     RESIDUAL_TOL * (1 + ||f||_inf) raises SingularMatrixError.
     """
-    if not np.isfinite(lam):
-        raise ValidationError(f"lambda must be finite, got {lam}")
+    lam = real(lam, "lambda")
     a, rhs = assemble_matrix(centers, basis, lam)
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, norm  # only fits pay its import
     try:

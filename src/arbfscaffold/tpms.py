@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real
 from .grid import FieldSource
 
 TPMS_KINDS = ("p", "d", "g", "iwp")
@@ -36,8 +36,10 @@ class TpmsField(FieldSource):
     def __post_init__(self):
         if self.kind not in TPMS_KINDS:
             raise ValidationError(f"unknown TPMS kind {self.kind!r}, expected one of {TPMS_KINDS}")
-        if len(self.periods) != 3 or not all(0 < p < np.inf for p in self.periods):
-            raise ValidationError(f"periods must be 3 positive finite values, got {self.periods}")
+        if not isinstance(self.periods, (tuple, list, np.ndarray)) or len(self.periods) != 3:
+            raise ValidationError(f"periods must be 3 values, got {self.periods!r}")
+        object.__setattr__(self, "periods",
+                           tuple(real(p, "periods", 0.0, above=True) for p in self.periods))
 
     def evaluate_axes(self, x, y, z) -> np.ndarray:
         """Field values over broadcastable coordinate arrays.

@@ -297,8 +297,10 @@ def test_volume_header_rejects_impossible_values(tmp_path, line, text):
 
 def test_volume_rejects_non_finite_payload(tmp_path):
     g = make_grid(np.zeros(3), np.ones(3), 4, 0.0)
-    g.values[5] = np.nan
     stem = str(tmp_path / "vol")
     write_volume(g, stem)
+    payload = g.values.astype("<f4")
+    payload[5] = np.nan
+    payload.tofile(stem + ".raw")  # write_volume itself refuses a NaN sample
     with pytest.raises(ParseError, match="index 5"):
         read_volume(stem)
