@@ -23,8 +23,6 @@ from .mesh import (
     CenterSet,
     VolumetricMesh,
     assemble_center_set,
-    build_segments,
-    compute_centers,
     load_mesh,
     save_mesh,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "VoxelGrid",
     "assemble_center_set",
     "assemble_matrix",
-    "build_segments",
-    "compute_centers",
     "euler_characteristic",
     "eval_basis",
     "export_obj",

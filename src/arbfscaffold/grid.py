@@ -68,7 +68,8 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
     """
     if not np.all(hi >= lo):
         raise InvalidBBoxError(f"bbox must have hi >= lo, got {lo} .. {hi}")
-    resolution = integer(resolution, "resolution", 2)
+    # at most 2**36 samples (256 GiB of float32) in a square or cubic grid
+    resolution = integer(resolution, "resolution", 2, 2 ** (36 // len(lo)))
     pad = real(pad_fraction, "pad_fraction", 0.0) * float(np.linalg.norm(hi - lo))
     lo = lo - pad
     extent = (hi + pad) - lo

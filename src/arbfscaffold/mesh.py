@@ -33,7 +33,7 @@ from ._mc_tables import EDGE_CORNERS
 from .errors import ParseError, ValidationError
 
 # Relative tolerances, both scaled by the mesh bbox diagonal: the shortest
-# face-to-cell segment (build_segments) and the smallest cell measure.
+# face-to-cell segment (assemble_center_set) and the smallest cell measure.
 DEGENERATE_SEGMENT_TOL = 1e-9
 DEGENERATE_MEASURE_TOL = 1e-12
 
@@ -216,55 +216,32 @@ def _distinct_means(mesh: VolumetricMesh, groups) -> np.ndarray:
     return mesh.vertices[idx[np.sort(first)]].mean(axis=-2)
 
 
-def compute_centers(mesh: VolumetricMesh):
-    """Point-center positions: (vertices, edge centers, tile centers, cell centers).
-
-    Each entry is a (k, 3) array in cell-major order.  Vertices carry +1;
-    every derived center carries -1.  Edge and face centers shared between
-    adjacent cells appear exactly once (named by sorted vertex indices, with
-    no coordinate quantization).  For tri2d meshes the tile centers are the
-    triangle centers and the cell array is empty; for tet/hex meshes the
-    tile centers are the face centers and the cell centers are the cell
-    centroids.
-    """
-    edges = _distinct_means(mesh, _EDGES[mesh.kind])
-    whole = _distinct_means(mesh, _WHOLE[mesh.kind])
-    if mesh.kind == "tri2d":
-        return mesh.vertices.copy(), edges, whole, np.empty((0, 3))
-    return mesh.vertices.copy(), edges, _distinct_means(mesh, _FACES[mesh.kind]), whole
-
-
-def build_segments(mesh: VolumetricMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Anisotropic segment centers (seg_a, seg_b), cell-major, no dedup across cells.
-
-    tri2d: edge center -> triangle center (3 per cell);
-    tet:   face center -> cell centroid   (4 per cell);
-    hex:   face center -> cell centroid   (6 per cell).
-    """
-    tol = DEGENERATE_SEGMENT_TOL * mesh.bbox_diagonal()
-    outer = _corner_means(mesh, _FACES.get(mesh.kind, _TRI_EDGES))
-    inner = np.broadcast_to(_corner_means(mesh, _WHOLE[mesh.kind]), outer.shape)
-    if np.any(np.linalg.norm(outer - inner, axis=-1) <= tol):
-        raise ValidationError("degenerate cell: face center meets cell center")
-    return outer.reshape(-1, 3), inner.reshape(-1, 3)
-
-
 def assemble_center_set(mesh: VolumetricMesh, mode: str) -> CenterSet:
-    """Full interpolation center set for a mesh.
+    """Full interpolation center set for a mesh, in cell-major order.
 
-    ``mode`` is "isotropic" (every nodal value as a point center) or
-    "anisotropic" (vertex nodes and edge centers as points, plus the
-    face-to-cell segments; face/tile and cell centers appear only inside
-    the segments).
+    Points: the vertices (+1), the edge centers and, in "isotropic" mode,
+    the face/tile and cell centers (-1), each shared center once, named by
+    its sorted vertex indices.  A tri2d triangle is its own tile, with no
+    cell center.  "anisotropic" mode replaces the face/tile and cell centers
+    with segments from each cell's face centers (tri2d: edge centers) to its
+    center, not deduplicated: 3 per triangle, 4 per tet, 6 per hex.
     """
     if mode not in ("isotropic", "anisotropic"):
         raise ValidationError(f"unknown mode {mode!r}")
+    means = [_distinct_means(mesh, _EDGES[mesh.kind])]
+    seg_a = seg_b = np.empty((0, 3))
     if mode == "isotropic":
-        points = np.concatenate(compute_centers(mesh))
-        seg_a = seg_b = np.empty((0, 3))
+        if mesh.kind in _FACES:
+            means.append(_distinct_means(mesh, _FACES[mesh.kind]))
+        means.append(_distinct_means(mesh, _WHOLE[mesh.kind]))
     else:
-        points = np.concatenate([mesh.vertices, _distinct_means(mesh, _EDGES[mesh.kind])])
-        seg_a, seg_b = build_segments(mesh)
+        outer = _corner_means(mesh, _FACES.get(mesh.kind, _TRI_EDGES))
+        inner = np.broadcast_to(_corner_means(mesh, _WHOLE[mesh.kind]), outer.shape)
+        tol = DEGENERATE_SEGMENT_TOL * mesh.bbox_diagonal()
+        if np.any(np.linalg.norm(outer - inner, axis=-1) <= tol):
+            raise ValidationError("degenerate cell: face center meets cell center")
+        seg_a, seg_b = outer.reshape(-1, 3), inner.reshape(-1, 3)
+    points = np.concatenate([mesh.vertices, *means])
     values = np.full(len(points), -1.0)
     values[:len(mesh.vertices)] = 1.0
     return CenterSet(points, values, seg_a, seg_b)

@@ -61,7 +61,11 @@ class Basis:
         if self.kind not in BASIS_KINDS:
             raise ValidationError(f"unknown basis {self.kind!r}, expected one of {BASIS_KINDS}")
         lo = -np.inf if self.kind == "tps" else 0.0  # finite for tps too: save_model writes c
-        object.__setattr__(self, "c", real(self.c, "shape parameter", lo, above=True))
+        c = real(self.c, "shape parameter", lo, above=True)
+        if self.kind != "tps" and not 0.0 < c * c < np.inf:  # the other bases use c^2
+            raise ValidationError("shape parameter must have a square that is positive and "
+                                  f"finite, got {self.c!r}")
+        object.__setattr__(self, "c", c)
 
 
 def _fill_basis(basis: Basis, r2: np.ndarray) -> None:

@@ -22,7 +22,7 @@ from arbfscaffold.isosurface import (
     marching_cubes,
     surface_area,
 )
-from arbfscaffold.mesh import build_segments, cell_measures
+from arbfscaffold.mesh import cell_measures
 from arbfscaffold.perturb import PerturbSpec, perturb_mesh, shortest_incident_edge
 from arbfscaffold.rbf import (
     Basis,
@@ -99,7 +99,7 @@ def test_criterion_03_isotropic_equivalence(capsys):
 def test_criterion_04_sign_structure(capsys):
     mesh = samples.regular_tet_mesh()
     model = fit_mesh(mesh, IMQ, "anisotropic", lam=0.0)[0]
-    seg_a, seg_b = build_segments(mesh)
+    seg_a, seg_b = model.centers.seg_a, model.centers.seg_b
     mids = 0.5 * (seg_a + seg_b)
     mid_vals = model.evaluate_many(mids)
     vert_vals = model.evaluate_many(mesh.vertices)

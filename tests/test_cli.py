@@ -352,6 +352,26 @@ def test_non_finite_number_is_input_error(mesh_dir, tmp_path, capsys, argv, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resolution", [10**400, 10**6], ids=["1e400", "1e6"])
+def test_unusable_resolution_is_input_error(tmp_path, capsys, resolution):
+    out = str(tmp_path / "p")
+    assert main(["tpms", "--kind", "p", "--resolution", str(resolution), "--iso", "0",
+                 "--out", out]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: resolution must be in [2, 4096], got {resolution}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "mq", "imq"])
+@pytest.mark.parametrize("c", ["1e-200", "1e200"])
+def test_shape_parameter_with_no_float_square_is_input_error(mesh_dir, tmp_path, capsys, kind, c):
+    out = str(tmp_path / "m.arbf")
+    assert main(["fit", "--mesh", mesh_dir["hex8.hexmesh"], "--basis", kind, "--c", c,
+                 "--out", out]) == EXIT_INPUT
+    assert capsys.readouterr().err == ("error: shape parameter must have a square that is "
+                                       f"positive and finite, got {float(c)!r}\n")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("periods", ["1,2", "1,x,1", "1,inf,1", "1,0,1"])
 def test_bad_periods_is_an_argparse_error(periods, capsys):
     assert main(["tpms", "--kind", "p", "--periods", periods]) == EXIT_INPUT

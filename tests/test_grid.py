@@ -77,6 +77,16 @@ def test_grids_accept_python_and_numpy_integer_resolutions(build, resolution):
     assert g.dims[:2] == (9, 9)
 
 
+@pytest.mark.parametrize("build,most", [(make_grid, 4096), (make_grid_2d, 2**18)])
+@pytest.mark.parametrize("resolution", [10**400, 10**6], ids=["1e400", "1e6"])
+def test_grids_refuse_a_resolution_too_large_to_hold(build, most, resolution):
+    # 10**400 overflowed a float and 10**6 asked numpy for 3.47 EiB; both are
+    # refused before any sample array exists
+    with pytest.raises(ValidationError) as err:
+        build(np.zeros(3), np.array([1.0, 1.0, 0.0]), resolution)
+    assert str(err.value) == f"resolution must be in [2, {most}], got {resolution}"
+
+
 def test_make_grid_rejects_a_bbox_without_three_coordinates():
     # a ScaffoldError, not numpy's "cannot reshape" ValueError
     with pytest.raises(ValidationError, match="3 coordinates"):

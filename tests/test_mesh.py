@@ -11,9 +11,7 @@ from arbfscaffold.errors import ParseError, ValidationError
 from arbfscaffold.mesh import (
     CenterSet,
     VolumetricMesh,
-    build_segments,
     cell_measures,
-    compute_centers,
     infer_format,
 )
 
@@ -121,7 +119,7 @@ def test_center_set_rejects_mismatched_or_empty_arrays():
         CenterSet(np.empty((0, 3)), [])
 
 
-def test_build_segments_rejects_face_center_on_cell_center():
+def test_anisotropic_set_rejects_face_center_on_cell_center():
     # corner 7 sits below the bottom face, so the top face's center and the
     # cell center both land on the bottom face's center; the volume is 1/3
     verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
@@ -129,7 +127,7 @@ def test_build_segments_rejects_face_center_on_cell_center():
     mesh = VolumetricMesh("hex", verts, [list(range(8))])
     assert cell_measures(mesh) == pytest.approx([1.0 / 3.0])
     with pytest.raises(ValidationError, match="degenerate cell: face center meets cell center"):
-        build_segments(mesh)
+        ax.assemble_center_set(mesh, "anisotropic")
 
 
 def test_unknown_mode_format_and_kind_are_rejected(tmp_path, tet_mesh):
@@ -177,16 +175,32 @@ def test_nodal_value_signs_are_constrained():
 # --- center extraction ---------------------------------------------------
 
 
+def center_groups(mesh):
+    """(vertices, edge centers, tile/face centers, cell centers) of the isotropic set.
+
+    Both sets share their vertex and edge-center rows; the isotropic set
+    ends with one centroid per tet/hex cell, and a 2D cell is itself the
+    tile, so a tri2d mesh has no cell rows.
+    """
+    iso = ax.assemble_center_set(mesh, "isotropic")
+    aniso = ax.assemble_center_set(mesh, "anisotropic")
+    nv, ne = len(mesh.vertices), len(aniso.points) - len(mesh.vertices)
+    assert np.array_equal(iso.points[:nv + ne], aniso.points)
+    assert np.array_equal(iso.points[:nv], mesh.vertices)
+    nc = 0 if mesh.kind == "tri2d" else len(mesh.cells)
+    centroids = mesh.vertices[np.sort(mesh.cells, axis=1)].mean(axis=1)
+    assert np.array_equal(iso.points[len(iso.points) - nc:], centroids[:nc])
+    return np.split(iso.points, [nv, nv + ne, len(iso.points) - nc])
+
+
 def test_center_counts_single_cells(tri_mesh, tet_mesh, hex_mesh):
-    # (vertices, edge centers, tile/face centers, cell centers);
-    # a 2D cell is itself the tile, so the triangle has no separate cell row
-    counts = [tuple(len(g) for g in compute_centers(m))
+    counts = [tuple(len(g) for g in center_groups(m))
               for m in (tri_mesh, tet_mesh, hex_mesh)]
     assert counts == [(3, 3, 1, 0), (4, 6, 4, 1), (8, 12, 6, 1)]
 
 
 def test_center_counts_block(block_mesh):
-    vn, ec, tc, cc = compute_centers(block_mesh)
+    vn, ec, tc, cc = center_groups(block_mesh)
     # 3x3x3 vertex lattice; 54 edges, 36 faces, 8 cells after sharing
     assert (len(vn), len(ec), len(tc), len(cc)) == (27, 54, 36, 8)
 
@@ -215,33 +229,36 @@ def test_center_set_sizes():
 
 def test_all_nodal_signs():
     mesh = samples.hex_block_mesh()
-    vn, ec, tc, cc = compute_centers(mesh)
-    iso = ax.assemble_center_set(mesh, "isotropic")
-    assert len(iso.points) == len(vn) + len(ec) + len(tc) + len(cc)
-    assert np.all(iso.point_values[:len(vn)] == 1.0)
-    assert np.all(iso.point_values[len(vn):] == -1.0)
-    aniso = ax.assemble_center_set(mesh, "anisotropic")
-    assert len(aniso.seg_a) == len(build_segments(mesh)[0])
-    assert np.all(aniso.values[len(aniso.points):] == -1.0)
+    nv = len(mesh.vertices)
+    for mode in ("isotropic", "anisotropic"):
+        cs = ax.assemble_center_set(mesh, mode)
+        assert np.all(cs.point_values[:nv] == 1.0)
+        assert np.all(cs.point_values[nv:] == -1.0)
+    assert len(cs.seg_a) == 6 * len(mesh.cells)
+    assert np.all(cs.values[len(cs.points):] == -1.0)
 
 
 def test_shared_centers_are_deduplicated():
     mesh = two_tet_mesh()
-    vn, ec, tc, cc = compute_centers(mesh)
+    vn, ec, tc, cc = center_groups(mesh)
     # 5 vertices; 9 distinct edges (6+6 with 3 shared); 7 faces (4+4 minus shared)
     assert (len(vn), len(ec), len(tc), len(cc)) == (5, 9, 7, 2)
 
 
 def test_shared_face_center_is_bit_identical():
     mesh = two_tet_mesh()
-    _, _, tc, _ = compute_centers(mesh)
+    _, _, tc, _ = center_groups(mesh)
     shared = np.array([1.0, 1.0, 0.0]) / 3.0
     hits = [c for c in tc if np.array_equal(c, shared)]
     assert len(hits) == 1
+    # each tet's segment starts on that center with the same bits
+    seg_a = ax.assemble_center_set(mesh, "anisotropic").seg_a
+    assert sum(np.array_equal(a, shared) for a in seg_a) == 2
 
 
 def test_segments_run_from_face_to_cell_center(tet_mesh):
-    seg_a, seg_b = build_segments(tet_mesh)
+    aniso = ax.assemble_center_set(tet_mesh, "anisotropic")
+    seg_a, seg_b = aniso.seg_a, aniso.seg_b
     cell = tet_mesh.vertices.mean(axis=0)
     assert len(seg_a) == len(seg_b) == 4
     for b in seg_b:
@@ -250,7 +267,8 @@ def test_segments_run_from_face_to_cell_center(tet_mesh):
 
 def test_centers_lie_inside_bbox(icosa_mesh):
     lo, hi = icosa_mesh.bbox()
-    for group in compute_centers(icosa_mesh):
+    aniso = ax.assemble_center_set(icosa_mesh, "anisotropic")
+    for group in (*center_groups(icosa_mesh), aniso.seg_a, aniso.seg_b):
         for c in group:
             assert np.all(c >= lo - 1e-12)
             assert np.all(c <= hi + 1e-12)

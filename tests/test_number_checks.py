@@ -83,9 +83,9 @@ def _floats(lo, hi, above=False):
 
 
 ENTRIES = [
-    _int("make_grid-resolution", "resolution", 2, INF,
+    _int("make_grid-resolution", "resolution", 2, 4096,
          lambda v: _grid_bytes(ax.make_grid(np.zeros(3), np.ones(3), v)), st.integers(2, 40)),
-    _int("make_grid_2d-resolution", "resolution", 2, INF,
+    _int("make_grid_2d-resolution", "resolution", 2, 2**18,
          lambda v: _grid_bytes(ax.make_grid_2d(np.zeros(2), np.ones(2), v)), st.integers(2, 40)),
     _real("make_grid-pad", "pad_fraction", 0.0, INF,
           lambda v: _grid_bytes(ax.make_grid(np.zeros(3), np.ones(3), 8, v)), _floats(0.0, 3.0)),
@@ -187,6 +187,20 @@ def test_a_refused_number_raises_before_any_numpy_warning():
             ax.marching_cubes(_GRID, np.nan)
         with pytest.raises(ValidationError, match=r"^worker count must be an integer, got nan$"):
             ax.sample_field(ax.TpmsField("p"), _GRID, workers=np.nan)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "mq", "imq"])
+@pytest.mark.parametrize("c", [1e-200, 1e200, np.float64(1e-170), np.float64(1e160)])
+def test_basis_refuses_a_shape_parameter_whose_square_is_zero_or_inf(kind, c):
+    # c^2 underflowed to 0 (imq gave inf at r = 0, mq a distance matrix) or overflowed
+    with pytest.raises(ValidationError) as err:
+        ax.Basis(kind, c)
+    assert str(err.value) == ("shape parameter must have a square that is positive and "
+                              f"finite, got {c!r}")
+    assert [ax.Basis(kind, x).c for x in (1e-150, 1e150)] == [1e-150, 1e150]
+    # tps does not use c, so any finite c leaves its values as they are
+    assert np.array_equal(ax.eval_basis(ax.Basis("tps", c), _R),
+                          ax.eval_basis(ax.Basis("tps", 1.0), _R))
 
 
 def test_checked_numbers_are_stored_as_python_numbers():

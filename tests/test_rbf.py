@@ -10,7 +10,7 @@ from arbfscaffold.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from arbfscaffold.mesh import CenterSet, build_segments
+from arbfscaffold.mesh import CenterSet
 from arbfscaffold.rbf import (
     Basis,
     assemble_matrix,
@@ -233,7 +233,7 @@ def test_isotropic_point_set_mode_equivalence(tet_mesh):
 
 def test_regular_tet_sign_structure(regular_tet):
     model = fit_mesh(regular_tet, Basis("imq", 0.1), "anisotropic")[0]
-    seg_a, seg_b = build_segments(regular_tet)
+    seg_a, seg_b = model.centers.seg_a, model.centers.seg_b
     mids = 0.5 * (seg_a + seg_b)
     vals = model.evaluate_many(mids)
     assert np.allclose(vals, -0.7579543325824778, atol=1e-9)
@@ -246,7 +246,7 @@ def test_corner_tet_diagonal_channel(tet_mesh):
     # takes a positive weight: the field stays positive along that channel.
     # Rederived independently by dense sampling + a reference linear solve.
     model = fit_mesh(tet_mesh, Basis("imq", 0.1), "anisotropic")[0]
-    seg_a, seg_b = build_segments(tet_mesh)
+    seg_a, seg_b = model.centers.seg_a, model.centers.seg_b
     mids = 0.5 * (seg_a + seg_b)
     vals = model.evaluate_many(mids)
     assert np.allclose(vals[:3], -4.153083975028432, atol=1e-9)
