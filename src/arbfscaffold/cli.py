@@ -227,10 +227,13 @@ def _add_fit_flags(p):
 def _add_grid_flags(p):
     p.add_argument("--resolution", type=int, default=64,
                    help="samples along the longest axis (default: 64)")
-    p.add_argument("--pad", type=float, default=0.05,
-                   help="bbox padding as a fraction of its diagonal (default: 0.05)")
     p.add_argument("--workers", type=int, default=1,
                    help="sampling worker count; 0 = all cores (default: 1)")
+
+
+def _add_pad_flag(p):  # for a model's bbox; tpms samples a fixed domain
+    p.add_argument("--pad", type=float, default=0.05,
+                   help="bbox padding as a fraction of its diagonal (default: 0.05)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample a fitted model onto a voxel grid")
     p.add_argument("--model", required=True, help="model file from 'fit'")
     _add_grid_flags(p)
+    _add_pad_flag(p)
     p.add_argument("--out", help="output volume stem (default: <model stem>)")
     _add_stats_flag(p)
     p.set_defaults(func=cmd_sample)
@@ -289,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_flags(p)
     _add_fit_flags(p)
     _add_grid_flags(p)
+    _add_pad_flag(p)
     p.add_argument("--iso", type=_iso_list, required=True,
                    help="comma-separated iso values (use --iso=-0.5,0,0.5)")
     p.add_argument("--out", help="output stem (default: mesh stem)")

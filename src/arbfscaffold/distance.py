@@ -48,21 +48,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import point_array
 
 # A point whose perpendicular residual to the carrying line falls below this
 # is treated as lying on the segment exactly.
 ON_SEGMENT_TOL = 1e-12
 # Tiled kernels work on about this many point-center pairs at a time.
 TILE_ELEMS = 2**17
-
-
-def as_points(x) -> np.ndarray:
-    """(n, 3) float64 rows from an (n, 3) array or a single (3,) point."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (3,) and (x.ndim != 2 or x.shape[1] != 3):
-        raise ValidationError(f"points must have shape (n, 3) or (3,), got {x.shape}")
-    return x.reshape(-1, 3)
 
 
 def _tables(c, qk, ak, dk):
@@ -91,7 +83,7 @@ def _segment_frame(a, b):
     loop over the segments has unit stride.  The divisor is the squared
     length, or 1 for a degenerate segment, where d == 0 and so t == 0.
     """
-    a, b = as_points(a), as_points(b)
+    a, b = point_array(a, "seg_a"), point_array(b, "seg_b")
     d = b - a
     first = (d != 0.0).argmax(axis=1)  # first axis where the endpoints differ
     swap = (d[np.arange(len(d)), first] < 0.0)[:, None]
@@ -156,7 +148,7 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
     the S segments [seg_a, seg_b].  Every block is a view of one buffer,
     sized for the call's largest tile, so a caller may overwrite it in place.
     """
-    points = as_points(points).T.copy()  # (3, P) rows, as the segment frame's
+    points = point_array(points, "points").T.copy()  # (3, P) rows, as the segment frame's
     a, d, dd, live = _segment_frame(seg_a, seg_b)
     p, s = points.shape[1], a.shape[1]
     n = max(p + s, 1)
@@ -185,7 +177,8 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
 
 def squared_distance_block(q, points, seg_a, seg_b) -> np.ndarray:
     """(len(q), P + S) squared distances from each row of ``q`` to the points, then the segments."""
-    q, points, seg_a = as_points(q), as_points(points), as_points(seg_a)
+    q = point_array(q, "q")
+    points, seg_a = point_array(points, "points"), point_array(seg_a, "seg_a")
     out = np.empty((len(q), len(points) + len(seg_a)))
     for rows, _, block in distance_tiles(q[:, :1], q[:, 1:2], q[:, 2:], points, seg_a, seg_b):
         out[rows] = block[:, 0]

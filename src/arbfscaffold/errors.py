@@ -1,8 +1,10 @@
-"""Exception types shared across the library, and integer() and real(), the one check of
-each number its API takes: a wrong kind, a non-finite real or a value out of range."""
+"""Exception types shared across the library, and integer(), real(), point_array() and
+index_array(), the one check of each number and array its API takes."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ScaffoldError(Exception):
@@ -35,8 +37,8 @@ class SingularMatrixError(ScaffoldError):
     """The interpolation system is singular or numerically rank-deficient."""
 
 
-class InvalidBBoxError(ScaffoldError):
-    """A bounding box has non-positive extent along some axis."""
+class InvalidBBoxError(ValidationError):
+    """A bounding box has hi < lo, or a padded extent that is not positive and finite."""
 
 
 class HeaderMismatchError(ScaffoldError):
@@ -75,3 +77,43 @@ def _within(x, value, name: str, lo, hi, above: bool):
     bounds = (f"in {'(' if above else '['}{lo:g}, {hi:g}]" if hi < math.inf
               else f"{'>' if above else '>='} {lo:g}")
     raise ValidationError(f"{name} must be {bounds}, got {value!r}")
+
+
+def point_array(value, name: str) -> np.ndarray:
+    """``value`` as a C-contiguous float64 (n, 3) array of finite coordinates, one row for a
+    single (3,) point; such an array comes back without a copy."""
+    try:
+        a = np.ascontiguousarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be a numeric array: {exc}") from None
+    if a.shape == (3,):
+        a = a.reshape(1, 3)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValidationError(f"{name} must have shape (n, 3) or (3,), got {a.shape}")
+    if not np.isfinite(a).all():
+        i = int(np.argmin(np.isfinite(a).all(axis=1)))
+        raise ValidationError(f"{name} must be finite, got {a[i]} at row {i}")
+    return a
+
+
+def index_array(value, name: str, n: int, width: int) -> np.ndarray:
+    """``value`` as a signed-integer (m, width) array of indices in 0..n - 1: integral floats
+    and unsigned integers become int64, and a signed-integer array comes back without a copy."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a numeric array: {exc}") from None
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must hold integers, got dtype {a.dtype}")
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValidationError(f"{name} must have shape (m, {width}), got {a.shape}")
+    if a.size:
+        if a.dtype.kind == "f":
+            whole = np.isfinite(a) & (a == np.floor(a))
+            if not whole.all():
+                raise ValidationError(f"{name} must hold integers, got {a[~whole][0]}")
+        lo, hi = a.min(), a.max()
+        if lo < 0 or hi >= n:
+            raise ValidationError(f"{name} must hold indices in 0..{n - 1}, "
+                                  f"got {int(lo if lo < 0 else hi)}")
+    return a if a.dtype.kind == "i" else a.astype(np.int64)

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .distance import as_points
 from .errors import (HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError,
-                     integer, real)
+                     integer, point_array, real)
 
 
 @dataclass(eq=False)
@@ -70,20 +69,22 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
         raise InvalidBBoxError(f"bbox must have hi >= lo, got {lo} .. {hi}")
     # at most 2**36 samples (256 GiB of float32) in a square or cubic grid
     resolution = integer(resolution, "resolution", 2, 2 ** (36 // len(lo)))
-    pad = real(pad_fraction, "pad_fraction", 0.0) * float(np.linalg.norm(hi - lo))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        pad = real(pad_fraction, "pad_fraction", 0.0) * float(np.linalg.norm(hi - lo))
+        extent = (hi + pad) - (lo - pad)
+    if not np.all((extent > 0) & (extent < np.inf)):  # NaN fails both
+        raise InvalidBBoxError(f"bbox {lo} .. {hi} padded by {pad_fraction!r} of its diagonal "
+                               f"must have a positive, finite extent, got {extent}")
     lo = lo - pad
-    extent = (hi + pad) - lo
-    if not np.all(extent > 0):
-        raise InvalidBBoxError(f"padded bbox must have positive extent, got {lo} .. {hi + pad}")
     longest = float(extent.max())
     dims = tuple(max(2, int(round(resolution * float(e) / longest))) for e in extent)
     return lo, extent / (np.array(dims, dtype=np.float64) - 1.0), dims
 
 
 def _bbox_corners(bbox_min, bbox_max, sizes):
-    """The bbox corners as float64 vectors of one length, which must be in ``sizes``."""
-    lo = np.asarray(bbox_min, dtype=np.float64).ravel()
-    hi = np.asarray(bbox_max, dtype=np.float64).ravel()
+    """The bbox corners as finite float64 vectors of one length, which must be in ``sizes``."""
+    lo = np.array([real(v, "bbox_min") for v in np.ravel(bbox_min)], dtype=np.float64)
+    hi = np.array([real(v, "bbox_max") for v in np.ravel(bbox_max)], dtype=np.float64)
     if lo.size != hi.size or lo.size not in sizes:
         raise ValidationError(f"bbox corners must have {' or '.join(map(str, sizes))} "
                               f"coordinates each, got {lo.size} and {hi.size}")
@@ -123,14 +124,14 @@ class FieldSource:
 
     def evaluate_many(self, pts) -> np.ndarray:
         """Field values at each row of ``pts`` (n, 3), via evaluate_axes."""
-        pts = as_points(pts)
+        pts = point_array(pts, "points")
         return self.evaluate_axes(pts[:, 0, None], pts[:, 1, None], pts[:, 2, None])[:, 0]
 
     def evaluate(self, p) -> float:
         """Field value at one point of shape (3,) or (1, 3)."""
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape not in ((3,), (1, 3)):
-            raise ValidationError(f"a point must have shape (3,) or (1, 3), got {p.shape}")
+        p = point_array(p, "point")
+        if len(p) != 1:
+            raise ValidationError(f"point must have shape (3,) or (1, 3), got {len(p)} rows")
         return float(self.evaluate_many(p)[0])
 
 

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import textio
 from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
-from .errors import ValidationError, real
+from .errors import ValidationError, index_array, point_array, real
 from .grid import VoxelGrid
 from .mesh import triangle_areas
 
@@ -100,18 +100,16 @@ class ContourSet:
 
 
 def surface_area(soup: TriangleSoup) -> float:
-    if len(soup.triangles) == 0:
-        return 0.0
-    return float(triangle_areas(soup.vertices, soup.triangles).sum())
+    vertices = point_array(soup.vertices, "vertices")
+    tris = index_array(soup.triangles, "triangles", len(vertices), 3)
+    return float(triangle_areas(vertices, tris).sum())
 
 
 def euler_characteristic(soup: TriangleSoup) -> int:
     """V - E + F over the welded mesh (E = distinct undirected edges)."""
-    if len(soup.triangles) == 0:
-        return 0
-    tris = soup.triangles
+    nv = len(soup.vertices)
+    tris = index_array(soup.triangles, "triangles", nv, 3)
     a, b = tris, np.roll(tris, -1, axis=1)   # edges (0,1), (1,2), (2,0)
-    nv = int(tris.max()) + 1
     # keys reach nv**2, so they are built in int64 whatever the index dtype
     n_edges = len(np.unique(np.minimum(a, b).astype(np.int64) * nv + np.maximum(a, b)))
     n_verts = len(np.unique(tris))
@@ -348,8 +346,9 @@ def _put_digits(out: np.ndarray, v: np.ndarray) -> None:
         v = q
 
 
-def _face_lines(tris: np.ndarray) -> bytes:
-    """'f a b c' lines of (rows, 3) indices."""
+def _face_lines(tris: np.ndarray, nv: int) -> bytes:
+    """'f a b c' lines of (rows, 3) indices in 0..nv - 1, made 1-based in a dtype that holds nv."""
+    tris = np.add(tris, 1, dtype=np.promote_types(tris.dtype, _index_dtype(nv)))
     words = _line_words(len(tris), 1 + _groups(tris), "f")
     _put_digits(words[:, :, 1:], tris)
     return _line_bytes(words)
@@ -401,48 +400,19 @@ def _vertex_lines(x: np.ndarray) -> bytes:
     return _line_bytes(words)
 
 
-def _face_indices(triangles, nv: int) -> np.ndarray:
-    """The triangles as integers in 0..nv - 1 whose 1-based form cannot wrap.
-
-    A signed integer array at least as wide as ``_index_dtype(nv)`` is kept
-    as it is, with no copy; integral floats and other integers become that
-    dtype, which holds the 1-based index nv too.
-    """
-    tris = np.asarray(triangles)
-    if tris.dtype.kind not in "iuf":
-        raise ValidationError(f"triangle indices must be integers, got dtype {tris.dtype}")
-    if tris.size == 0:
-        return tris
-    if tris.dtype.kind == "f":
-        whole = np.isfinite(tris) & (tris == np.floor(tris))
-        if not whole.all():
-            raise ValidationError(f"triangle index {tris[~whole][0]} is not an integer")
-    if tris.min() < 0:
-        raise ValidationError("triangle vertex indices must be >= 0")
-    if tris.max() >= nv:
-        raise ValidationError(f"triangle vertex index {int(tris.max())} out of range "
-                              f"for {nv} vertices")
-    dtype = _index_dtype(nv)
-    if tris.dtype.kind == "i" and tris.dtype.itemsize >= dtype.itemsize:
-        return tris
-    return tris.astype(dtype)
-
-
 def export_obj(soup: TriangleSoup, path: str) -> None:
     """ASCII OBJ: 'v x y z' lines (%.9g) then 1-based 'f a b c' lines.
 
-    Finite (nv, 3) vertices and triangle indices in 0..nv - 1, integers or
-    integral floats, are checked before the file is created.
+    Finite (nv, 3) vertices and (nt, 3) triangle indices in 0..nv - 1,
+    integers or integral floats, are checked before the file is created.
     """
-    vertices = np.asarray(soup.vertices, dtype=np.float64)
-    if vertices.ndim != 2 or vertices.shape[1] != 3 or not np.isfinite(vertices).all():
-        raise ValidationError(f"vertices must be a finite (nv, 3) array, shape {vertices.shape}")
-    triangles = _face_indices(soup.triangles, len(vertices))
+    vertices = point_array(soup.vertices, "vertices")
+    triangles = index_array(soup.triangles, "triangles", len(vertices), 3)
     with textio.create(path, "wb") as fh:
         for start in range(0, len(vertices), OBJ_CHUNK_ROWS):
             fh.write(_vertex_lines(vertices[start: start + OBJ_CHUNK_ROWS]))
         for start in range(0, len(triangles), OBJ_CHUNK_ROWS):
-            fh.write(_face_lines(triangles[start: start + OBJ_CHUNK_ROWS] + 1))
+            fh.write(_face_lines(triangles[start: start + OBJ_CHUNK_ROWS], len(vertices)))
 
 
 def load_obj(path: str) -> TriangleSoup:

@@ -30,12 +30,14 @@ import numpy as np
 
 from . import textio
 from ._mc_tables import EDGE_CORNERS
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, index_array, point_array
 
 # Relative tolerances, both scaled by the mesh bbox diagonal: the shortest
 # face-to-cell segment (assemble_center_set) and the smallest cell measure.
 DEGENERATE_SEGMENT_TOL = 1e-9
 DEGENERATE_MEASURE_TOL = 1e-12
+# Largest vertex coordinate magnitude: cell measures, diagonal ** dim and r² stay in float64.
+MAX_COORDINATE = 1e100
 
 MESH_KINDS = ("tri2d", "tet", "hex")
 _CELL_ARITY = {"tri2d": 3, "tet": 4, "hex": 8}
@@ -74,10 +76,10 @@ class CenterSet:
     seg_b: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        self.points = point_array(self.points, "points")
         self.point_values = np.asarray(self.point_values, dtype=np.float64).reshape(-1)
-        self.seg_a = np.asarray(self.seg_a, dtype=np.float64).reshape(-1, 3)
-        self.seg_b = np.asarray(self.seg_b, dtype=np.float64).reshape(-1, 3)
+        self.seg_a = point_array(self.seg_a, "seg_a")
+        self.seg_b = point_array(self.seg_b, "seg_b")
         if len(self.point_values) != len(self.points):
             raise ValidationError("one value per point center required")
         if len(self.seg_a) != len(self.seg_b):
@@ -86,8 +88,6 @@ class CenterSet:
             raise ValidationError("center set is empty")
         if not np.all(np.isin(self.point_values, (1.0, -1.0))):
             raise ValidationError(f"point values must be +1 or -1, got {self.point_values}")
-        if not all(np.isfinite(a).all() for a in (self.points, self.seg_a, self.seg_b)):
-            raise ValidationError("center coordinates must be finite")
 
     def __len__(self) -> int:
         return len(self.points) + len(self.seg_a)
@@ -107,9 +107,9 @@ class VolumetricMesh:
     """Vertices (nv, 3) float64 plus int64 cells (nc, arity), checked when built.
 
     Construction converts the array-likes and raises ValidationError on an
-    unknown kind, a wrong shape, a non-finite coordinate, a non-integer or
-    out-of-range index, a cell that repeats another's vertex set, a vertex
-    no cell uses or a degenerate cell.
+    unknown kind, a wrong shape, a non-finite coordinate or one beyond
+    MAX_COORDINATE, a non-integer or out-of-range index, a cell that repeats
+    another's vertex set, a vertex no cell uses or a degenerate cell.
     """
 
     kind: str
@@ -119,27 +119,15 @@ class VolumetricMesh:
     def __post_init__(self):
         if self.kind not in MESH_KINDS:
             raise ValidationError(f"unknown mesh kind {self.kind!r}")
-        try:
-            verts = np.ascontiguousarray(self.vertices, dtype=np.float64)
-            cells = np.asarray(self.cells)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"vertices and cells must be numeric arrays: {exc}") from None
-        if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:
-            raise ValidationError("vertices must be a non-empty (nv, 3) array")
-        if not np.all(np.isfinite(verts)):
-            raise ValidationError("vertex coordinates must be finite")
-        arity = _CELL_ARITY[self.kind]
-        if cells.ndim != 2 or cells.shape[1] != arity or len(cells) == 0:
-            raise ValidationError(f"{self.kind} cells must be a non-empty (nc, {arity}) array")
-        if cells.dtype.kind not in "iuf":
-            raise ValidationError(f"cell indices must be integers, got dtype {cells.dtype}")
-        whole = np.isfinite(cells) & (cells == np.floor(cells))
-        if not whole.all():
-            raise ValidationError(f"cell index {cells[~whole][0]} is not an integer")
-        if cells.min() < 0 or cells.max() >= len(verts):
-            raise ValidationError(f"cell index out of range: valid indices are 0..{len(verts) - 1}")
-        self.vertices = verts
+        self.vertices = verts = point_array(self.vertices, "vertices")
+        cells = index_array(self.cells, f"{self.kind} cells", len(verts), _CELL_ARITY[self.kind])
+        if not len(cells):
+            raise ValidationError(f"{self.kind} cells must be non-empty")
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
+        lo, hi = self.bbox()
+        if max(-lo.min(), hi.max()) > MAX_COORDINATE:
+            raise ValidationError(f"vertices must have coordinates of magnitude at most "
+                                  f"{MAX_COORDINATE:g}, got {max(-lo.min(), hi.max()):g}")
         # a cell is named by its sorted vertex indices, as _distinct_means names entities
         _, first, inverse = np.unique(np.sort(self.cells, axis=1), axis=0,
                                       return_index=True, return_inverse=True)
@@ -150,7 +138,7 @@ class VolumetricMesh:
         unused = np.flatnonzero(np.bincount(self.cells.ravel(), minlength=len(verts)) == 0)
         if len(unused):
             raise ValidationError(f"vertex {unused[0]} is used by no cell")
-        floor = DEGENERATE_MEASURE_TOL * self.bbox_diagonal() ** _CELL_DIM[self.kind]
+        floor = DEGENERATE_MEASURE_TOL * float(np.linalg.norm(hi - lo)) ** _CELL_DIM[self.kind]
         measures = cell_measures(self)
         bad = np.flatnonzero(measures <= floor)
         if len(bad):

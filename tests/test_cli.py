@@ -192,6 +192,15 @@ def test_tpms_subcommand(tmp_path):
     assert os.path.exists(out + "_iso0.obj")
 
 
+def test_tpms_takes_no_pad(tmp_path, capsys):
+    # the TPMS domain is fixed at [0, 2 pi]^3, so a --pad would be ignored
+    out = str(tmp_path / "gyroid")
+    rc = main(["tpms", "--kind", "g", "--resolution", "8", "--pad", "0.1", "--out", out])
+    assert rc == EXIT_INPUT
+    assert "--pad" in capsys.readouterr().err
+    assert not os.path.exists(out + ".vhdr")
+
+
 def test_perturb_subcommand(mesh_dir, capsys):
     src = mesh_dir["hex8.hexmesh"]
     rc = main(["perturb", "--mesh", src, "--seed", "7", "--magnitude", "0.2"])

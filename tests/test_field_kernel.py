@@ -115,5 +115,5 @@ def test_evaluate_takes_one_point_and_rejects_other_shapes(source):
     p = np.array([0.1, 0.2, 0.3])
     assert field.evaluate(p) == field.evaluate(p[None, :]) == field.evaluate_many(p)[0]
     for bad in ([0.1, 0.2, 0.3, 0.4], np.zeros((2, 3)), np.zeros((1, 1, 3))):
-        with pytest.raises(ValidationError, match=r"\(3,\) or \(1, 3\)"):
+        with pytest.raises(ValidationError, match=r"^point must .*\(3,\)"):
             field.evaluate(bad)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arbfscaffold.errors import ParseError, ValidationError
+from arbfscaffold.errors import ParseError, ValidationError, index_array
 from arbfscaffold.grid import VoxelGrid, make_grid, make_grid_2d, sample_field
 from arbfscaffold.isosurface import (
     TriangleSoup,
-    _face_indices,
     _face_lines,
     euler_characteristic,
     export_obj,
@@ -245,28 +244,30 @@ def test_obj_bytes_do_not_depend_on_the_index_dtype(tmp_path):
 
 def test_obj_face_indices_past_int32_do_not_wrap():
     # 2**31 - 1 is the largest int32: its 1-based index needs int64, which
-    # _index_dtype gives from 2**31 vertices on.
+    # _index_dtype gives from 2**31 vertices on.  export_obj passes the
+    # checked triangles, with no copy, to _face_lines.
     last = 2 ** 31 - 1
     for dtype in (np.int32, np.int64):
-        tris = _face_indices(np.array([[0, 1, last]], dtype=dtype), last + 1)
-        assert _face_lines(tris + 1) == f"f 1 2 {last + 1}\n".encode()
+        tris = np.array([[0, 1, last]], dtype=dtype)
+        assert index_array(tris, "triangles", last + 1, 3) is tris
+        assert _face_lines(tris, last + 1) == f"f 1 2 {last + 1}\n".encode()
     big = np.array([[0, 2 ** 40, 2 ** 31]])
-    assert _face_lines(big + 1) == f"f 1 {2 ** 40 + 1} {2 ** 31 + 1}\n".encode()
+    assert _face_lines(big, 2 ** 40 + 1) == f"f 1 {2 ** 40 + 1} {2 ** 31 + 1}\n".encode()
 
 
 def test_obj_export_rejects_indices_past_the_vertices(tmp_path):
     path = tmp_path / "past.obj"
     soup = TriangleSoup(np.zeros((3, 3)), [[0, 1, 5]])
-    with pytest.raises(ValidationError, match="vertex index 5 out of range for 3 vertices"):
+    with pytest.raises(ValidationError, match=r"triangles must hold indices in 0\.\.2, got 5"):
         export_obj(soup, str(path))
     assert not path.exists()
 
 
 @pytest.mark.parametrize("triangles,message", [
-    ([[0, 1, 2.5]], "triangle index 2.5 is not an integer"),
-    ([[0, 1, np.nan]], "triangle index nan is not an integer"),
-    ([[0, 1, -1.0]], "indices must be >= 0"),
-    ([["0", "1", "2"]], "must be integers"),
+    ([[0, 1, 2.5]], "triangles must hold integers, got 2.5"),
+    ([[0, 1, np.nan]], "triangles must hold integers, got nan"),
+    ([[0, 1, -1.0]], r"triangles must hold indices in 0\.\.2, got -1"),
+    ([["0", "1", "2"]], "triangles must hold integers, got dtype <U1"),
 ], ids=["fraction", "nan", "negative-float", "strings"])
 def test_obj_export_rejects_non_integral_indices(tmp_path, triangles, message):
     soup = TriangleSoup(vertices=np.eye(3), triangles=np.array(triangles))
@@ -276,7 +277,7 @@ def test_obj_export_rejects_non_integral_indices(tmp_path, triangles, message):
 
 def test_obj_export_rejects_negative_indices(tmp_path):
     soup = TriangleSoup(vertices=np.eye(3), triangles=np.array([[0, 1, -1]]))
-    with pytest.raises(ValidationError, match="indices must be >= 0"):
+    with pytest.raises(ValidationError, match=r"triangles must hold indices in 0\.\.2, got -1"):
         export_obj(soup, str(tmp_path / "neg.obj"))
 
 

@@ -350,7 +350,7 @@ def test_obj_bytes_match_reference_on_edge_values(obj_dir, coords, indices):
         assert _vertex_lines(vertices) == reference_obj_bytes(
             TriangleSoup(vertices=vertices), obj_dir / "ref.obj")
     if len(tris):
-        assert _face_lines(tris + 1) == "".join(
+        assert _face_lines(tris, int(tris.max()) + 1) == "".join(
             "f %d %d %d\n" % tuple(t) for t in (tris + 1).tolist()).encode()
 
 

@@ -44,19 +44,20 @@ def test_block_measures_sum_to_unit_cube(block_mesh):
 def test_mesh_rejects_bad_input():
     # "tri2d" is a valid kind, so each raise below comes from the check it names
     verts = np.eye(3)
-    with pytest.raises(ValidationError, match=r"vertices must be a non-empty \(nv, 3\) array"):
+    with pytest.raises(ValidationError,
+                       match=r"vertices must have shape \(n, 3\) or \(3,\), got \(3, 2\)"):
         VolumetricMesh("tri2d", verts[:, :2], [[0, 1, 2]])  # 2 columns
-    with pytest.raises(ValidationError, match=r"vertices must be a non-empty \(nv, 3\) array"):
-        VolumetricMesh("tri2d", np.empty((0, 3)), [[0, 1, 2]])
-    with pytest.raises(ValidationError, match="vertex coordinates must be finite"):
+    with pytest.raises(ValidationError, match=r"tri2d cells must hold indices in 0\.\.-1"):
+        VolumetricMesh("tri2d", np.empty((0, 3)), [[0, 1, 2]])  # no vertex to name
+    with pytest.raises(ValidationError, match="vertices must be finite, got .* at row 2"):
         VolumetricMesh("tri2d", [[0, 0, 0], [1, 0, 0], [0, np.nan, 0]], [[0, 1, 2]])
     for bad in (5, -1):
         with pytest.raises(ValidationError,
-                           match=r"cell index out of range: valid indices are 0\.\.2"):
+                           match=rf"tri2d cells must hold indices in 0\.\.2, got {bad}"):
             VolumetricMesh("tri2d", verts, [[0, 1, bad]])
-    with pytest.raises(ValidationError, match=r"tri2d cells must be a non-empty \(nc, 3\) array"):
+    with pytest.raises(ValidationError, match=r"tri2d cells must have shape \(m, 3\), got \(1, 4\)"):
         VolumetricMesh("tri2d", verts, [[0, 1, 2, 0]])  # wrong arity for kind
-    with pytest.raises(ValidationError, match=r"tet cells must be a non-empty \(nc, 4\) array"):
+    with pytest.raises(ValidationError, match="tet cells must be non-empty"):
         VolumetricMesh("tet", verts, np.empty((0, 4)))
     with pytest.raises(ValidationError, match="unknown mesh kind 'prism'"):
         VolumetricMesh("prism", verts, [[0, 1, 2]])
@@ -70,16 +71,16 @@ def test_mesh_rejects_degenerate_cell():
 
 def test_cell_indices_must_be_integers():
     verts = np.eye(3)
-    with pytest.raises(ValidationError, match="cell index 2.7 is not an integer"):
+    with pytest.raises(ValidationError, match="tri2d cells must hold integers, got 2.7"):
         VolumetricMesh("tri2d", verts, [[0, 1, 2.7]])  # an int64 cast truncates it
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning before the check
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValidationError, match=f"cell index {bad} is not an integer"):
+            with pytest.raises(ValidationError, match=f"tri2d cells must hold integers, got {bad}"):
                 VolumetricMesh("tri2d", verts, [[0, 1, bad]])
-    with pytest.raises(ValidationError, match="cell indices must be integers, got dtype <U1"):
+    with pytest.raises(ValidationError, match="tri2d cells must hold integers, got dtype <U1"):
         VolumetricMesh("tri2d", verts, [["0", "1", "2"]])
-    with pytest.raises(ValidationError, match="vertices and cells must be numeric arrays"):
+    with pytest.raises(ValidationError, match="tri2d cells must be a numeric array"):
         VolumetricMesh("tri2d", verts, [[0, 1, 2], [0, 1]])  # ragged
     # integral floats are indices; the cells are stored as int64
     mesh = VolumetricMesh("tri2d", verts, np.array([[0.0, 1.0, 2.0]]))
@@ -102,11 +103,11 @@ def test_center_set_rejects_non_finite_coordinates():
     # a NaN would reach LAPACK as a "singular" matrix, an inf the model's bbox
     one = np.ones((1, 3))
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValidationError, match="center coordinates must be finite"):
+        with pytest.raises(ValidationError, match="points must be finite"):
             CenterSet([[0.0, 0.0, bad]], [1.0])
-        with pytest.raises(ValidationError, match="center coordinates must be finite"):
+        with pytest.raises(ValidationError, match="seg_b must be finite"):
             CenterSet(np.zeros((1, 3)), [1.0], one, [[bad, 0.0, 0.0]])
-        with pytest.raises(ValidationError, match="center coordinates must be finite"):
+        with pytest.raises(ValidationError, match="seg_a must be finite"):
             CenterSet(np.zeros((1, 3)), [1.0], one * bad, one)
 
 

@@ -279,7 +279,8 @@ def test_fit_report_fields(block_mesh):
 
 @pytest.mark.parametrize("kind", ["imq", "gaussian"])
 def test_condition_estimate_tracks_one_norm_condition(icosa_mesh, kind):
-    # dgecon estimates ||A^-1||_1 from below: never above the true value
+    # Hager's estimate of ||A^-1||_1 (_inverse_one_norm) climbs from below:
+    # never above the true value
     centers = ax.assemble_center_set(icosa_mesh, "anisotropic")
     a, _ = assemble_matrix(centers, Basis(kind, 0.1))
     report = fit_with_report(centers, Basis(kind, 0.1))[1]
