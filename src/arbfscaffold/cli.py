@@ -3,7 +3,8 @@
 Subcommands: fit, sample, iso, tpms, perturb, pipeline.  Exit codes:
 0 on success, 2 on input errors (bad flags, missing or malformed files,
 degenerate meshes), 3 on numerical failure (singular interpolation
-system).  Identical inputs and flags produce byte-identical outputs.
+system); any other exception is a bug and is not caught.  Identical
+inputs and flags produce byte-identical outputs.
 ``fit`` and ``pipeline`` warn on stderr when the fit's condition estimate
 exceeds COND_WARN.  ``--stats PATH.json`` on fit, sample, iso, tpms and
 pipeline also writes the seconds and sizes of each stage the command ran,
@@ -24,7 +25,7 @@ from . import textio
 from .errors import ScaffoldError, SingularMatrixError
 from .grid import make_grid, read_volume, sample_field, solid_fraction, write_volume
 from .isosurface import export_obj, marching_cubes
-from .mesh import MESH_FORMATS, load_mesh, save_mesh
+from .mesh import load_mesh, save_mesh
 from .perturb import MAX_MAGNITUDE, PerturbSpec, perturb_mesh
 from .rbf import BASIS_KINDS, Basis, fit_mesh, load_model, save_model
 from .tpms import DEFAULT_DOMAIN, TPMS_KINDS, TpmsField
@@ -111,7 +112,7 @@ def _write_surfaces(grid, iso_values, out_stem, stats) -> int:
 def _fit_and_save(args, out: str, stats):
     """Fit the --mesh model, write it to ``out`` and print the fit summary."""
     t0 = time.perf_counter()
-    mesh = load_mesh(args.mesh, args.format)
+    mesh = load_mesh(args.mesh)
     basis = Basis(kind=args.basis, c=args.c)
     t1 = time.perf_counter()
     model, report = fit_mesh(mesh, basis, _MODE_NAMES[args.mode], args.lam)
@@ -183,7 +184,7 @@ def cmd_tpms(args, stats) -> int:
 
 
 def cmd_perturb(args, stats) -> int:
-    mesh = load_mesh(args.mesh, args.format)
+    mesh = load_mesh(args.mesh)
     spec = PerturbSpec(magnitude=args.magnitude, seed=args.seed,
                        vertex_fraction=args.fraction)
     out = args.out
@@ -207,10 +208,10 @@ def _add_stats_flag(p):
                    help="also write stage seconds and sizes as JSON to this path")
 
 
-def _add_mesh_flags(p):
-    p.add_argument("--mesh", required=True, help="input mesh path")
-    p.add_argument("--format", choices=MESH_FORMATS,
-                   help="mesh format (default: inferred from extension)")
+def _add_mesh_flag(p):
+    p.add_argument("--mesh", required=True,
+                   help="input mesh: .off (tri2d), .hexmesh (hex), or a TetGen .node, "
+                        ".ele or bare stem (tet)")
 
 
 def _add_fit_flags(p):
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit an interpolation model to a mesh")
-    _add_mesh_flags(p)
+    _add_mesh_flag(p)
     _add_fit_flags(p)
     p.add_argument("--out", help="output model path (default: <mesh stem>.arbf)")
     _add_stats_flag(p)
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tpms)
 
     p = sub.add_parser("perturb", help="randomly displace mesh vertices")
-    _add_mesh_flags(p)
+    _add_mesh_flag(p)
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p.add_argument("--magnitude", type=float, default=0.15,
                    help="displacement as a fraction of the shortest incident "
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("pipeline", help="fit, sample, and extract in one run")
-    _add_mesh_flags(p)
+    _add_mesh_flag(p)
     _add_fit_flags(p)
     _add_grid_flags(p)
     _add_pad_flag(p)
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
     except SingularMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_NUMERIC
-    except (ScaffoldError, OSError, ValueError) as exc:
+    except (ScaffoldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
     stats.update(exit_code=code, total_s=time.perf_counter() - t0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import textio
 from .errors import (HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError,
-                     integer, point_array, real)
+                     index_array, integer, point_array, real)
 
 
 @dataclass(eq=False)
@@ -38,7 +38,8 @@ class VoxelGrid:
         Entries of the axes() vectors, so they equal the sampled coordinates bit for bit.
         """
         nx, ny, nz = self.dims
-        idx = np.arange(nx * ny * nz) if idx is None else np.asarray(idx, dtype=np.int64)
+        idx = (np.arange(nx * ny * nz) if idx is None else
+               index_array(np.reshape(idx, (-1, 1)), "sample indices", nx * ny * nz, 1)[:, 0])
         xs, ys, zs = self.axes()
         return np.stack([xs[idx % nx], ys[idx // nx % ny], zs[idx // (nx * ny)]], axis=1)
 
@@ -210,14 +211,17 @@ def _volume_paths(stem: str) -> tuple[str, str]:
 
 
 def write_volume(grid: VoxelGrid, stem: str) -> None:
+    """Write <stem>.vhdr/.raw; ValidationError, before any file, on what read_volume refuses."""
     hdr_path, raw_path = _volume_paths(stem)
+    origin, spacing = point_array([grid.origin, grid.spacing], "volume origin and spacing")
+    spacing = [real(d, "volume spacing", 0.0, above=True) for d in spacing]
+    dims = [integer(n, "volume dims", 1) for n in grid.dims]
     values = grid.values.astype("<f4", copy=False)
-    if values.size != np.prod(grid.dims) or not np.isfinite(values).all():
-        raise ValidationError(f"a volume needs {np.prod(grid.dims)} finite float32 samples")
+    if len(dims) != 3 or values.size != np.prod(dims) or not np.isfinite(values).all():
+        raise ValidationError(f"a volume needs 3 dims and {np.prod(dims)} finite float32 samples")
     with textio.create(hdr_path, "w") as fh:
         fh.write("DIMS %d %d %d\nORIGIN %r %r %r\nSPACING %r %r %r\nDTYPE %s\n"
-                 % (*grid.dims, *map(float, grid.origin), *map(float, grid.spacing),
-                    _DTYPE_TAG))
+                 % (*dims, *map(float, origin), *spacing, _DTYPE_TAG))
     values.tofile(raw_path)
 
 

@@ -13,12 +13,13 @@ A mesh is checked when it is built, with no separate factory or validate
 step: ``VolumetricMesh(kind, vertices, cells)`` raises ValidationError on a
 mesh the library cannot use, which the loaders re-raise as a ParseError.
 
-Supported file formats:
+A path's extension names its file format, for load_mesh and save_mesh alike,
+and each format holds one kind; save_mesh refuses a path for another kind:
 
-* OFF         -- triangle surface / planar mesh ("OFF", "<nv> <nf> 0", ...)
-* NodeEle     -- TetGen <stem>.node / <stem>.ele pair; the attribute and
-                 boundary-marker columns its headers count are skipped
-* HexAscii    -- "HEX <nv> <nc>", vertex rows, 8 zero-based indices per cell
+* .off              -- tri2d: OFF ("OFF", "<nv> <nf> 0", ...)
+* .node, .ele, none -- tet: TetGen <stem>.node / <stem>.ele pair; the attribute
+                       and boundary-marker columns its headers count are skipped
+* .hexmesh          -- hex: "HEX <nv> <nc>", vertex rows, 8 zero-based indices per cell
 """
 
 from __future__ import annotations
@@ -258,10 +259,9 @@ def _load_off(path: str) -> VolumetricMesh:
 
 
 def _node_ele_paths(path: str) -> tuple[str, str]:
-    stem, ext = os.path.splitext(path)
-    if ext in (".node", ".ele"):
-        return stem + ".node", stem + ".ele"
-    return path + ".node", path + ".ele"
+    """The .node and .ele paths of a TetGen path: the stem, or the stem with either one."""
+    stem = os.path.splitext(path)[0]
+    return stem + ".node", stem + ".ele"
 
 
 def _load_node_ele(path: str) -> VolumetricMesh:
@@ -329,53 +329,47 @@ def _load_hex_ascii(path: str) -> VolumetricMesh:
     return VolumetricMesh("hex", verts, cells)
 
 
-_FORMAT_LOADERS = {
-    "off": _load_off,
-    "nodeele": _load_node_ele,
-    "hexascii": _load_hex_ascii,
-}
-MESH_FORMATS = tuple(_FORMAT_LOADERS)
-
-_EXT_FORMATS = {
-    ".off": "off",
-    ".node": "nodeele",
-    ".ele": "nodeele",
-    ".hexmesh": "hexascii",
-}
+# The mesh kind each extension's format holds; a path with no extension is a TetGen stem.
+_EXTENSION_KINDS = {".off": "tri2d", ".node": "tet", ".ele": "tet", "": "tet", ".hexmesh": "hex"}
 
 
-def infer_format(path: str) -> str:
-    ext = os.path.splitext(path)[1].lower()
-    if ext not in _EXT_FORMATS:
-        raise ValidationError(f"cannot infer mesh format from extension {ext!r}")
-    return _EXT_FORMATS[ext]
+def _path_kind(path: str) -> str:
+    """The mesh kind held by the format that ``path``'s extension names."""
+    ext = os.path.splitext(path)[1]
+    if ext not in _EXTENSION_KINDS:
+        raise ValidationError(f"unknown mesh extension {ext!r} in {path!r}: expected "
+                              f"{', '.join(filter(None, _EXTENSION_KINDS))}, or none for a "
+                              "TetGen stem")
+    return _EXTENSION_KINDS[ext]
 
 
-def load_mesh(path: str, fmt: str | None = None) -> VolumetricMesh:
-    """Load a mesh; ``fmt`` is one of MESH_FORMATS (inferred by default).
+def load_mesh(path: str) -> VolumetricMesh:
+    """Load the mesh at ``path``, in the format its extension names.
 
     A file whose mesh fails VolumetricMesh's checks raises ParseError naming ``path``.
     """
-    if fmt is None and not os.path.splitext(path)[1] and os.path.exists(path + ".node"):
-        fmt = "nodeele"  # bare tetgen stem
-    fmt = fmt or infer_format(path)
-    if fmt not in MESH_FORMATS:
-        raise ValidationError(f"unknown mesh format {fmt!r}, expected one of {MESH_FORMATS}")
+    load = {"tri2d": _load_off, "tet": _load_node_ele, "hex": _load_hex_ascii}[_path_kind(path)]
     try:
-        return _FORMAT_LOADERS[fmt](path)
+        return load(path)
     except ValidationError as exc:
         raise ParseError(str(exc), path) from exc
 
 
 def save_mesh(mesh: VolumetricMesh, path: str) -> None:
-    """Write a mesh in the format matching its kind (OFF / NodeEle / HexAscii)."""
+    """Write ``mesh`` in the format ``path``'s extension names; ValidationError, before any
+    file is created, if that format holds another kind of mesh."""
+    kind = _path_kind(path)
+    if kind != mesh.kind:
+        ext = next(e for e, k in _EXTENSION_KINDS.items() if k == mesh.kind)
+        raise ValidationError(f"cannot write a {mesh.kind} mesh to {path!r}, a path for "
+                              f"{kind} meshes; use a {ext} path")
     nv, nc = len(mesh.vertices), len(mesh.cells)
-    if mesh.kind == "tri2d":
+    if kind == "tri2d":
         with textio.create(path, "w") as fh:
             fh.write(f"OFF\n{nv} {nc} 0\n")
             textio.write_rows(fh, "%r %r %r\n", mesh.vertices)
             textio.write_rows(fh, "3 %d %d %d\n", mesh.cells)
-    elif mesh.kind == "tet":
+    elif kind == "tet":
         node_path, ele_path = _node_ele_paths(path)
         with textio.create(node_path, "w") as fh:
             fh.write(f"{nv} 3 0 0\n")

@@ -105,6 +105,7 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     place with one s x s scratch at a time.  Raises DuplicateCenterError
     when two centers coincide, which almost always means a degenerate mesh.
     """
+    lam = real(lam, "lambda")
     pts, sa, sb = centers.points, centers.seg_a, centers.seg_b
     p, n = len(pts), len(centers)
     tol = DUPLICATE_TOL ** 2
@@ -175,6 +176,7 @@ class InterpolationModel(FieldSource):
     weights: np.ndarray
 
     def __post_init__(self):
+        self.lam = real(self.lam, "lambda")
         if len(self.weights) != len(self.centers):
             raise ValidationError("one weight per center required")
         if not np.all(np.isfinite(self.weights)):
@@ -237,7 +239,6 @@ def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
     factorization, a pivot below PIVOT_TOL * max|A| or a residual above
     RESIDUAL_TOL * (1 + ||f||_inf) raises SingularMatrixError.
     """
-    lam = real(lam, "lambda")
     a, rhs = assemble_matrix(centers, basis, lam)
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, norm  # only fits pay its import
     try:

@@ -2,9 +2,12 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arbfscaffold as ax
 from arbfscaffold import samples
@@ -179,7 +182,6 @@ def test_flag_choices_are_the_library_tuples():
     assert _flag("fit", "--basis").choices is ax.rbf.BASIS_KINDS
     assert _flag("pipeline", "--basis").choices is ax.rbf.BASIS_KINDS
     assert _flag("tpms", "--kind").choices is ax.tpms.TPMS_KINDS
-    assert _flag("perturb", "--format").choices is ax.mesh.MESH_FORMATS
     assert f"at most {ax.perturb.MAX_MAGNITUDE} " in _flag("perturb", "--magnitude").help
 
 
@@ -199,6 +201,48 @@ def test_tpms_takes_no_pad(tmp_path, capsys):
     assert rc == EXIT_INPUT
     assert "--pad" in capsys.readouterr().err
     assert not os.path.exists(out + ".vhdr")
+
+
+@pytest.mark.parametrize("command", ["fit", "perturb", "pipeline"])
+def test_no_subcommand_takes_a_format(mesh_dir, tmp_path, capsys, command):
+    # a mesh file's extension names its format
+    out = tmp_path / "out" / "x.off"
+    iso = ["--iso", "0"] if command == "pipeline" else []
+    rc = main([command, "--mesh", mesh_dir["tri1.off"], "--format", "off", *iso,
+               "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert "--format" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("mesh,out", [
+    ("hex8.hexmesh", "p.off"),  # an OFF path for a hex mesh
+    ("tri1.off", "t.hexmesh"),
+    ("icosa20.node", "q.off"),  # a tet mesh would go to q.off.node and q.off.ele
+    ("hex8.hexmesh", "p"),  # a TetGen stem for a hex mesh
+    ("tri1.off", "t"),
+    ("hex8.hexmesh", "p.stl"),  # no mesh format
+])
+def test_perturb_refuses_an_out_path_fit_could_not_read(mesh_dir, tmp_path, capsys, mesh, out):
+    rc = main(["perturb", "--mesh", mesh_dir[mesh], "--out", str(tmp_path / "out" / out)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("name", sorted(samples.SAMPLE_BUILDERS))
+def test_perturb_then_fit_reads_what_perturb_wrote(mesh_dir, tmp_path, capsys, name):
+    src = mesh_dir[name]
+    stem, ext = os.path.splitext(src)
+    runs = [[src]]  # the default --out, <stem>_perturbed<ext>
+    if ext == ".node":  # a bare TetGen stem as --mesh, and as --out
+        runs += [[stem], [src, "--out", str(tmp_path / "bare")]]
+    for mesh, *out in runs:
+        capsys.readouterr()
+        assert main(["perturb", "--mesh", mesh, *out]) == EXIT_OK
+        written = capsys.readouterr().out.split(" -> ")[1].strip()
+        assert main(["fit", "--mesh", written]) == EXIT_OK
+        assert ax.load_mesh(written).kind == ax.load_mesh(src).kind
 
 
 def test_perturb_subcommand(mesh_dir, capsys):
@@ -398,3 +442,52 @@ def test_iso_values_sharing_a_file_name_exit_2(tmp_path, capsys, isos, first, se
     err = capsys.readouterr().err
     assert f"argument --iso: iso values {first} and {second} would both write" in err
     assert list(tmp_path.iterdir()) == []
+
+
+# --- mutated input files -------------------------------------------------
+
+# The file each run mutates, and the command that reads it from the run's directory.
+_MUTATED_RUNS = {
+    "tri1.off": ["fit", "--mesh", "tri1.off"],
+    "tet1.node": ["fit", "--mesh", "tet1"],
+    "tet1.ele": ["fit", "--mesh", "tet1.ele"],
+    "hex1.hexmesh": ["fit", "--mesh", "hex1.hexmesh"],
+    "m.arbf": ["sample", "--model", "m.arbf", "--resolution", "6"],
+    "v.vhdr": ["iso", "--volume", "v.vhdr", "--iso=-0.5,0,0.5"],
+}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """{name: bytes} of three sample meshes, a model fitted to one, and its sampled volume."""
+    d = tmp_path_factory.mktemp("inputs")
+    samples.write_sample_meshes(str(d))
+    assert main(["fit", "--mesh", str(d / "tet1.node"), "--out", str(d / "m.arbf")]) == EXIT_OK
+    assert main(["sample", "--model", str(d / "m.arbf"), "--resolution", "6",
+                 "--out", str(d / "v")]) == EXIT_OK
+    return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+_BYTES = st.one_of(st.sampled_from(b"0123456789.-+eE \n#"), st.integers(0, 255))
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_mutated_input_file_is_read_or_refused(input_files, data):
+    # exit 3 is a fit whose mutated mesh makes the system singular
+    name = data.draw(st.sampled_from(sorted(_MUTATED_RUNS)), label="file")
+    body = bytearray(input_files[name])
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        at = data.draw(st.integers(0, len(body)), label="at")
+        op = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="op")
+        if op == "delete":
+            del body[at:at + data.draw(st.integers(1, 8), label="length")]
+        else:
+            body[at:at + (op == "replace")] = bytes([data.draw(_BYTES, label="byte")])
+    with tempfile.TemporaryDirectory() as d:
+        for other, content in input_files.items():
+            with open(os.path.join(d, other), "wb") as fh:
+                fh.write(bytes(body) if other == name else content)
+        command, flag, path, *rest = _MUTATED_RUNS[name]
+        assert main([command, flag, os.path.join(d, path), *rest]) in (
+            EXIT_OK, EXIT_INPUT, EXIT_NUMERIC)

@@ -130,6 +130,17 @@ def test_index_position_round_trip():
         idx = i + nx * (j + ny * k)
         assert np.array_equal(flat[idx], g.positions([idx])[0])
     assert np.array_equal(flat[10:40], g.positions(np.arange(10, 40)))
+    for same in (np.array([[40], [0]]), np.array([40.0, 0.0]), np.array([40, 0], np.uint8)):
+        assert g.positions(same).tobytes() == flat[[40, 0]].tobytes()
+
+
+@pytest.mark.parametrize("idx,got", [([-1], "got -1"), ([70], "got 70"), ([0, 64, 3], "got 64"),
+                                     ([[2.5]], "must hold integers, got 2.5"),
+                                     (["1"], "must hold integers, got dtype <U1")])
+def test_positions_refuses_an_index_outside_the_grid(idx, got):
+    g = make_grid(np.zeros(3), np.ones(3), 4, 0.0)  # 64 samples
+    with pytest.raises(ValidationError, match=f"^sample indices .*{got}$"):
+        g.positions(idx)
 
 
 @given(st.tuples(*[st.floats(-2e4, 2e4)] * 3), st.tuples(*[st.floats(1e-4, 10.0)] * 3),

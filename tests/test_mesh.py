@@ -12,7 +12,6 @@ from arbfscaffold.mesh import (
     CenterSet,
     VolumetricMesh,
     cell_measures,
-    infer_format,
 )
 
 
@@ -134,8 +133,9 @@ def test_anisotropic_set_rejects_face_center_on_cell_center():
 def test_unknown_mode_format_and_kind_are_rejected(tmp_path, tet_mesh):
     with pytest.raises(ValidationError, match="unknown mode 'spherical'"):
         ax.assemble_center_set(tet_mesh, "spherical")
-    with pytest.raises(ValidationError, match="unknown mesh format 'stl'"):
-        ax.load_mesh(str(tmp_path / "m.off"), "stl")
+    for name in ("m.stl", "m.OFF", "m.node.bak"):
+        with pytest.raises(ValidationError, match="unknown mesh extension"):
+            ax.load_mesh(str(tmp_path / name))
     # a prism mesh cannot be built, so save_mesh never sees an unknown kind
     with pytest.raises(ValidationError, match="unknown mesh kind 'prism'"):
         VolumetricMesh("prism", tet_mesh.vertices, tet_mesh.cells)
@@ -289,22 +289,31 @@ def test_mesh_round_trip(tmp_path, name):
     assert np.array_equal(back.cells, mesh.cells)
 
 
-def test_infer_format():
-    assert infer_format("a.off") == "off"
-    assert infer_format("b.node") == "nodeele"
-    assert infer_format("b.ele") == "nodeele"
-    assert infer_format("c.hexmesh") == "hexascii"
-    with pytest.raises(ValidationError):
-        infer_format("d.stl")
-
-
 def test_node_ele_accepts_stem_and_either_path(tmp_path):
     mesh = samples.unit_tet_mesh()
-    stem = str(tmp_path / "m")
-    ax.save_mesh(mesh, stem + ".node")
-    for p in (stem, stem + ".node", stem + ".ele"):
-        back = ax.load_mesh(p)
-        assert np.array_equal(back.cells, mesh.cells)
+    for i, written in enumerate(("m", "m.node", "m.ele")):  # save_mesh takes all three too
+        stem = str(tmp_path / str(i) / "m")
+        ax.save_mesh(mesh, str(tmp_path / str(i) / written))
+        for p in (stem, stem + ".node", stem + ".ele"):
+            back = ax.load_mesh(p)
+            assert np.array_equal(back.cells, mesh.cells)
+
+
+# The paths each kind's format is written to; a bare path is a TetGen stem.
+_KIND_PATHS = {"tri2d": ["m.off"], "tet": ["m.node", "m.ele", "m"], "hex": ["m.hexmesh"]}
+_KIND_MESHES = {"tri2d": samples.triangle_mesh, "tet": samples.unit_tet_mesh,
+                "hex": samples.unit_hex_mesh}
+
+
+@pytest.mark.parametrize("kind, path", [
+    (kind, path) for kind in sorted(_KIND_PATHS)
+    for path in ["m.off", "m.node", "m.ele", "m", "m.hexmesh", "m.stl", "m.OFF", "m.off.gz"]
+    if path not in _KIND_PATHS[kind]])
+def test_save_mesh_refuses_a_path_load_mesh_would_not_read_back(tmp_path, kind, path):
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError, match="unknown mesh extension|cannot write a"):
+        ax.save_mesh(_KIND_MESHES[kind](), str(out / path))
+    assert not out.exists()  # no file, and not its directory either
 
 
 def test_node_ele_zero_based_indices(tmp_path):

@@ -7,6 +7,7 @@ np.float64(x) (or n and np.int64(n)) give the same output.  The writers
 refuse what their readers refuse, before any file is created.
 """
 
+import dataclasses
 import math
 import os
 import tempfile
@@ -112,6 +113,13 @@ ENTRIES = [
     _real("fit_with_report-lambda", "lambda", -INF, INF,
           lambda v: ax.fit_with_report(_CENTERS, ax.Basis("imq", 0.5), v)[0].weights.tobytes(),
           _floats(0.0, 1.0)),
+    _real("assemble_matrix-lambda", "lambda", -INF, INF,
+          lambda v: ax.assemble_matrix(_CENTERS, ax.Basis("imq", 0.5), v)[0].tobytes(),
+          _floats(0.0, 1.0)),
+    _real("InterpolationModel-lambda", "lambda", -INF, INF,
+          lambda v: repr(ax.InterpolationModel(_CENTERS, ax.Basis("imq", 0.5), v,
+                                               np.zeros(len(_CENTERS))).lam).encode(),
+          _floats(-1.0, 1.0)),
     _real("TpmsField-periods", "periods", 0.0, INF,
           lambda v: ax.TpmsField("g", (1.0, v, 2.0)).evaluate_many(_PTS).tobytes(),
           _floats(0.0, 8.0, True), above=True),
@@ -255,6 +263,20 @@ def test_write_volume_refuses_samples_read_volume_would(tmp_path, which):
     grid = _bad_grids(_GRID)[which]
     stem = str(tmp_path / "out" / "v")
     _refused_write(lambda: ax.write_volume(grid, stem), stem + ".vhdr", stem + ".raw")
+
+
+@pytest.mark.parametrize("fields", [
+    {"dims": (0, 2, 2), "values": np.zeros(0, np.float32)}, {"dims": (6, 36)},
+    {"dims": (6.0, 6, 6)}, {"origin": np.array([0.0, np.nan, 0.0])}, {"origin": np.zeros(2)},
+    {"spacing": np.array([0.1, -0.1, 0.1])}, {"spacing": np.array([0.1, 0.0, 0.1])},
+    {"spacing": np.array([np.inf, 0.1, 0.1])},
+], ids=["dims-zero", "dims-two", "dims-float", "origin-nan", "origin-two", "spacing-negative",
+        "spacing-zero", "spacing-inf"])
+def test_write_volume_refuses_a_header_read_volume_would(tmp_path, fields):
+    grid = dataclasses.replace(_GRID, **fields)
+    stem = str(tmp_path / "out" / "v")
+    _refused_write(lambda: ax.write_volume(grid, stem), stem + ".vhdr", stem + ".raw")
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_write_volume_refuses_a_sample_float32_cannot_hold(tmp_path):
