@@ -3,15 +3,15 @@
 ``distance_tiles`` is the package's one tile walk: for query points given
 as 2-D coordinate arrays x, y, z that broadcast to (rows, cols), it yields
 each tile's squared distances to a set of points, then to a set of
-segments.  A point-to-segment distance is measured to the foot of the
-perpendicular, with its parameter clamped to [0, 1], so a point beyond an
-end measures to that endpoint; a point whose foot lies inside the segment
-and whose squared distance falls below ON_SEGMENT_TOL² gets exactly 0; a
-degenerate segment (a == b) gives the point distance.  Every basis is a
-function of r², so ``InterpolationModel.evaluate_axes`` turns the tiles
-into field values, and ``assemble_matrix`` into matrix entries, with no
-square root.  ``squared_distance_block`` gathers the tiles into one
-(n, P + S) block.
+segments.  Every point-to-segment distance comes from one formula: the
+foot's parameter t, clamped to [0, 1], then the squared residual to the
+segment's point at t.  So a point beyond an end measures to that endpoint,
+and a degenerate segment (a == b) gives the point distance.  No tolerance
+enters: points and centers scaled by a power of two scale every r² exactly
+by its square.  Every basis is a function of r², so
+``InterpolationModel.evaluate_axes`` turns the tiles into field values, and
+``assemble_matrix`` into matrix entries, with no square root.
+``squared_distance_block`` gathers the tiles into one (n, P + S) block.
 
 The arithmetic is elementwise, never a dot or matrix product whose rounding
 depends on the block shape, so a squared distance is bit-identical in any
@@ -50,9 +50,6 @@ import numpy as np
 
 from .errors import point_array
 
-# A point whose perpendicular residual to the carrying line falls below this
-# is treated as lying on the segment exactly.
-ON_SEGMENT_TOL = 1e-12
 # Tiled kernels work on about this many point-center pairs at a time.
 TILE_ELEMS = 2**17
 
@@ -75,7 +72,7 @@ def _tables(c, qk, ak, dk):
 
 
 def _segment_frame(a, b):
-    """Per-segment start, direction, divisor for t, and whether the segment has length.
+    """Per-segment start, direction and divisor for t.
 
     Each segment's endpoints are put in lexicographic order, so [a, b] and
     [b, a] give bit-identical frames and distances.  The start and the
@@ -90,7 +87,7 @@ def _segment_frame(a, b):
     a = np.where(swap, b, a)
     d = np.where(swap, -d, d)  # exact: a - b == -(b - a)
     dd = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
-    return a.T.copy(), d.T.copy(), np.where(dd == 0.0, 1.0, dd), dd > 0.0
+    return a.T.copy(), d.T.copy(), np.where(dd == 0.0, 1.0, dd)
 
 
 def _sum3(u, v, w, out):
@@ -106,10 +103,10 @@ def _fill_block(tables, frame, block, p) -> None:
     The three _tables results broadcast to their part of the block (a
     grid chunk's x tables are (1, nx, m), its y and z tables (rows, 1, m)),
     and every entry rounds as for a single point.  ``frame`` holds the
-    segments' direction rows, divisors and has-length flags.  With segments
-    present, each part is computed in a C-contiguous (rows, cols, m) array
-    and written into the block once; with points only, the block is the
-    point part and no segment arithmetic runs.
+    segments' direction rows and divisors for t, which is clamped to [0, 1].
+    With segments present, each part is computed in a C-contiguous
+    (rows, cols, m) array and written into the block once; with points
+    only, the block is the point part and no segment arithmetic runs.
     """
     (px, dx, tx), (py, dy, ty), (pz, dz, tz) = tables
     if tx is None:
@@ -118,7 +115,7 @@ def _fill_block(tables, frame, block, p) -> None:
         return
     if px is not None:
         block[..., :p] = _sum3(px, py, pz, np.empty(block[..., :p].shape))
-    d, dd, live = frame
+    d, dd = frame
     t = _sum3(tx, ty, tz, np.empty(block[..., p:].shape))
     t /= dd
     np.clip(t, 0.0, 1.0, out=t)
@@ -129,14 +126,7 @@ def _fill_block(tables, frame, block, p) -> None:
         np.multiply(t, dk, out=rk)
         np.subtract(diff, rk, out=rk)
         rk *= rk
-    r2 = _sum3(r[0], r[1], t, r[0])
-    snap = r2 < ON_SEGMENT_TOL ** 2
-    if snap.any():  # the foot must lie inside: t again, before its clamp
-        t = _sum3(tx, ty, tz, t)
-        t /= dd
-        snap &= (t >= 0.0) & (t <= 1.0) & live
-        r2[snap] = 0.0
-    block[..., p:] = r2
+    block[..., p:] = _sum3(r[0], r[1], t, r[0])
 
 
 def distance_tiles(x, y, z, points, seg_a, seg_b):
@@ -149,7 +139,7 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
     sized for the call's largest tile, so a caller may overwrite it in place.
     """
     points = point_array(points, "points").T.copy()  # (3, P) rows, as the segment frame's
-    a, d, dd, live = _segment_frame(seg_a, seg_b)
+    a, d, dd = _segment_frame(seg_a, seg_b)
     p, s = points.shape[1], a.shape[1]
     n = max(p + s, 1)
     n_rows, n_cols = np.broadcast_shapes(x.shape, y.shape, z.shape)
@@ -171,7 +161,7 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
             block = buf[:(r1 - r0) * (c1 - c0) * (p + s)].reshape(r1 - r0, c1 - c0, p + s)
             # the tables are an argument, not a name, so they are freed before the yield
             _fill_block([shared[k] if k in shared else _tables(v[r0:r1], *axes[k])
-                         for k, v in enumerate(tile)], (d, dd, live), block, p)
+                         for k, v in enumerate(tile)], (d, dd), block, p)
             yield slice(r0, r1), slice(c0, c1), block
 
 

@@ -58,6 +58,12 @@ def _empty_values(dims) -> np.ndarray:
     return np.zeros(nx * ny * nz, dtype=np.float32)
 
 
+def bbox_diagonal(lo, hi) -> float:
+    """|hi - lo| by np.linalg.norm, scaled by a power of two against overflow and underflow."""
+    k = np.frexp(np.abs(hi - lo).max())[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(hi - lo, -k)), k))
+
+
 def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: float):
     """Validated (origin, spacing, dims) over the axes of ``lo``/``hi``.
 
@@ -71,7 +77,7 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
     # at most 2**36 samples (256 GiB of float32) in a square or cubic grid
     resolution = integer(resolution, "resolution", 2, 2 ** (36 // len(lo)))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        pad = real(pad_fraction, "pad_fraction", 0.0) * float(np.linalg.norm(hi - lo))
+        pad = real(pad_fraction, "pad_fraction", 0.0) * bbox_diagonal(lo, hi)
         extent = (hi + pad) - (lo - pad)
     if not np.all((extent > 0) & (extent < np.inf)):  # NaN fails both
         raise InvalidBBoxError(f"bbox {lo} .. {hi} padded by {pad_fraction!r} of its diagonal "

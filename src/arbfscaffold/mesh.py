@@ -32,12 +32,13 @@ import numpy as np
 from . import textio
 from ._mc_tables import EDGE_CORNERS
 from .errors import ParseError, ValidationError, index_array, point_array
+from .grid import bbox_diagonal
 
 # Relative tolerances, both scaled by the mesh bbox diagonal: the shortest
 # face-to-cell segment (assemble_center_set) and the smallest cell measure.
 DEGENERATE_SEGMENT_TOL = 1e-9
 DEGENERATE_MEASURE_TOL = 1e-12
-# Largest vertex coordinate magnitude: cell measures, diagonal ** dim and r² stay in float64.
+# Largest vertex coordinate magnitude: squared distances between centers stay in float64.
 MAX_COORDINATE = 1e100
 
 MESH_KINDS = ("tri2d", "tet", "hex")
@@ -102,6 +103,10 @@ class CenterSet:
         """Prescribed field value of every center, points then segments."""
         return np.concatenate([self.point_values, np.full(len(self.seg_a), -1.0)])
 
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        pos = np.concatenate([self.points, self.seg_a, self.seg_b])
+        return pos.min(axis=0), pos.max(axis=0)
+
 
 @dataclass(eq=False)
 class VolumetricMesh:
@@ -139,18 +144,19 @@ class VolumetricMesh:
         unused = np.flatnonzero(np.bincount(self.cells.ravel(), minlength=len(verts)) == 0)
         if len(unused):
             raise ValidationError(f"vertex {unused[0]} is used by no cell")
-        floor = DEGENERATE_MEASURE_TOL * float(np.linalg.norm(hi - lo)) ** _CELL_DIM[self.kind]
-        measures = cell_measures(self)
-        bad = np.flatnonzero(measures <= floor)
+        # measures and floor in units of 2**k, for a diagonal of m * 2**k, so neither underflows
+        (m, k), dim = np.frexp(bbox_diagonal(lo, hi)), _CELL_DIM[self.kind]
+        measures = _MEASURES[self.kind](np.ldexp(verts, -k), self.cells)
+        bad = np.flatnonzero(measures <= DEGENERATE_MEASURE_TOL * m ** dim)
         if len(bad):
-            raise ValidationError(f"cell {bad[0]} is degenerate (measure {measures[bad[0]]:.3e})")
+            raise ValidationError(f"cell {bad[0]} is degenerate "
+                                  f"(measure {np.ldexp(measures[bad[0]], k * dim):.3e})")
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def bbox_diagonal(self) -> float:
-        lo, hi = self.bbox()
-        return float(np.linalg.norm(hi - lo))
+        return bbox_diagonal(*self.bbox())
 
 
 def triangle_areas(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -176,13 +182,12 @@ def _hex_volumes(verts: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.abs(np.einsum("ijk,ijk->i", np.cross(p1, p2), p3)) / 6.0
 
 
+_MEASURES = {"tri2d": triangle_areas, "tet": _tet_volumes, "hex": _hex_volumes}
+
+
 def cell_measures(mesh: VolumetricMesh) -> np.ndarray:
     """Per-cell area (tri2d) or volume (tet/hex)."""
-    if mesh.kind == "tri2d":
-        return triangle_areas(mesh.vertices, mesh.cells)
-    if mesh.kind == "tet":
-        return _tet_volumes(mesh.vertices, mesh.cells)
-    return _hex_volumes(mesh.vertices, mesh.cells)
+    return _MEASURES[mesh.kind](mesh.vertices, mesh.cells)
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,15 @@ import numpy as np
 from . import textio
 from .distance import distance_tiles, squared_distance_block
 from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError, real
-from .grid import FieldSource
+from .grid import FieldSource, bbox_diagonal
 from .mesh import CenterSet, VolumetricMesh, assemble_center_set
 
 BASIS_KINDS = ("gaussian", "mq", "imq", "tps")
 
-# Pairwise center distances below this are checked for duplicate geometry.
+# Centers within this fraction of their bbox diagonal are checked for duplicate geometry;
+# tol² is capped at 2**1022, so an r² that overflowed to inf is no duplicate.
 DUPLICATE_TOL = 1e-12
-# A pivot below this fraction of max|A| counts as singular.
+# A pivot at or below this fraction of max|A| counts as singular.
 PIVOT_TOL = 1e-12
 # Post-solve residual bound: ||A w - f||_inf <= RESIDUAL_TOL * (1 + ||f||_inf).
 RESIDUAL_TOL = 1e-8
@@ -103,31 +104,31 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     point columns.  Between segments i and j the entry is the minimum of
     |a_i - a_j|², |a_i - b_j|², |b_i - a_j|² and |b_i - b_j|², built in
     place with one s x s scratch at a time.  Raises DuplicateCenterError
-    when two centers coincide, which almost always means a degenerate mesh.
+    when two centers coincide (see DUPLICATE_TOL): almost always a degenerate mesh.
     """
     lam = real(lam, "lambda")
     pts, sa, sb = centers.points, centers.seg_a, centers.seg_b
     p, n = len(pts), len(centers)
-    tol = DUPLICATE_TOL ** 2
+    tol = min(DUPLICATE_TOL * bbox_diagonal(*centers.bbox()), 2.0 ** 511) ** 2
     r2 = np.empty((n, n))
     r2[:p] = squared_distance_block(pts, pts, sa, sb)
     r2[p:, :p] = r2[:p, p:].T
     seg = r2[p:, p:]
     seg[:] = squared_distance_block(sa, sa, _NO_ROWS, _NO_ROWS)
-    same = seg < tol
+    same = seg <= tol
     ab = squared_distance_block(sa, sb, _NO_ROWS, _NO_ROWS)
-    flipped = (ab < tol) & (ab.T < tol)
+    flipped = (ab <= tol) & (ab.T <= tol)
     np.minimum(seg, ab, out=seg)
     np.minimum(seg, ab.T, out=seg)  # |b_i - a_j|² rounds exactly as |a_j - b_i|²
     del ab  # one s x s scratch at a time
     bb = squared_distance_block(sb, sb, _NO_ROWS, _NO_ROWS)
-    same &= bb < tol
+    same &= bb <= tol
     np.minimum(seg, bb, out=seg)
     del bb
 
     # Point pairs, then segment pairs with identical geometry in either
     # orientation; segments that merely touch (shared face center) are fine.
-    for off, dup in ((0, r2[:p, :p] < tol), (p, same | flipped)):
+    for off, dup in ((0, r2[:p, :p] <= tol), (p, same | flipped)):
         i, j = np.nonzero(dup)
         upper = np.flatnonzero(i < j)
         if len(upper):
@@ -210,9 +211,7 @@ class InterpolationModel(FieldSource):
         return out.reshape(shape)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        c = self.centers
-        pos = np.concatenate([c.points, c.seg_a, c.seg_b])
-        return pos.min(axis=0), pos.max(axis=0)
+        return self.centers.bbox()
 
 
 @dataclass(frozen=True)
@@ -235,8 +234,8 @@ class FitReport:
 def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
     """Assemble and solve the collocation system, returning (model, report).
 
-    Dense LU with partial pivoting plus one refinement step.  A failed
-    factorization, a pivot below PIVOT_TOL * max|A| or a residual above
+    Dense LU with partial pivoting plus one refinement step.  A failed LU, a
+    pivot at most PIVOT_TOL * max|A| (a zero one always) or a residual above
     RESIDUAL_TOL * (1 + ||f||_inf) raises SingularMatrixError.
     """
     a, rhs = assemble_matrix(centers, basis, lam)
@@ -249,16 +248,16 @@ def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
     except Exception as exc:  # scipy raises LinAlgError on hard failure
         raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
     scale = max(a.max(), -a.min())  # max|A| with no |A| copy
-    if scale == 0.0 or np.abs(np.diag(lu)).min() < PIVOT_TOL * scale:
+    if np.abs(np.diag(lu)).min() <= PIVOT_TOL * scale:
         raise SingularMatrixError(
             "interpolation matrix is numerically singular; "
             "a small Tikhonov lambda (e.g. 1e-10) usually fixes this"
         )
-    w = lu_solve((lu, piv), rhs)
+    w = lu_solve((lu, piv), rhs, check_finite=False)
     # One step of iterative refinement tightens the residual cheaply.
-    w = w + lu_solve((lu, piv), rhs - a @ w)
+    w = w + lu_solve((lu, piv), rhs - a @ w, check_finite=False)
     residual = float(np.abs(a @ w - rhs).max())
-    if residual > RESIDUAL_TOL * (1.0 + float(np.abs(rhs).max())):
+    if not residual <= RESIDUAL_TOL * (1.0 + float(np.abs(rhs).max())):  # a NaN fails too
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds tolerance; "
             "the system is too ill-conditioned at this shape parameter"

@@ -38,10 +38,14 @@ def r2_segment(x, a, b) -> float:
 
 
 def reference_squared_distances(cs: CenterSet):
-    """(squared distance matrix, first duplicate pair or None) from the per-pair loop."""
+    """(squared distance matrix, first duplicate pair or None) from the per-pair loop.
+
+    A pair is a duplicate within DUPLICATE_TOL times the centers' bbox diagonal.
+    """
     centers = [("P", q) for q in cs.points]
     centers += [("S", (a, b)) for a, b in zip(cs.seg_a, cs.seg_b)]
-    n, tol = len(centers), DUPLICATE_TOL ** 2
+    pos = np.vstack([cs.points, cs.seg_a, cs.seg_b])
+    n, tol = len(centers), (DUPLICATE_TOL * np.linalg.norm(pos.max(0) - pos.min(0))) ** 2
     r2 = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -53,13 +57,13 @@ def reference_squared_distances(cs: CenterSet):
                 ends = [r2_point(x, y) for x, y in ((ci[0], cj[0]), (ci[1], cj[1]),
                                                     (ci[0], cj[1]), (ci[1], cj[0]))]
                 d = min(ends)
-                near = [e < tol for e in ends]
+                near = [e <= tol for e in ends]
                 same = (near[0] and near[1]) or (near[2] and near[3])
             else:
                 q, (a, b) = (ci, cj) if ki == "P" else (cj, ci)
                 d = r2_segment(q, a, b)
                 same = False
-            if d < tol and same:
+            if d <= tol and same:
                 return None, (i, j)
             r2[i, j] = r2[j, i] = d
     return r2, None
@@ -112,8 +116,13 @@ def _duplicate_cases():
                                np.vstack([sa, sa[0:1]]), np.vstack([sb, sb[0:1]])),
         "point-on-segment-end": CenterSet(np.vstack([z, e[0:1]]), [1.0, -1.0], z, e[1:2]),
         "touching-segments": CenterSet(e[2:3], [1.0], np.vstack([z, z]), e[:2]),
-        "within-tol": CenterSet(np.vstack([z, z + 0.5 * DUPLICATE_TOL]), [1.0, 1.0]),
-        "just-apart": CenterSet(np.vstack([z, z + 2 * DUPLICATE_TOL]), [1.0, 1.0]),
+        # a third center at distance 1 makes the bbox diagonal 1: the tolerance is relative
+        "within-tol": CenterSet(np.vstack([z, z + 0.5 * DUPLICATE_TOL, e[0]]), [1.0, 1.0, -1.0]),
+        "just-apart": CenterSet(np.vstack([z, z + 2 * DUPLICATE_TOL, e[0]]), [1.0, 1.0, -1.0]),
+        "within-tol-2^-40": CenterSet(2.0 ** -40 * np.vstack([z, z + 0.5 * DUPLICATE_TOL, e[0]]),
+                                      [1.0, 1.0, -1.0]),
+        "just-apart-2^-40": CenterSet(2.0 ** -40 * np.vstack([z, z + 2 * DUPLICATE_TOL, e[0]]),
+                                      [1.0, 1.0, -1.0]),
     }
 
 
@@ -121,7 +130,7 @@ def _duplicate_cases():
 def test_duplicates_match_reference_loop(name):
     cs = _duplicate_cases()[name]
     _, dup = reference_squared_distances(cs)
-    apart = ("just-apart", "point-on-segment-end", "touching-segments")
+    apart = ("just-apart", "just-apart-2^-40", "point-on-segment-end", "touching-segments")
     assert (dup is None) == (name in apart)
     if dup is None:
         assemble_matrix(cs, BASES[2])

@@ -5,7 +5,7 @@ The reference here does, in float64 and from the definitions alone:
 distances to the points and to the clamped foot on each segment, the basis
 as a function of r, then a weighted sum.  The bitwise self-consistency tests
 of test_field_kernel.py cannot see a wrong squared distance in the tile walk
-(a dropped clip, a lost snap, a missing axis), since both sides of them run
+(a dropped clip, a wrong divisor, a missing axis), since both sides of them run
 the same kernel; squared_distance_block runs it too, so it is checked
 against the same definitions.
 """

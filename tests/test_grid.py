@@ -12,6 +12,7 @@ from arbfscaffold.errors import HeaderMismatchError, InvalidBBoxError, ParseErro
 from arbfscaffold.grid import (
     FieldSource,
     VoxelGrid,
+    bbox_diagonal,
     make_grid,
     make_grid_2d,
     read_volume,
@@ -19,6 +20,23 @@ from arbfscaffold.grid import (
     solid_fraction,
     write_volume,
 )
+
+
+def test_bbox_diagonal_neither_overflows_nor_underflows():
+    # np.linalg.norm squares the entries: (3 * 2**600)² overflows, (3 * 2**-700)² underflows
+    for k in (600, -700, 0):
+        assert bbox_diagonal(np.zeros(3), np.array([3.0, 4.0, 0.0]) * 2.0 ** k) == 5.0 * 2.0 ** k
+    g = make_grid((0, 0, 0), (1e200, 1, 1), 8, 0.0)
+    assert g.dims == (8, 2, 2) and g.bbox()[1][0] == 1e200
+
+
+@given(st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3),
+       st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3))
+def test_bbox_diagonal_has_the_bits_of_norm_where_norm_is_exact(lo, hi):
+    lo, hi = np.array(lo), np.array(hi)
+    e = np.abs(hi - lo)
+    if np.all((e == 0) | (e > 1e-150)):  # no square in norm underflows
+        assert bbox_diagonal(lo, hi) == np.linalg.norm(hi - lo)
 
 
 def test_make_grid_unit_cube_padding():

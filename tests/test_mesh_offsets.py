@@ -1,8 +1,15 @@
 """Mesh quantities that must not depend on where a mesh sits or on its size.
 
 Derived centers are named by vertex indices, so moving or scaling a mesh
-keeps its center set; hex volumes are taken relative to a corner.
+keeps its center set; hex volumes are taken relative to a corner.  No
+length in the pipeline is absolute: the degenerate-cell floor and the
+duplicate-center tolerance are relative to the bbox diagonal, taken in
+units of a power of two.  So a mesh and its shape parameter c scaled by a
+power of two give the same volume bytes, condition estimate and surface.
 """
+
+import functools
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +18,10 @@ from hypothesis import strategies as st
 
 from arbfscaffold import samples
 from arbfscaffold.errors import ValidationError
+from arbfscaffold.grid import make_grid, sample_field
+from arbfscaffold.isosurface import marching_cubes
 from arbfscaffold.mesh import VolumetricMesh, assemble_center_set, cell_measures
+from arbfscaffold.rbf import Basis, fit_mesh
 
 BASES = {
     "hex8": samples.hex_block_mesh,
@@ -52,3 +62,45 @@ def test_flat_hex_far_from_origin_is_rejected():
     flat = cube.vertices * (1e-3, 1e-3, 0.0) + 1e4  # top quad on the bottom quad
     with pytest.raises(ValidationError, match="cell 0 is degenerate"):
         VolumetricMesh("hex", flat, cube.cells)
+
+
+@pytest.mark.parametrize("name", sorted(samples.SAMPLE_BUILDERS))
+@pytest.mark.parametrize("scale", [1e-110, 2.0 ** -360, 2.0 ** -600],
+                         ids=["1e-110", "2^-360", "2^-600"])
+def test_tiny_meshes_are_not_degenerate(name, scale):
+    # their measures (and the floor) underflowed to 0 in mesh units
+    base = samples.SAMPLE_BUILDERS[name]()
+    mesh = VolumetricMesh(base.kind, base.vertices * scale, base.cells)
+    if scale != 1e-110:  # a power of two scales the diagonal exactly
+        assert mesh.bbox_diagonal() == base.bbox_diagonal() * scale
+
+
+@pytest.mark.parametrize("k", [0, -300])
+def test_degenerate_measure_is_reported_in_mesh_units(k):
+    cube = samples.unit_hex_mesh()
+    thin = cube.vertices * (1.0, 1.0, 1e-13) * 2.0 ** k  # volume 1e-13 * 2**3k, below the floor
+    with pytest.raises(ValidationError, match=re.escape(f"(measure {1e-13 * 2.0 ** (3 * k):.3e})")):
+        VolumetricMesh("hex", thin, cube.cells)
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_fit(mode, kind, k):
+    """(volume bytes, condition estimate, iso-0 vertices / s) of hex 2³ and c = 0.1 scaled by s = 2**k."""
+    s, base = 2.0 ** k, samples.hex_block_mesh()
+    mesh = VolumetricMesh("hex", base.vertices * s, base.cells)
+    model, report = fit_mesh(mesh, Basis(kind, 0.1 * s), mode)
+    grid = sample_field(model, make_grid(*model.bbox(), 32, 0.05))
+    return grid.values.tobytes(), report.condition_estimate, marching_cubes(grid, 0.0).vertices / s
+
+
+@pytest.mark.parametrize("k", [-360, -40, -34, 300])
+@pytest.mark.parametrize("kind", ["imq", "mq"])
+@pytest.mark.parametrize("mode", ["isotropic", "anisotropic"])
+def test_fit_does_not_depend_on_a_power_of_two_scale(mode, kind, k):
+    # -360 was refused as degenerate, -40 as duplicate centers, and at -34 the
+    # anisotropic field changed where an absolute tolerance snapped r² to 0
+    volume, cond, vertices = _scaled_fit(mode, kind, k)
+    ref_volume, ref_cond, ref_vertices = _scaled_fit(mode, kind, 0)
+    assert volume == ref_volume
+    assert cond == ref_cond
+    assert np.array_equal(vertices, ref_vertices)

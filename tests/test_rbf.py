@@ -158,6 +158,18 @@ def test_failed_factorization_is_singular_matrix_error():
         fit_with_report(centers, Basis("mq", 0.1))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k,match", [(-512, "solve residual nan"), (-530, "numerically singular")])
+def test_subnormal_matrix_is_singular_matrix_error(k, match):
+    # hex 2³ centers scaled by 2**k: the tps entries are subnormal, so the weights overflowed
+    # (k = -512), or PIVOT_TOL * max|A| underflowed to 0 and a zero pivot passed (k = -530);
+    # either way lu_solve raised a raw ValueError on the non-finite weights
+    centers = ax.assemble_center_set(samples.hex_block_mesh(), "isotropic")
+    centers = CenterSet(centers.points * 2.0 ** k, centers.point_values)
+    with pytest.raises(SingularMatrixError, match=match):
+        fit_with_report(centers, Basis("tps"))
+
+
 @pytest.mark.parametrize("name", ["tet", "block", "icosa"])
 @pytest.mark.parametrize("mode", ["isotropic", "anisotropic"])
 def test_condition_estimate_is_column_sum_norm_times_hager(name, mode):
