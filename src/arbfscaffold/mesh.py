@@ -40,6 +40,11 @@ DEGENERATE_SEGMENT_TOL = 1e-9
 DEGENERATE_MEASURE_TOL = 1e-12
 # Largest vertex coordinate magnitude: squared distances between centers stay in float64.
 MAX_COORDINATE = 1e100
+# Smallest bbox diagonal.  Hex 2³ in the unit cube fits with every basis in
+# both modes down to a diagonal of 3.5e-153 (scaled by 2**-508); at 2**-509
+# the tps solve's residual is NaN, and further down centers coincide.  The
+# limit keeps a factor of about 30 above that.
+MIN_DIAGONAL = 1e-151
 
 MESH_KINDS = ("tri2d", "tet", "hex")
 _CELL_ARITY = {"tri2d": 3, "tet": 4, "hex": 8}
@@ -114,8 +119,9 @@ class VolumetricMesh:
 
     Construction converts the array-likes and raises ValidationError on an
     unknown kind, a wrong shape, a non-finite coordinate or one beyond
-    MAX_COORDINATE, a non-integer or out-of-range index, a cell that repeats
-    another's vertex set, a vertex no cell uses or a degenerate cell.
+    MAX_COORDINATE, a bbox diagonal below MIN_DIAGONAL, a non-integer or
+    out-of-range index, a cell that repeats another's vertex set, a vertex
+    no cell uses or a degenerate cell.
     """
 
     kind: str
@@ -144,8 +150,12 @@ class VolumetricMesh:
         unused = np.flatnonzero(np.bincount(self.cells.ravel(), minlength=len(verts)) == 0)
         if len(unused):
             raise ValidationError(f"vertex {unused[0]} is used by no cell")
+        diagonal = bbox_diagonal(lo, hi)
+        if diagonal < MIN_DIAGONAL:
+            raise ValidationError(f"mesh bbox diagonal must be at least {MIN_DIAGONAL:g}, "
+                                  f"the smallest a fit can use, got {diagonal:g}")
         # measures and floor in units of 2**k, for a diagonal of m * 2**k, so neither underflows
-        (m, k), dim = np.frexp(bbox_diagonal(lo, hi)), _CELL_DIM[self.kind]
+        (m, k), dim = np.frexp(diagonal), _CELL_DIM[self.kind]
         measures = _MEASURES[self.kind](np.ldexp(verts, -k), self.cells)
         bad = np.flatnonzero(measures <= DEGENERATE_MEASURE_TOL * m ** dim)
         if len(bad):

@@ -9,9 +9,12 @@ matrix's endpoint-pair minimum, so those tests read it from
 ``assemble_matrix``.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import arbfscaffold as ax
 from arbfscaffold import distance, samples
@@ -117,6 +120,37 @@ def test_bounded_by_endpoint_distances(p, a, b):
     assert np.sqrt(r2) <= np.sqrt(min(r2_point(p, a), r2_point(p, b))) + 1e-12
 
 
+def exact_r2_segment(x, a, b) -> Fraction:
+    """The squared distance from x to the segment [a, b] in exact rational arithmetic."""
+    x, a, b = ([Fraction(float(v)) for v in p] for p in (x, a, b))
+    d = [bk - ak for ak, bk in zip(a, b)]
+    diff = [xk - ak for xk, ak in zip(x, a)]
+    dd = sum(dk * dk for dk in d)
+    t = min(max(sum(ek * dk for ek, dk in zip(diff, d)) / dd, 0), 1) if dd else 0
+    return sum((ek - t * dk) ** 2 for ek, dk in zip(diff, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=point, b=point, degenerate=st.booleans(), u=st.floats(-0.5, 1.5),
+       kind=st.sampled_from(["on", "near", "off"]), log_rel=st.floats(-12.0, -3.0), direction=point)
+def test_segment_distance_is_accurate(a, b, degenerate, u, kind, log_rel, direction):
+    # r within 4 eps (|x - a| + |b - a|) of the exact distance: on a segment, near
+    # it, off it and beyond its ends.  The expanded form r² = |x - a|² + dd t (t - 2s)
+    # cancels near a segment and missed this bound by factors up to 6e7.
+    if degenerate:
+        b = a
+    length = float(np.linalg.norm(b - a))
+    assume(length == 0.0 or length > 1e-100)  # squares of the near offsets stay normal
+    norm = float(np.linalg.norm(direction))
+    assume(norm > 1e-100)
+    scale = {"on": 0.0, "near": 10.0 ** log_rel * (length or 1.0) / norm, "off": 1.0}[kind]
+    x = _on_line(a, b, u, scale * direction)
+    r = Fraction(math.sqrt(r2_segment(x, a, b)))
+    tol = Fraction(4 * np.finfo(float).eps * (float(np.linalg.norm(x - a)) + length))
+    exact = exact_r2_segment(x, a, b)
+    assert max(r - tol, 0) ** 2 <= exact <= (r + tol) ** 2
+
+
 @settings(max_examples=100, deadline=None)
 @given(a=point, b=point, c=point, d=point)
 def test_segment_segment_symmetry(a, b, c, d):
@@ -146,31 +180,49 @@ def test_batched_blocks_equal_scalar_kernels_bitwise(pts, ends, flips):
 
 
 def oracle_r2_point(x, q) -> float:
-    """|x - q|² in Python floats, added (x + y) + z."""
+    """|x - q|² in Python floats, added x + (y + z)."""
     dx, dy, dz = (float(xk) - float(qk) for xk, qk in zip(x, q))
-    return (dx * dx + dy * dy) + dz * dz
+    return dx * dx + (dy * dy + dz * dz)
+
+
+def _dot(u, v) -> float:
+    """u·v in Python floats, added x + (y + z)."""
+    return u[0] * v[0] + (u[1] * v[1] + u[2] * v[2])
+
+
+def _cross(u, v) -> list:
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
 
 
 def oracle_r2_segment(x, a, b) -> float:
     """Squared distance from x to the segment [a, b] in Python floats, by the documented formula.
 
     Every Python float operation rounds once, with no fused multiply-add, so
-    this fixes the kernel's order of operations by hand: endpoints in
-    lexicographic order; dd = (dx·dx + dy·dy) + dz·dz; the projection
-    ((x - a_x)·d_x + (y - a_y)·d_y) + (z - a_z)·d_z; t = proj / dd, with dd
-    taken as 1 where it is 0, clamped to [0, 1]; r² = Σ(diff_k - t·d_k)²,
-    added (x + y) + z.
+    this fixes the kernel's order of operations by hand.  The frame: the
+    endpoints in lexicographic order, d = b - a and dd = d·d; a degenerate
+    segment (dd == 0) takes d = (1, 0, 0) and is not clamped.  The length
+    is sqrt(dd), e2 = w / |w| for w = d × the axis of d's smallest |d_k|,
+    and e3 = (d / length) × e2.  Then t = (x - a)·(d / dd) and
+    n_j = (x - a)·e_j, and r² = ((t - clamp(t, 0, 1))·length)² + (n2² + n3²).
+    Every dot product adds its axes x + (y + z).
     """
     x, a, b = (tuple(map(float, v)) for v in (x, a, b))
     if b < a:
         a, b = b, a
     d = [bk - ak for ak, bk in zip(a, b)]
+    dd = _dot(d, d)
+    degenerate = dd == 0.0
+    if degenerate:
+        d, dd = [1.0, 0.0, 0.0], 1.0
+    length = math.sqrt(dd)
+    k = min(range(3), key=lambda i: abs(d[i]))
+    w = _cross(d, [float(i == k) for i in range(3)])
+    e2 = [wk / math.sqrt(_dot(w, w)) for wk in w]
+    e3 = _cross([dk / length for dk in d], e2)
     diff = [xk - ak for xk, ak in zip(x, a)]
-    dd = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
-    proj = (diff[0] * d[0] + diff[1] * d[1]) + diff[2] * d[2]
-    t = min(max(proj / (dd if dd != 0.0 else 1.0), 0.0), 1.0)
-    r = [ek - t * dk for ek, dk in zip(diff, d)]
-    return (r[0] * r[0] + r[1] * r[1]) + r[2] * r[2]
+    t, n2, n3 = (_dot(diff, e) for e in ([dk / dd for dk in d], e2, e3))
+    along = (t - (0.0 if degenerate else min(max(t, 0.0), 1.0))) * length
+    return along * along + (n2 * n2 + n3 * n3)
 
 
 def oracle_row(x, a, b) -> list:

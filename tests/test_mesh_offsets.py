@@ -17,10 +17,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from arbfscaffold import samples
-from arbfscaffold.errors import ValidationError
+from arbfscaffold.errors import ParseError, ValidationError
 from arbfscaffold.grid import make_grid, sample_field
 from arbfscaffold.isosurface import marching_cubes
-from arbfscaffold.mesh import VolumetricMesh, assemble_center_set, cell_measures
+from arbfscaffold.mesh import (MIN_DIAGONAL, VolumetricMesh, assemble_center_set, cell_measures,
+                               load_mesh)
 from arbfscaffold.rbf import Basis, fit_mesh
 
 BASES = {
@@ -65,14 +66,32 @@ def test_flat_hex_far_from_origin_is_rejected():
 
 
 @pytest.mark.parametrize("name", sorted(samples.SAMPLE_BUILDERS))
-@pytest.mark.parametrize("scale", [1e-110, 2.0 ** -360, 2.0 ** -600],
-                         ids=["1e-110", "2^-360", "2^-600"])
+@pytest.mark.parametrize("scale", [1e-110, 2.0 ** -360, 2.0 ** -500],
+                         ids=["1e-110", "2^-360", "2^-500"])
 def test_tiny_meshes_are_not_degenerate(name, scale):
     # their measures (and the floor) underflowed to 0 in mesh units
     base = samples.SAMPLE_BUILDERS[name]()
     mesh = VolumetricMesh(base.kind, base.vertices * scale, base.cells)
     if scale != 1e-110:  # a power of two scales the diagonal exactly
         assert mesh.bbox_diagonal() == base.bbox_diagonal() * scale
+
+
+@pytest.mark.parametrize("k", [-509, -540, -600])
+def test_meshes_below_the_smallest_diagonal_are_refused_by_name(tmp_path, k):
+    # hex 2³ fit with every basis down to 2**-508; below, the tps solve gave a
+    # NaN residual, then centers coincided or a segment met its cell center
+    base = samples.hex_block_mesh()
+    verts = base.vertices * 2.0 ** k
+    text = re.escape(f"mesh bbox diagonal must be at least {MIN_DIAGONAL:g}, "
+                     f"the smallest a fit can use, got {base.bbox_diagonal() * 2.0 ** k:g}")
+    with pytest.raises(ValidationError, match="^" + text):
+        VolumetricMesh("hex", verts, base.cells)
+    path = tmp_path / "tiny.hexmesh"
+    rows = [" ".join(map(repr, v)) for v in verts.tolist()]
+    rows += [" ".join(map(str, c)) for c in base.cells.tolist()]
+    path.write_text(f"HEX {len(verts)} {len(base.cells)}\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="tiny.hexmesh: " + text):
+        load_mesh(str(path))
 
 
 @pytest.mark.parametrize("k", [0, -300])
