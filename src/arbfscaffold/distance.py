@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import point_array
+from .errors import ValidationError, point_array
 
 # Tiled kernels work on about this many point-center pairs at a time.
 TILE_ELEMS = 2**17
@@ -207,11 +207,20 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
             yield slice(r0, r1), slice(c0, c1), block
 
 
-def squared_distance_block(q, points, seg_a, seg_b) -> np.ndarray:
-    """(len(q), P + S) squared distances from each row of ``q`` to the points, then the segments."""
+def squared_distance_block(q, points, seg_a, seg_b, out=None) -> np.ndarray:
+    """(len(q), P + S) squared distances from each row of ``q`` to the points, then the segments.
+
+    They are written into ``out`` when it is given (a view of a larger
+    array, such as the collocation matrix's rows, will do), and returned.
+    """
     q = point_array(q, "q")
     points, seg_a = point_array(points, "points"), point_array(seg_a, "seg_a")
-    out = np.empty((len(q), len(points) + len(seg_a)))
+    shape = (len(q), len(points) + len(seg_a))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValidationError(f"out must be a float64 array of shape {shape}, "
+                              f"got {out.dtype} {out.shape}")
     for rows, _, block in distance_tiles(q[:, :1], q[:, 1:2], q[:, 2:], points, seg_a, seg_b):
         out[rows] = block[:, 0]
     return out

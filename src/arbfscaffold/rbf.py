@@ -7,6 +7,12 @@ A[i][j] = phi(d(center_i, center_j)).  No polynomial term is appended; an
 optional Tikhonov lambda can be added to the diagonal when a basis/shape
 combination turns out near-singular.
 
+A is symmetric bit for bit, and in anisotropic mode indefinite: the segment
+kernel is not positive definite, so a Cholesky factorization serves only
+the isotropic mode.  The fit factors A in place as L D Lᵀ with
+Bunch-Kaufman pivoting (LAPACK dsytrf) in either mode, and A is its only
+N x N array (fit_with_report).
+
 Between two segment centers, d is the minimum over their four endpoint
 pairs.  That is a deliberate model choice, not the geometric distance
 between the segments, and an upper bound on it: the closest points of two
@@ -19,7 +25,6 @@ pairs, by at most 0.23 %, on the 20-tet icosahedron.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +40,8 @@ BASIS_KINDS = ("gaussian", "mq", "imq", "tps")
 # Centers within this fraction of their bbox diagonal are checked for duplicate geometry;
 # tol² is capped at 2**1022, so an r² that overflowed to inf is no duplicate.
 DUPLICATE_TOL = 1e-12
-# A pivot at or below this fraction of max|A| counts as singular.
+# A pivot block of D whose smaller |eigenvalue| is at or below this fraction of max|A|
+# counts as singular.
 PIVOT_TOL = 1e-12
 # Post-solve residual bound: ||A w - f||_inf <= RESIDUAL_TOL * (1 + ||f||_inf).
 RESIDUAL_TOL = 1e-8
@@ -97,24 +103,25 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     """Dense collocation system (A, rhs) for a center set.
 
     A holds squared distances until basis values overwrite them in place.
-    The point rows come from the tile walk of evaluate_axes, through one
-    squared_distance_block call, and become basis values by the step
+    The point rows come from the tile walk of evaluate_axes, written into A
+    by squared_distance_block, and become basis values by the step
     evaluate_axes applies to its tiles, so a point center's row has the
     bits of the field's terms at that center.  Their transpose fills the
     point columns.  Between segments i and j the entry is the minimum of
-    |a_i - a_j|², |a_i - b_j|², |b_i - a_j|² and |b_i - b_j|², built in
-    place with one s x s scratch at a time.  Raises DuplicateCenterError
-    when two centers coincide (see DUPLICATE_TOL): almost always a degenerate mesh.
+    |a_i - a_j|², |a_i - b_j|², |b_i - a_j|² and |b_i - b_j|²: the first is
+    written into A's segment block, and the others come from one s x s
+    scratch at a time, so A is the only N x N array.  Raises
+    DuplicateCenterError when two centers coincide (see DUPLICATE_TOL):
+    almost always a degenerate mesh.
     """
     lam = real(lam, "lambda")
     pts, sa, sb = centers.points, centers.seg_a, centers.seg_b
     p, n = len(pts), len(centers)
     tol = min(DUPLICATE_TOL * bbox_diagonal(*centers.bbox()), 2.0 ** 511) ** 2
     r2 = np.empty((n, n))
-    r2[:p] = squared_distance_block(pts, pts, sa, sb)
+    squared_distance_block(pts, pts, sa, sb, out=r2[:p])
     r2[p:, :p] = r2[:p, p:].T
-    seg = r2[p:, p:]
-    seg[:] = squared_distance_block(sa, sa, _NO_ROWS, _NO_ROWS)
+    seg = squared_distance_block(sa, sa, _NO_ROWS, _NO_ROWS, out=r2[p:, p:])
     same = seg <= tol
     ab = squared_distance_block(sa, sb, _NO_ROWS, _NO_ROWS)
     flipped = (ab <= tol) & (ab.T <= tol)
@@ -139,24 +146,31 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     return r2, centers.values
 
 
-def _inverse_one_norm(lu_piv) -> float:
-    """Hager's estimate, from below, of ||A^-1||_1 from A's LU factors.
+def _ldl_solve(ldu, ipiv, b) -> np.ndarray:
+    """A^-1 b from dsytrf's lower factors of A in the F-ordered ``ldu``."""
+    from scipy.linalg import lapack
+    return lapack.dsytrs(ldu, ipiv, b, lower=1)[0]
+
+
+def _inverse_one_norm(ldu, ipiv) -> float:
+    """Hager's estimate, from below, of ||A^-1||_1 from A's LDLᵀ factors.
 
     Hager (1984) climbs ||A^-1 x||_1 over unit vectors x, with solves by A
     and A^T on the same factors; Higham (ACM TOMS 14, 1988) caps it at five
-    steps and adds the alternating-sign vector as a second guess.  It takes
-    only lu_solve and numpy sums, so it repeats bit for bit as the weights do.
+    steps and adds the alternating-sign vector as a second guess.  A is
+    symmetric, so A^-T = A^-1 and one solve serves both directions.  It
+    takes only dsytrs and numpy sums, so it repeats bit for bit as the
+    weights do.
     """
-    from scipy.linalg import lu_solve
-    n = len(lu_piv[1])
+    n = len(ipiv)
     x, est = np.full(n, 1.0 / n), 0.0
     for _ in range(5):
-        y = lu_solve(lu_piv, x)
+        y = _ldl_solve(ldu, ipiv, x)
         y_norm = np.abs(y).sum()
         if y_norm <= est:
             break
         est = y_norm
-        z = lu_solve(lu_piv, np.where(y >= 0.0, 1.0, -1.0), trans=1)
+        z = _ldl_solve(ldu, ipiv, np.where(y >= 0.0, 1.0, -1.0))
         j = int(np.argmax(np.abs(z)))
         if abs(z[j]) <= (z * x).sum():  # x is a local maximum
             break
@@ -164,7 +178,40 @@ def _inverse_one_norm(lu_piv) -> float:
         x[j] = 1.0
     alt = np.linspace(1.0, 2.0, n)
     alt[1::2] *= -1.0
-    return float(max(est, np.abs(lu_solve(lu_piv, alt)).sum() / np.abs(alt).sum()))
+    return float(max(est, np.abs(_ldl_solve(ldu, ipiv, alt)).sum() / np.abs(alt).sum()))
+
+
+def _smallest_pivot(ldu, ipiv) -> float:
+    """The smallest |eigenvalue| of D's 1 x 1 and 2 x 2 blocks in dsytrf's lower factors.
+
+    A negative ipiv marks the two rows of a 2 x 2 block, so a run of them
+    pairs up from its start.  A block [[p, q], [q, r]] has the eigenvalues
+    m ± h, m = (p + r) / 2 and h = hypot((p - r) / 2, q), so the smaller
+    magnitude is ||m| - h|, off by a few eps * (|m| + h).
+    """
+    d, off = ldu.diagonal(), ldu.diagonal(-1)
+    k = np.arange(len(ipiv))
+    two = ipiv < 0
+    last_one = np.maximum.accumulate(np.where(two, -1, k))
+    first = np.flatnonzero(two & ((k - last_one) % 2 == 1))
+    p, q, r = d[first], off[first], d[first + 1]
+    small = np.abs(np.abs(0.5 * p + 0.5 * r) - np.hypot(0.5 * p - 0.5 * r, q))
+    return float(np.concatenate([np.abs(d[~two]), small]).min(initial=np.inf))  # keeps a NaN
+
+
+def _residual(a, diag, w, rhs) -> np.ndarray:
+    """A w - rhs while ``a`` holds dsytrf's lower factors of A in a.T.
+
+    dsymv reads the strict upper triangle of a.T, which dsytrf leaves as
+    A's, and the diagonal, where A's saved ``diag`` stands in for D's until
+    the product is taken.
+    """
+    from scipy.linalg import blas
+    d = a.diagonal().copy()
+    np.fill_diagonal(a, diag)
+    out = blas.dsymv(1.0, a.T, w, beta=-1.0, y=rhs, lower=0)
+    np.fill_diagonal(a, d)
+    return out
 
 
 @dataclass(eq=False)
@@ -219,11 +266,12 @@ class FitReport:
     """Solve diagnostics: condition estimate and final residual.
 
     ``condition_estimate`` is ||A||_1 times Hager's estimate of ||A^-1||_1
-    on the fit's LU factors: an estimate, from below, of the 1-norm
+    on the fit's LDLᵀ factors: an estimate, from below, of the 1-norm
     condition number, the same bits on every run.  ||A||_1 is read by LAPACK
-    dlange with no |A| copy; it adds each column's entries in row order, as
-    numpy's column sums of |A| do, so the bits are theirs.  ``residual_inf``
-    is ||A w - f||_inf after the refinement step.
+    dlange, before the factorization overwrites A and with no |A| copy; it
+    adds each column's entries in row order, as numpy's column sums of |A|
+    do, so the bits are theirs.  ``residual_inf`` is ||A w - f||_inf after
+    the refinement step, with A w from BLAS dsymv.
     """
 
     n_centers: int
@@ -234,37 +282,43 @@ class FitReport:
 def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
     """Assemble and solve the collocation system, returning (model, report).
 
-    Dense LU with partial pivoting plus one refinement step.  A failed LU, a
-    pivot at most PIVOT_TOL * max|A| (a zero one always) or a residual above
-    RESIDUAL_TOL * (1 + ||f||_inf) raises SingularMatrixError.
+    A is symmetric bit for bit and, in anisotropic mode, indefinite, so one
+    symmetric indefinite factorization A = L D Lᵀ serves both modes:
+    Bunch-Kaufman pivoting (Math. Comp. 31, 1977), LAPACK dsytrf.  It runs
+    in place on a.T, an F-ordered view that f2py passes without a copy, so
+    A is the fit's only N x N array.  One refinement step follows the solve.
+    A non-finite A, a pivot block of D whose smaller |eigenvalue| is at most
+    PIVOT_TOL * max|A| (a zero one always) or a residual above RESIDUAL_TOL
+    * (1 + ||f||_inf) raises SingularMatrixError.
     """
     a, rhs = assemble_matrix(centers, basis, lam)
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, norm  # only fits pay its import
-    try:
-        with warnings.catch_warnings():
-            # the pivot check below reports singularity on our own terms
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(a)
-    except Exception as exc:  # scipy raises LinAlgError on hard failure
-        raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
+    from scipy.linalg import lapack, norm  # only fits pay its import
     scale = max(a.max(), -a.min())  # max|A| with no |A| copy
-    if np.abs(np.diag(lu)).min() <= PIVOT_TOL * scale:
+    if not np.isfinite(scale):
+        raise SingularMatrixError("interpolation matrix is not finite; "
+                                  "check the mesh scale and the shape parameter")
+    norm_1 = norm(a, 1, check_finite=False)  # dlange: no |A| copy (see FitReport)
+    diag = a.diagonal().copy()
+    n = len(a)
+    # dsytrf's info > 0 names an exactly zero pivot, which the test below refuses
+    ldu, ipiv, _ = lapack.dsytrf(a.T, lower=1, lwork=int(lapack.dsytrf_lwork(n, lower=1)[0]),
+                                 overwrite_a=1)
+    if not _smallest_pivot(ldu, ipiv) > PIVOT_TOL * scale:  # a NaN one fails too
         raise SingularMatrixError(
             "interpolation matrix is numerically singular; "
             "a small Tikhonov lambda (e.g. 1e-10) usually fixes this"
         )
-    w = lu_solve((lu, piv), rhs, check_finite=False)
+    w = _ldl_solve(ldu, ipiv, rhs)
     # One step of iterative refinement tightens the residual cheaply.
-    w = w + lu_solve((lu, piv), rhs - a @ w, check_finite=False)
-    residual = float(np.abs(a @ w - rhs).max())
+    w = w - _ldl_solve(ldu, ipiv, _residual(a, diag, w, rhs))
+    residual = float(np.abs(_residual(a, diag, w, rhs)).max())
     if not residual <= RESIDUAL_TOL * (1.0 + float(np.abs(rhs).max())):  # a NaN fails too
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds tolerance; "
             "the system is too ill-conditioned at this shape parameter"
         )
-    norm_1 = norm(a, 1, check_finite=False)  # dlange: no |A| copy (see FitReport)
     model = InterpolationModel(centers=centers, basis=basis, lam=lam, weights=w)
-    return model, FitReport(len(centers), norm_1 * _inverse_one_norm((lu, piv)), residual)
+    return model, FitReport(n, norm_1 * _inverse_one_norm(ldu, ipiv), residual)
 
 
 def fit_mesh(mesh: VolumetricMesh, basis: Basis, mode: str, lam: float = 0.0):

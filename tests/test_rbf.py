@@ -140,7 +140,10 @@ def test_solve_matches_reference(rng):
     model, report = fit_with_report(centers, Basis("imq", 0.5))
     a, rhs = assemble_matrix(centers, Basis("imq", 0.5))
     assert np.allclose(a @ model.weights, rhs, atol=1e-10)
-    assert report.residual_inf == np.abs(a @ model.weights - rhs).max() < 1e-10
+    # the fit takes A w by dsymv on the triangle its factorization leaves as A's
+    from scipy.linalg import blas
+    product = blas.dsymv(1.0, a.T, model.weights, beta=-1.0, y=rhs, lower=0)
+    assert report.residual_inf == np.abs(product).max() < 1e-10
 
 
 def test_singular_matrix_raises_with_hint():
@@ -152,33 +155,37 @@ def test_singular_matrix_raises_with_hint():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_failed_factorization_is_singular_matrix_error():
-    # r² = 1e400 overflows to inf, so A is not finite
+    # r² = 1e400 overflows to inf, so A is not finite and is refused before it is factored
     centers = CenterSet([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]], [1.0, -1.0])
-    with pytest.raises(SingularMatrixError, match="LU factorization failed"):
+    with pytest.raises(SingularMatrixError, match="interpolation matrix is not finite"):
         fit_with_report(centers, Basis("mq", 0.1))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("k,match", [(-512, "solve residual nan"), (-530, "numerically singular")])
-def test_subnormal_matrix_is_singular_matrix_error(k, match):
-    # hex 2³ centers scaled by 2**k: the tps entries are subnormal, so the weights overflowed
-    # (k = -512), or PIVOT_TOL * max|A| underflowed to 0 and a zero pivot passed (k = -530);
-    # either way lu_solve raised a raw ValueError on the non-finite weights
+@pytest.mark.parametrize("k", [-512, -530])
+def test_subnormal_matrix_is_singular_matrix_error(k):
+    # hex 2³ centers scaled by 2**k: the tps entries are subnormal, and at -530 PIVOT_TOL *
+    # max|A| underflows to 0; at both, D holds a zero and a NaN pivot, and a NaN one fails
+    # the pivot test as a zero one does, before a solve could return non-finite weights
     centers = ax.assemble_center_set(samples.hex_block_mesh(), "isotropic")
     centers = CenterSet(centers.points * 2.0 ** k, centers.point_values)
-    with pytest.raises(SingularMatrixError, match=match):
+    with pytest.raises(SingularMatrixError, match="numerically singular"):
         fit_with_report(centers, Basis("tps"))
 
 
 @pytest.mark.parametrize("name", ["tet", "block", "icosa"])
 @pytest.mark.parametrize("mode", ["isotropic", "anisotropic"])
 def test_condition_estimate_is_column_sum_norm_times_hager(name, mode):
-    # pins the order in which the 1-norm adds |A|: each column in row order
-    from scipy.linalg import lu_factor
+    # pins the order in which the 1-norm adds |A| (each column in row order) and
+    # the factors Hager's estimate solves with: dsytrf's LDLᵀ of A, lower triangle
+    from scipy.linalg import lapack
     centers = ax.assemble_center_set(ALL_MESHES[name](), mode)
     a, _ = assemble_matrix(centers, Basis("imq", 0.1))
     _, report = fit_with_report(centers, Basis("imq", 0.1))
-    expected = np.abs(a).sum(axis=0).max() * rbf._inverse_one_norm(lu_factor(a))
+    lwork = int(lapack.dsytrf_lwork(len(a), lower=1)[0])
+    ldu, ipiv, info = lapack.dsytrf(a, lower=1, lwork=lwork)
+    assert info == 0
+    expected = np.abs(a).sum(axis=0).max() * rbf._inverse_one_norm(ldu, ipiv)
     assert report.condition_estimate.hex() == float(expected).hex()
 
 
@@ -289,15 +296,45 @@ def test_fit_report_fields(block_mesh):
     assert report.residual_inf < 1e-10
 
 
-@pytest.mark.parametrize("kind", ["imq", "gaussian"])
-def test_condition_estimate_tracks_one_norm_condition(icosa_mesh, kind):
+_TRACKED_MESHES = {"icosa": samples.icosahedron_tet_mesh, "hex2": samples.hex_block_mesh,
+                   "hex4": lambda: samples.hex_block_mesh(4, 4, 4)}
+_ONE_COLUMN_MISS = pytest.mark.xfail(
+    strict=True, reason="Hager's one-column estimate is 97x below cond_1 here; ROADMAP item 6's "
+                        "two-column block estimator (Higham and Tisseur) was exact on this fit")
+
+
+@pytest.mark.parametrize("name,mode,kind", [
+    *[(name, mode, "imq") for name in ("icosa", "hex2") for mode in ("isotropic", "anisotropic")],
+    ("icosa", "anisotropic", "gaussian"),  # gaussian c = 0.1 is singular on the other fits
+    ("hex4", "isotropic", "imq"),
+    pytest.param("hex4", "anisotropic", "imq", marks=_ONE_COLUMN_MISS),
+])
+def test_condition_estimate_tracks_one_norm_condition(name, mode, kind):
     # Hager's estimate of ||A^-1||_1 (_inverse_one_norm) climbs from below:
     # never above the true value
-    centers = ax.assemble_center_set(icosa_mesh, "anisotropic")
+    centers = ax.assemble_center_set(_TRACKED_MESHES[name](), mode)
     a, _ = assemble_matrix(centers, Basis(kind, 0.1))
     report = fit_with_report(centers, Basis(kind, 0.1))[1]
     true = np.linalg.cond(a, 1)
     assert true / 10 <= report.condition_estimate <= true * (1 + 1e-9)
+
+
+def test_fit_holds_one_matrix():
+    # dsytrf factors A in place and assembly fills A's rows straight from the tile
+    # walk, so the peak is 1.48x A's 8 N² bytes, the rest being the s x s endpoint
+    # scratch; a copy of A, or a staged P x N block of point rows, reaches 2.0x
+    import tracemalloc
+    mesh = ax.perturb_mesh(samples.hex_block_mesh(4, 4, 4), ax.PerturbSpec(0.2, 1, 0.7))
+    centers = ax.assemble_center_set(mesh, "anisotropic")
+    fit_with_report(centers, Basis("imq", 0.1))  # one-time caches do not count
+    tracemalloc.start()
+    try:
+        fit_with_report(centers, Basis("imq", 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(centers) == 809
+    assert peak <= 1.6 * 8 * len(centers) ** 2
 
 
 _HEX4_CONDITION = """
