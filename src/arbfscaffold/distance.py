@@ -18,7 +18,9 @@ two scale every r² exactly by its square, as they scale d / dd and L and
 leave e2 and e3 as they are.  Every basis is a function of r², so
 ``InterpolationModel.evaluate_axes`` turns the tiles into field values, and
 ``assemble_matrix`` into matrix entries, with no square root.
-``squared_distance_block`` gathers the tiles into one (n, P + S) block.
+``row_tiles`` walks the rows of an (n, 3) array: ``assemble_matrix``
+writes its tiles into A, and ``squared_distance_block`` gathers them into
+one (n, P + S) block.
 
 The frame keeps the accuracy of summing squared residuals.  t, n2 and n3
 are dot products of x - a, each off by a few eps·|x - a|, and e2 and e3
@@ -56,8 +58,8 @@ runs one inner loop per query point over only P or S centers.  So the
 tables and the segment terms are contiguous arrays, with the centers'
 coordinates and frames as one contiguous row per axis, and only each
 part's last add writes into the block.  A center set with no segments (an
-isotropic fit, the fit's endpoint blocks) gets no segment tables and no
-segment arithmetic; one with no points, no point arithmetic.
+isotropic fit, the walks to the segments' endpoints) gets no segment tables
+and no segment arithmetic; one with no points, no point arithmetic.
 
 No segment-to-segment distance is computed here.  Between two segment
 centers the collocation matrix takes the minimum over their four endpoint
@@ -70,7 +72,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError, point_array
+from .errors import point_array
 
 # Tiled kernels work on about this many point-center pairs at a time.
 TILE_ELEMS = 2**17
@@ -207,20 +209,18 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
             yield slice(r0, r1), slice(c0, c1), block
 
 
-def squared_distance_block(q, points, seg_a, seg_b, out=None) -> np.ndarray:
-    """(len(q), P + S) squared distances from each row of ``q`` to the points, then the segments.
+def row_tiles(q, points, seg_a, seg_b):
+    """Yield (rows, block), the tiles of squared_distance_block, each a view of one buffer."""
+    q = point_array(q, "q")
+    for rows, _, block in distance_tiles(q[:, :1], q[:, 1:2], q[:, 2:], points, seg_a, seg_b):
+        yield rows, block[:, 0]
 
-    They are written into ``out`` when it is given (a view of a larger
-    array, such as the collocation matrix's rows, will do), and returned.
-    """
+
+def squared_distance_block(q, points, seg_a, seg_b) -> np.ndarray:
+    """(len(q), P + S) squared distances from each row of ``q`` to the points, then the segments."""
     q = point_array(q, "q")
     points, seg_a = point_array(points, "points"), point_array(seg_a, "seg_a")
-    shape = (len(q), len(points) + len(seg_a))
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValidationError(f"out must be a float64 array of shape {shape}, "
-                              f"got {out.dtype} {out.shape}")
-    for rows, _, block in distance_tiles(q[:, :1], q[:, 1:2], q[:, 2:], points, seg_a, seg_b):
-        out[rows] = block[:, 0]
+    out = np.empty((len(q), len(points) + len(seg_a)))
+    for rows, block in row_tiles(q, points, seg_a, seg_b):
+        out[rows] = block
     return out

@@ -9,9 +9,9 @@ combination turns out near-singular.
 
 A is symmetric bit for bit, and in anisotropic mode indefinite: the segment
 kernel is not positive definite, so a Cholesky factorization serves only
-the isotropic mode.  The fit factors A in place as L D Lᵀ with
-Bunch-Kaufman pivoting (LAPACK dsytrf) in either mode, and A is its only
-N x N array (fit_with_report).
+the isotropic mode.  assemble_matrix fills A from the tiles of one walk,
+and fit_with_report factors it in place as L D Lᵀ with Bunch-Kaufman
+pivoting (LAPACK dsytrf) in either mode, so A is the fit's only N x N array.
 
 Between two segment centers, d is the minimum over their four endpoint
 pairs.  That is a deliberate model choice, not the geometric distance
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .distance import distance_tiles, squared_distance_block
+from .distance import distance_tiles, row_tiles
 from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError, real
 from .grid import FieldSource, bbox_diagonal
 from .mesh import CenterSet, VolumetricMesh, assemble_center_set
@@ -47,7 +47,6 @@ PIVOT_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 
 _MODEL_MAGIC = "ARBF1"
-_NO_ROWS = np.empty((0, 3))  # no segments, for point-to-point blocks
 
 
 @dataclass(frozen=True)
@@ -99,18 +98,28 @@ def eval_basis(basis: Basis, r):
     return float(out) if out.ndim == 0 else out
 
 
+def _first_duplicate(off: int, rows: slice, dup: np.ndarray) -> None:
+    """Raise DuplicateCenterError at dup's first i < j: its rows ``rows`` of pairs from ``off``."""
+    i, j = np.nonzero(dup)
+    upper = np.flatnonzero(i + rows.start < j)
+    if len(upper):
+        i, j = off + rows.start + i[upper[0]], off + j[upper[0]]
+        raise DuplicateCenterError(f"centers {i} and {j} coincide; "
+                                   "check the mesh for degenerate cells")
+
+
 def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     """Dense collocation system (A, rhs) for a center set.
 
     A holds squared distances until basis values overwrite them in place.
-    The point rows come from the tile walk of evaluate_axes, written into A
-    by squared_distance_block, and become basis values by the step
-    evaluate_axes applies to its tiles, so a point center's row has the
-    bits of the field's terms at that center.  Their transpose fills the
-    point columns.  Between segments i and j the entry is the minimum of
-    |a_i - a_j|², |a_i - b_j|², |b_i - a_j|² and |b_i - b_j|²: the first is
-    written into A's segment block, and the others come from one s x s
-    scratch at a time, so A is the only N x N array.  Raises
+    The point rows come from the tile walk of evaluate_axes and become basis
+    values by the step evaluate_axes applies to its tiles, so a point
+    center's row has the bits of the field's terms at that center.  Their
+    transpose fills the point columns.  Between segments i and j the entry
+    is the minimum of |a_i - a_j|², |a_i - b_j|², |b_i - a_j|² and
+    |b_i - b_j|²: two walks side by side, from the starts and from the ends
+    to every endpoint, give all four in each pair of tiles.  Both duplicate
+    tests run on the same tiles, so no array but A grows as N².  Raises
     DuplicateCenterError when two centers coincide (see DUPLICATE_TOL):
     almost always a degenerate mesh.
     """
@@ -119,28 +128,18 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     p, n = len(pts), len(centers)
     tol = min(DUPLICATE_TOL * bbox_diagonal(*centers.bbox()), 2.0 ** 511) ** 2
     r2 = np.empty((n, n))
-    squared_distance_block(pts, pts, sa, sb, out=r2[:p])
+    for rows, block in row_tiles(pts, pts, sa, sb):
+        r2[rows] = block
+        _first_duplicate(0, rows, block[:, :p] <= tol)
     r2[p:, :p] = r2[:p, p:].T
-    seg = squared_distance_block(sa, sa, _NO_ROWS, _NO_ROWS, out=r2[p:, p:])
-    same = seg <= tol
-    ab = squared_distance_block(sa, sb, _NO_ROWS, _NO_ROWS)
-    flipped = (ab <= tol) & (ab.T <= tol)
-    np.minimum(seg, ab, out=seg)
-    np.minimum(seg, ab.T, out=seg)  # |b_i - a_j|² rounds exactly as |a_j - b_i|²
-    del ab  # one s x s scratch at a time
-    bb = squared_distance_block(sb, sb, _NO_ROWS, _NO_ROWS)
-    same &= bb <= tol
-    np.minimum(seg, bb, out=seg)
-    del bb
-
-    # Point pairs, then segment pairs with identical geometry in either
-    # orientation; segments that merely touch (shared face center) are fine.
-    for off, dup in ((0, r2[:p, :p] <= tol), (p, same | flipped)):
-        i, j = np.nonzero(dup)
-        upper = np.flatnonzero(i < j)
-        if len(upper):
-            raise DuplicateCenterError(f"centers {off + i[upper[0]]} and {off + j[upper[0]]} "
-                                       "coincide; check the mesh for degenerate cells")
+    seg, ends, none = r2[p:, p:], np.vstack([sa, sb]), sa[:0]
+    # |b_i - a_j|² rounds exactly as |a_j - b_i|²: each axis squares a negated difference
+    for (rows, a_to), (_, b_to) in zip(row_tiles(sa, ends, none, none),
+                                       row_tiles(sb, ends, none, none), strict=True):
+        (aa, ab), (ba, bb) = np.split(a_to, 2, axis=1), np.split(b_to, 2, axis=1)
+        # the same segment in either orientation; segments that merely touch are fine
+        _first_duplicate(p, rows, (np.maximum(aa, bb) <= tol) | (np.maximum(ab, ba) <= tol))
+        np.minimum(np.minimum(aa, ab, out=aa), np.minimum(ba, bb, out=bb), out=seg[rows])
     _fill_basis(basis, r2)
     r2.flat[::n + 1] += lam
     return r2, centers.values

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import arbfscaffold as ax
-from arbfscaffold import samples
+from arbfscaffold import distance, samples
 from arbfscaffold.distance import TILE_ELEMS, squared_distance_block
 from arbfscaffold.errors import DuplicateCenterError
 from arbfscaffold.mesh import CenterSet
@@ -93,6 +93,7 @@ def test_multi_tile_rows_equal_rows_built_alone(mode):
     cs = ax.assemble_center_set(mesh, mode)
     pts, sa, sb = cs.points, cs.seg_a, cs.seg_b
     assert len(pts) * len(cs) > TILE_ELEMS  # the point rows span several tiles
+    assert len(sa) == 0 or 2 * len(sa) ** 2 > TILE_ELEMS // 4  # so do the segment rows, if any
     rows = [squared_distance_block(q, pts, sa, sb)[0] for q in pts]
     for a, b in zip(sa, sb):
         ends = [squared_distance_block(e, f, NONE, NONE)[0] for e in (a, b) for f in (sa, sb)]
@@ -126,8 +127,12 @@ def _duplicate_cases():
     }
 
 
+# 2048 pairs make tiles of 3 point rows and 5 segment rows on the hex block
+# cases, so every duplicate there lies in a later tile than the first
+@pytest.mark.parametrize("elems", [distance.TILE_ELEMS, 2048])
 @pytest.mark.parametrize("name", sorted(_duplicate_cases()))
-def test_duplicates_match_reference_loop(name):
+def test_duplicates_match_reference_loop(name, elems, monkeypatch):
+    monkeypatch.setattr(distance, "TILE_ELEMS", elems)
     cs = _duplicate_cases()[name]
     _, dup = reference_squared_distances(cs)
     apart = ("just-apart", "just-apart-2^-40", "point-on-segment-end", "touching-segments")

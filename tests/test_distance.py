@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 import arbfscaffold as ax
 from arbfscaffold import distance, samples
 from arbfscaffold.distance import distance_tiles, squared_distance_block
-from arbfscaffold.errors import DuplicateCenterError, ValidationError
+from arbfscaffold.errors import DuplicateCenterError
 from arbfscaffold.mesh import CenterSet
 from arbfscaffold.rbf import Basis, assemble_matrix, eval_basis
 
@@ -318,20 +318,6 @@ def test_empty_blocks_keep_their_shape():
     assert squared_distance_block(none, q, none, none).shape == (0, 4)
     assert squared_distance_block(q, none, q, q).shape == (4, 4)
     assert squared_distance_block(none, none, q, q).shape == (0, 4)
-
-
-def test_block_fills_a_view_of_a_larger_array(rng):
-    # assemble_matrix writes point rows and the segment block straight into A's views
-    q, a, b = rng.normal(size=(3, 5, 3))
-    big = np.full((7, 12), -1.0)
-    out = squared_distance_block(q, a, a, b, out=big[1:6, 1:11])
-    assert np.shares_memory(out, big)
-    assert np.array_equal(big[1:6, 1:11], squared_distance_block(q, a, a, b))
-    big[1:6, 1:11] = -1.0
-    assert (big == -1.0).all()
-    for wrong in (np.empty((5, 9)), np.empty((5, 10), np.float32)):
-        with pytest.raises(ValidationError, match="out must be a float64 array of shape"):
-            squared_distance_block(q, a, a, b, out=wrong)
 
 
 # The endpoint-pair minimum exceeds the true segment distance by at most this

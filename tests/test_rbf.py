@@ -320,21 +320,25 @@ def test_condition_estimate_tracks_one_norm_condition(name, mode, kind):
 
 
 def test_fit_holds_one_matrix():
-    # dsytrf factors A in place and assembly fills A's rows straight from the tile
-    # walk, so the peak is 1.48x A's 8 N² bytes, the rest being the s x s endpoint
-    # scratch; a copy of A, or a staged P x N block of point rows, reaches 2.0x
+    # dsytrf factors A in place, and assembly fills A's rows and its segment
+    # block's endpoint minimum straight from the tile walk, so past A's 8 N²
+    # bytes the peak holds only tiles: 1.31x A at hex 4³ and 1.03x at hex 6³.
+    # A copy of A, or a staged P x N block of point rows, reaches 2.0x; an
+    # S x S endpoint scratch with its masks, 1.49x and 1.36x
     import tracemalloc
-    mesh = ax.perturb_mesh(samples.hex_block_mesh(4, 4, 4), ax.PerturbSpec(0.2, 1, 0.7))
-    centers = ax.assemble_center_set(mesh, "anisotropic")
-    fit_with_report(centers, Basis("imq", 0.1))  # one-time caches do not count
-    tracemalloc.start()
-    try:
-        fit_with_report(centers, Basis("imq", 0.1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(centers) == 809
-    assert peak <= 1.6 * 8 * len(centers) ** 2
+    for size, n, bound in ((4, 809, 1.4), (6, 2521, 1.1)):
+        mesh = ax.perturb_mesh(samples.hex_block_mesh(size, size, size),
+                               ax.PerturbSpec(0.2, 1, 0.7))
+        centers = ax.assemble_center_set(mesh, "anisotropic")
+        fit_with_report(centers, Basis("imq", 0.1))  # one-time caches do not count
+        tracemalloc.start()
+        try:
+            fit_with_report(centers, Basis("imq", 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(centers) == n
+        assert peak <= bound * 8 * n ** 2, (size, peak / (8 * n ** 2))
 
 
 _HEX4_CONDITION = """
