@@ -10,7 +10,6 @@ bit-identically.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +182,10 @@ def sample_field(source, grid: VoxelGrid, workers: int = 1) -> VoxelGrid:
         for span in spans:
             run(span)
     else:
+        # Imported here: concurrent.futures loads logging, which a 1-worker
+        # run would otherwise pay for at import.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, spans))
     if not np.all(np.isfinite(out)):

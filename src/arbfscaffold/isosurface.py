@@ -35,7 +35,14 @@ export_obj writes the bytes of 'v %.9g %.9g %.9g' and 'f %d %d %d' lines
 without formatting numbers one by one.  Each chunk of OBJ_CHUNK_ROWS lines
 is an array of uint32 words, 3-digit groups looked up in a table, with NUL
 bytes wherever a line has nothing; the chunk is written with every NUL
-removed.  A face index is its digit groups without leading zeros.  %.9g
+removed.  Each number fills a slot of words, and a line is its tag and
+three slots.  A marching_cubes soup carries its grid's axes, and a vertex
+lies on the two axes across its edge, so most of its coordinates repeat a
+few hundred axis values.  Then a chunk formats each axis value that some
+coordinate equals bit for bit once, and every other coordinate once, into
+a table of slots, and gathers each 'v' line's slots from it.  The text of
+a value depends only on the value, so the bytes do not depend on the axes.
+A face index is its digit groups without leading zeros.  %.9g
 prints x in fixed notation exactly when the decimal exponent e of x rounded
 to 9 digits lies in [-4, 8]; then, with a = |x| and k = 8 - e in 0..12,
 10**k is exact and scaled = a * 10**k is rounded once (e is lowered by one
@@ -82,10 +89,15 @@ class TriangleSoup:
     ``_index_dtype(nv)``: int32 below 2**31 vertices.  Arithmetic on the
     indices that can pass nv, such as an edge key a * nv + b, must widen
     them to int64 first.
+
+    ``axes`` is the sampled grid's ``axes()`` on a marching_cubes soup and
+    None otherwise.  export_obj formats each axis value once instead of once
+    per vertex; the file's bytes depend on the vertices alone.
     """
 
     vertices: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     triangles: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=_index_dtype(0)))
+    axes: tuple | None = None
 
 
 @dataclass(eq=False)
@@ -170,7 +182,7 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     bits |= quad[:-1]
     cells = np.flatnonzero((bits != 0) & (bits != 255))
     if len(cells) == 0:
-        return TriangleSoup()
+        return TriangleSoup(axes=grid.axes())
     cases = _CASE_OF_BITS[bits.ravel()[cells]]
     order = np.argsort(cases, kind="stable")
     cells, cases = cells[order], cases[order]
@@ -205,7 +217,8 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     t, points = _edge_vertices(grid, lo, axis, iso)
     snap = np.minimum(t, 1 - t) <= SNAP_T
     if not snap.any():
-        return TriangleSoup(vertices=points, triangles=corner_src.reshape(-1, 3))
+        return TriangleSoup(vertices=points, triangles=corner_src.reshape(-1, 3),
+                            axes=grid.axes())
 
     # A snapped vertex is its nearer sample q.  Ids 4 * q + axis (edges) and
     # 4 * q + 3 (sample q) keep the vertices in grid-edge order.
@@ -224,7 +237,8 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
     used = np.zeros(len(ids), dtype=bool)
     used[triangles] = True
     renumber = (np.cumsum(used) - 1).astype(corner_src.dtype)
-    return TriangleSoup(vertices=points[first[used]], triangles=renumber[triangles])
+    return TriangleSoup(vertices=points[first[used]], triangles=renumber[triangles],
+                        axes=grid.axes())
 
 
 # 16-case marching squares: corner bit n set when corner n is >= iso,
@@ -291,7 +305,9 @@ def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:
 # Export
 # ---------------------------------------------------------------------------
 
-# Rows per chunk: a chunk's words take at most 3 MiB (8 uint32 per value).
+# Rows per chunk.  A chunk's line words take at most 3 MiB (8 uint32 per
+# value), and its slot table at most as much again: a chunk formats at most
+# one value per coordinate, each in a slot of at most 8 words.
 OBJ_CHUNK_ROWS = 2 ** 15
 
 # Every 3-digit group as a little-endian uint32 word: its digit bytes, then
@@ -314,16 +330,16 @@ _IPOW10 = 10 ** np.arange(13, dtype=np.int64)
 _TIE_GUARD = 2.5e-7
 
 
-def _line_words(rows: int, slot_words: int, tag: str) -> np.ndarray:
-    """Zeroed (rows, 3, slot_words) words; slots start with ' ', lines with ``tag``."""
-    words = np.zeros((rows, 3, slot_words), dtype="<u4")
-    words[:, :, 0] = _SPACE
-    words[:, 0, 0] |= ord(tag)
+def _slot_words(shape: tuple, slot_words: int) -> np.ndarray:
+    """Zeroed (*shape, slot_words) words whose slots start with ' '."""
+    words = np.zeros((*shape, slot_words), dtype="<u4")
+    words[..., 0] = _SPACE
     return words
 
 
-def _line_bytes(words: np.ndarray) -> bytes:
-    """The lines held in ``words``, each ended by a newline, with every NUL removed."""
+def _line_bytes(words: np.ndarray, tag: str) -> bytes:
+    """The (rows, 3) slots of ``words`` as ``tag`` lines, with every NUL removed."""
+    words[:, 0, 0] |= ord(tag)
     words[:, 2, -1] |= _NEWLINE
     return words.tobytes().translate(None, b"\0")
 
@@ -349,16 +365,18 @@ def _put_digits(out: np.ndarray, v: np.ndarray) -> None:
 def _face_lines(tris: np.ndarray, nv: int) -> bytes:
     """'f a b c' lines of (rows, 3) indices in 0..nv - 1, made 1-based in a dtype that holds nv."""
     tris = np.add(tris, 1, dtype=np.promote_types(tris.dtype, _index_dtype(nv)))
-    words = _line_words(len(tris), 1 + _groups(tris), "f")
-    _put_digits(words[:, :, 1:], tris)
-    return _line_bytes(words)
+    words = _slot_words(tris.shape, 1 + _groups(tris))
+    _put_digits(words[..., 1:], tris)
+    return _line_bytes(words, "f")
 
 
-def _vertex_lines(x: np.ndarray) -> bytes:
-    """'v x y z' lines of (rows, 3) float64 coordinates, each as '%.9g' formats it.
+def _format_slots(x: np.ndarray) -> np.ndarray:
+    """Words (*x.shape, slot_words) of float64 values, each slot ' ' and '%.9g' of its value.
 
     A slot holds [' ', sign], the integer part, '.' and 12 fraction digits,
-    or the '%.9g' text of a value outside the fixed-notation fast path.
+    or the '%.9g' text of a value outside the fixed-notation fast path.  The
+    integer part takes as many groups as the largest among ``x`` needs; more
+    would add only NUL bytes.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -378,26 +396,95 @@ def _vertex_lines(x: np.ndarray) -> bytes:
     frac = (m - whole * _IPOW10[k]) * _IPOW10[12 - k]
 
     n_whole = _groups(whole)
-    words = _line_words(len(x), 1 + n_whole + 4, "v")
-    words[:, :, 0] |= np.signbit(x) * np.uint32(_MINUS)
-    _put_digits(words[:, :, 1: 1 + n_whole], whole)
+    words = _slot_words(x.shape, 1 + n_whole + 4)
+    words[..., 0] |= np.signbit(x) * np.uint32(_MINUS)
+    _put_digits(words[..., 1: 1 + n_whole], whole)
     # Fraction groups from the least significant up: trailing zeros stay
     # only in front of a later nonzero digit, and so does the point.
     later = np.zeros(x.shape, dtype=bool)
     for j in range(-1, -5, -1):
         q = frac // 1000
         group = frac - 1000 * q
-        words[:, :, j] = _GROUP_WORDS[group + np.where(later, _FULL, _TRAIL)]
+        words[..., j] = _GROUP_WORDS[group + np.where(later, _FULL, _TRAIL)]
         later |= group != 0
         frac = q
-    words[:, :, n_whole] |= later * np.uint32(_DOT)
+    words[..., n_whole] |= later * np.uint32(_DOT)
 
     slow = np.nonzero(~fast)
     if len(slow[0]):
         width = 4 * words.shape[-1] - 3   # from the sign byte up to the newline byte
         text = np.array([b"%.9g" % v for v in x[slow].tolist()], dtype=f"S{width}")
         words.view(np.uint8)[(*slow, slice(2, 2 + width))] = text.view(np.uint8).reshape(-1, width)
-    return _line_bytes(words)
+    return words
+
+
+def _grid_axes(axes) -> list | None:
+    """The three float64 axes in a soup's ``axes``, or None when it holds none.
+
+    Each axis must be 1-D with at least 2 entries, a finite first entry and a
+    finite, nonzero step from its first entry to its second; None, or
+    anything else, gives None.
+    """
+    try:
+        axes = [np.asarray(a, dtype=np.float64) for a in axes]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = len(axes) == 3 and all(
+            a.ndim == 1 and len(a) >= 2 and np.isfinite(a[0]) and np.isfinite(a[1] - a[0])
+            and a[1] != a[0] for a in axes)
+    return axes if ok else None
+
+
+def _axis_slots(x: np.ndarray, axes: list) -> tuple[np.ndarray, np.ndarray]:
+    """(values, slot): the values to format for (rows, 3) coordinates, and each one's slot.
+
+    A coordinate whose bits equal the entry of its column's axis at its
+    rounded uniform index shares that entry's slot (so -0.0 never takes the
+    slot of 0.0).  The axis entries that some coordinate uses are formatted
+    once, in axis order; every other coordinate gets a slot of its own.
+    """
+    slot = np.empty(x.shape, dtype=np.intp)
+    values, n = [], 0
+    for c, axis in enumerate(axes):
+        col = x[:, c]
+        with np.errstate(over="ignore"):
+            i = col - axis[0]
+            i /= axis[1] - axis[0]
+        np.rint(i, out=i)
+        np.maximum(i, 0, out=i)
+        np.minimum(i, len(axis) - 1, out=i)
+        i = i.astype(np.intp)
+        off = np.flatnonzero(axis.view(np.int64)[i] != col.view(np.int64))
+        i[off] = len(axis)   # past the axis, so off-axis coordinates mark no entry
+        used = np.zeros(len(axis) + 1, dtype=bool)
+        used[i] = True
+        used[-1] = False
+        rank = np.cumsum(used) + (n - 1)
+        slot[:, c] = rank[i]
+        n = rank[-1] + 1
+        slot[off, c] = np.arange(n, n + len(off))
+        n += len(off)
+        values += [axis[used[:-1]], col[off]]
+    return np.concatenate(values), slot
+
+
+def _vertex_lines(x: np.ndarray, axes: list | None = None) -> bytes:
+    """'v x y z' lines of (rows, 3) float64 coordinates, each as '%.9g' formats it.
+
+    With the axes of a grid (see _grid_axes), each axis value the coordinates
+    use is formatted once into a slot table, and the lines gather their slots
+    from it.  The text of a value depends on the value alone, so the bytes do
+    not depend on the axes.
+    """
+    if axes is None:
+        return _line_bytes(_format_slots(x), "v")
+    values, slot = _axis_slots(x, axes)
+    table = _format_slots(values)
+    slot_words = table.shape[-1]
+    # One void item per slot, so the gather copies whole slots.
+    table = table.view(np.dtype((np.void, 4 * slot_words)))[:, 0]
+    return _line_bytes(np.take(table, slot).view("<u4").reshape(*x.shape, slot_words), "v")
 
 
 def export_obj(soup: TriangleSoup, path: str) -> None:
@@ -405,12 +492,15 @@ def export_obj(soup: TriangleSoup, path: str) -> None:
 
     Finite (nv, 3) vertices and (nt, 3) triangle indices in 0..nv - 1,
     integers or integral floats, are checked before the file is created.
+    The soup's ``axes``, when they are a grid's, only save formatting work;
+    anything else there is ignored, and the bytes are the same either way.
     """
     vertices = point_array(soup.vertices, "vertices")
     triangles = index_array(soup.triangles, "triangles", len(vertices), 3)
+    axes = _grid_axes(soup.axes)
     with textio.create(path, "wb") as fh:
         for start in range(0, len(vertices), OBJ_CHUNK_ROWS):
-            fh.write(_vertex_lines(vertices[start: start + OBJ_CHUNK_ROWS]))
+            fh.write(_vertex_lines(vertices[start: start + OBJ_CHUNK_ROWS], axes))
         for start in range(0, len(triangles), OBJ_CHUNK_ROWS):
             fh.write(_face_lines(triangles[start: start + OBJ_CHUNK_ROWS], len(vertices)))
 

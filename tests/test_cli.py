@@ -173,6 +173,23 @@ def test_import_and_tpms_load_no_scipy(fresh_python, tmp_path):
     assert [lines[0]] + lines[-2:] == ["[]", "[]", "True"]
 
 
+def test_import_and_one_worker_tpms_load_no_thread_pool(fresh_python, tmp_path):
+    # only sampling on several workers needs concurrent.futures, which loads
+    # logging; the last line shows that the check sees them
+    out = str(tmp_path / "g")
+    code = ("import sys, arbfscaffold as ax\n"
+            "from arbfscaffold.cli import main\n"
+            "pool = lambda: [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
+            "print(pool())\n"
+            f"main(['tpms', '--kind', 'g', '--resolution', '8', '--out', {out!r}])\n"
+            "print(pool())\n"
+            "grid = ax.make_grid((0, 0, 0), (1, 1, 1), 32, 0.0)\n"
+            "ax.sample_field(ax.TpmsField('g'), grid, workers=2)\n"
+            "print(pool())\n")
+    lines = fresh_python(code).splitlines()  # main's own report comes between
+    assert [lines[0]] + lines[-2:] == ["[]", "[]", "['concurrent.futures', 'logging']"]
+
+
 def _flag(command, option):
     sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
     return next(a for a in sub._actions if option in a.option_strings)
