@@ -176,8 +176,9 @@ def sample_field(source, grid: VoxelGrid, workers: int = 1) -> VoxelGrid:
         vals = eval_axes(xs[None, :], ys[r % ny, None], zs[r // ny, None])
         out[s * nx:e * nx] = np.asarray(vals, dtype=np.float64).astype(np.float32).ravel()
 
-    # One worker runs the spans in this thread: through a pool of one thread
-    # the same spans ran about 15 % slower (96^3 TPMS grid, 2-core x86-64).
+    # One worker runs the spans in this thread.  Through a pool of one thread
+    # a 96^3 TPMS grid took 5-17 % longer and peaked 0.6-1.2 MB higher, and
+    # the pool's imports cost 3-9 ms (2-core x86-64).
     if workers == 1 or len(spans) == 1:
         for span in spans:
             run(span)

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import settings
 
 import arbfscaffold
+import arbfscaffold.cli  # noqa: F401  (see below)
 from arbfscaffold import samples
 
 # Property tests draw their examples from a hash of each test, not from a
-# fresh random seed, so every run checks the same cases in bounded time.
+# fresh random seed, so a run checks the same cases in bounded time.  Some
+# draws also pick from the constants hypothesis reads out of every loaded
+# non-test module of this project; arbfscaffold.cli is the one module that
+# `import arbfscaffold` leaves out, so it is loaded here, and a test draws
+# the same cases whichever test files a run collects.
 settings.register_profile("tier1", derandomize=True, max_examples=100, deadline=None,
                           database=None)
 settings.load_profile("tier1")
