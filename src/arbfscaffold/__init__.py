@@ -10,10 +10,6 @@ TPMS level sets, and seeded mesh perturbation are included as baselines.
 """
 
 from .errors import (
-    DegenerateResultError,
-    DuplicateCenterError,
-    HeaderMismatchError,
-    InvalidBBoxError,
     ParseError,
     ScaffoldError,
     SingularMatrixError,
@@ -65,11 +61,7 @@ __all__ = [
     "Basis",
     "CenterSet",
     "ContourSet",
-    "DegenerateResultError",
-    "DuplicateCenterError",
-    "HeaderMismatchError",
     "InterpolationModel",
-    "InvalidBBoxError",
     "ParseError",
     "PerturbSpec",
     "ScaffoldError",

@@ -1,5 +1,7 @@
-"""Exception types shared across the library, and integer(), real(), point_array() and
-index_array(), the one check of each number and array its API takes."""
+"""The ScaffoldError types, one per distinction a caller draws: ParseError for a file
+(path:line), ValidationError for a value handed to the API, SingularMatrixError for a
+fit (CLI exit 3).  And integer(), real(), point_array() and index_array(), the one check
+of each number and array the API takes."""
 
 import math
 import numbers
@@ -12,41 +14,22 @@ class ScaffoldError(Exception):
 
 
 class ParseError(ScaffoldError):
-    """A mesh, volume, or model file could not be parsed."""
+    """A mesh, volume, or model file could not be read: the message starts path: or path:line:."""
 
-    def __init__(self, message, path=None, line=None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}: "
-        if line is not None:
-            loc = f"{path}:{line}: " if path is not None else f"line {line}: "
+    def __init__(self, message, path, line=None):
+        loc = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{loc}{message}")
         self.path = path
         self.line = line
 
 
 class ValidationError(ScaffoldError):
-    """Parsed data violates a structural invariant (bad index, degenerate cell, ...)."""
-
-
-class DuplicateCenterError(ScaffoldError):
-    """Two interpolation centers coincide; usually signals a degenerate input mesh."""
+    """A value handed to the API cannot be right: a bad index, a degenerate cell or bbox,
+    coinciding centers, a perturbation that collapsed a cell, ..."""
 
 
 class SingularMatrixError(ScaffoldError):
-    """The interpolation system is singular or numerically rank-deficient."""
-
-
-class InvalidBBoxError(ValidationError):
-    """A bounding box has hi < lo, or a padded extent that is not positive and finite."""
-
-
-class HeaderMismatchError(ScaffoldError):
-    """A volume header disagrees with the payload it describes."""
-
-
-class DegenerateResultError(ScaffoldError):
-    """An operation produced a degenerate mesh (zero-measure cell)."""
+    """The interpolation system is singular or numerically rank-deficient (CLI exit 3)."""
 
 
 def integer(value, name: str, lo=-math.inf, hi=math.inf) -> int:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .errors import (HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError,
-                     index_array, integer, point_array, real)
+from .errors import ParseError, ValidationError, index_array, integer, point_array, real
 
 
 @dataclass(eq=False)
@@ -72,15 +71,15 @@ def _padded_axes(lo: np.ndarray, hi: np.ndarray, resolution: int, pad_fraction: 
     gives it positive extent.
     """
     if not np.all(hi >= lo):
-        raise InvalidBBoxError(f"bbox must have hi >= lo, got {lo} .. {hi}")
+        raise ValidationError(f"bbox must have hi >= lo, got {lo} .. {hi}")
     # at most 2**36 samples (256 GiB of float32) in a square or cubic grid
     resolution = integer(resolution, "resolution", 2, 2 ** (36 // len(lo)))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         pad = real(pad_fraction, "pad_fraction", 0.0) * bbox_diagonal(lo, hi)
         extent = (hi + pad) - (lo - pad)
     if not np.all((extent > 0) & (extent < np.inf)):  # NaN fails both
-        raise InvalidBBoxError(f"bbox {lo} .. {hi} padded by {pad_fraction!r} of its diagonal "
-                               f"must have a positive, finite extent, got {extent}")
+        raise ValidationError(f"bbox {lo} .. {hi} padded by {pad_fraction!r} of its diagonal "
+                              f"must have a positive, finite extent, got {extent}")
     lo = lo - pad
     longest = float(extent.max())
     dims = tuple(max(2, int(round(resolution * float(e) / longest))) for e in extent)
@@ -112,7 +111,7 @@ def make_grid_2d(bbox_min, bbox_max, resolution: int, pad_fraction: float = 0.0)
     """
     lo, hi = _bbox_corners(bbox_min, bbox_max, (2, 3))
     if lo.size == 3 and lo[2] != hi[2]:
-        raise InvalidBBoxError(f"a planar bbox must have equal z, got {lo[2]} and {hi[2]}")
+        raise ValidationError(f"a planar bbox must have equal z, got {lo[2]} and {hi[2]}")
     z = float(lo[2]) if lo.size == 3 else 0.0
     origin, spacing, (nx, ny) = _padded_axes(lo[:2], hi[:2], resolution, pad_fraction)
     dims = (nx, ny, 1)
@@ -236,7 +235,8 @@ def write_volume(grid: VoxelGrid, stem: str) -> None:
 
 
 def read_volume(stem: str) -> VoxelGrid:
-    """The volume at ``stem``; a header key given twice is an error at its second line."""
+    """The volume at ``stem``; a header key given twice is an error at its second line, and
+    a payload whose size is not the DIMS product an error at the DIMS line."""
     hdr_path, raw_path = _volume_paths(stem)
     fields, line = {}, {}  # tokens after each key, and the key's line
     for lineno, (key, *tokens) in textio.data_lines(hdr_path):
@@ -258,9 +258,8 @@ def read_volume(stem: str) -> VoxelGrid:
     values = np.fromfile(raw_path, dtype="<f4")
     expected = dims[0] * dims[1] * dims[2]
     if values.size != expected:
-        raise HeaderMismatchError(
-            f"{raw_path}: payload holds {values.size} samples, header says {expected}"
-        )
+        raise ParseError(f"{raw_path}: payload holds {values.size} samples, header says {expected}",
+                         hdr_path, line["DIMS"])
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise ParseError(f"non-finite sample at index {bad[0]}", raw_path)

@@ -165,9 +165,6 @@ class VolumetricMesh:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def bbox_diagonal(self) -> float:
-        return bbox_diagonal(*self.bbox())
-
 
 def triangle_areas(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Area of each triangle (3 vertex indices a row): of tri2d cells and of iso surfaces."""
@@ -241,7 +238,7 @@ def assemble_center_set(mesh: VolumetricMesh, mode: str) -> CenterSet:
     else:
         outer = _corner_means(mesh, _FACES.get(mesh.kind, _TRI_EDGES))
         inner = np.broadcast_to(_corner_means(mesh, _WHOLE[mesh.kind]), outer.shape)
-        tol = DEGENERATE_SEGMENT_TOL * mesh.bbox_diagonal()
+        tol = DEGENERATE_SEGMENT_TOL * bbox_diagonal(*mesh.bbox())
         if np.any(np.linalg.norm(outer - inner, axis=-1) <= tol):
             raise ValidationError("degenerate cell: face center meets cell center")
         seg_a, seg_b = outer.reshape(-1, 3), inner.reshape(-1, 3)

@@ -6,7 +6,8 @@ unit direction (confined to the plane for tri2d meshes).  Subset choice
 and directions come from independently seeded SplitMix64 streams, so a
 (mesh, spec) pair maps to exactly one output on every platform.
 Connectivity is untouched; if a displaced cell collapses below the
-degeneracy threshold the whole operation fails.
+degeneracy threshold the whole operation fails with a ValidationError that
+names the seed and magnitude and chains the mesh's own refusal.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResultError, ValidationError, integer, real
+from .errors import ValidationError, integer, real
 from .mesh import _EDGES, VolumetricMesh
 from .rng import GaussianStream, SplitMix64
 
@@ -77,7 +78,7 @@ def perturb_mesh(mesh: VolumetricMesh, spec: PerturbSpec) -> VolumetricMesh:
     try:
         return VolumetricMesh(kind=mesh.kind, vertices=vertices, cells=mesh.cells.copy())
     except ValidationError as exc:
-        raise DegenerateResultError(
+        raise ValidationError(
             f"perturbation collapsed a cell (seed {spec.seed}, "
             f"magnitude {spec.magnitude}): {exc}"
         ) from exc

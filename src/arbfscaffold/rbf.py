@@ -31,7 +31,7 @@ import numpy as np
 
 from . import textio
 from .distance import distance_tiles, row_tiles
-from .errors import DuplicateCenterError, ParseError, SingularMatrixError, ValidationError, real
+from .errors import ParseError, SingularMatrixError, ValidationError, real
 from .grid import FieldSource, bbox_diagonal
 from .mesh import CenterSet, VolumetricMesh, assemble_center_set
 
@@ -99,13 +99,13 @@ def eval_basis(basis: Basis, r):
 
 
 def _first_duplicate(off: int, rows: slice, dup: np.ndarray) -> None:
-    """Raise DuplicateCenterError at dup's first i < j: its rows ``rows`` of pairs from ``off``."""
+    """Raise ValidationError at dup's first i < j: its rows ``rows`` of pairs from ``off``."""
     i, j = np.nonzero(dup)
     upper = np.flatnonzero(i + rows.start < j)
     if len(upper):
         i, j = off + rows.start + i[upper[0]], off + j[upper[0]]
-        raise DuplicateCenterError(f"centers {i} and {j} coincide; "
-                                   "check the mesh for degenerate cells")
+        raise ValidationError(f"centers {i} and {j} coincide; "
+                              "check the mesh for degenerate cells")
 
 
 def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
@@ -120,7 +120,7 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     |b_i - b_j|²: two walks side by side, from the starts and from the ends
     to every endpoint, give all four in each pair of tiles.  Both duplicate
     tests run on the same tiles, so no array but A grows as N².  Raises
-    DuplicateCenterError when two centers coincide (see DUPLICATE_TOL):
+    ValidationError when two centers coincide (see DUPLICATE_TOL):
     almost always a degenerate mesh.
     """
     lam = real(lam, "lambda")
@@ -159,7 +159,8 @@ def _inverse_one_norm(ldu, ipiv) -> float:
     steps and adds the alternating-sign vector as a second guess.  A is
     symmetric, so A^-T = A^-1 and one solve serves both directions.  It
     takes only dsytrs and numpy sums, so it repeats bit for bit as the
-    weights do.
+    weights do.  LAPACK dsycon gives the same estimate within 4 ulps, but
+    its last bits change between fresh processes, as dgecon's did.
     """
     n = len(ipiv)
     x, est = np.full(n, 1.0 / n), 0.0

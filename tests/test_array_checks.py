@@ -137,8 +137,6 @@ def test_make_grid_names_a_bbox_whose_extent_overflows(pad):
     # the extent was NaN, and int(round(NaN)) raised a raw ValueError
     _refused(lambda: ax.make_grid((-1e308,) * 3, (1e308,) * 3, 8, pad),
              r"^bbox .* must have a positive, finite extent")
-    with pytest.raises(ax.InvalidBBoxError):
-        ax.make_grid((-1e308,) * 3, (1e308,) * 3, 8, pad)
 
 
 @pytest.mark.parametrize("source", ["rbf", "tpms"])

@@ -14,7 +14,7 @@ import pytest
 import arbfscaffold as ax
 from arbfscaffold import distance, samples
 from arbfscaffold.distance import TILE_ELEMS, squared_distance_block
-from arbfscaffold.errors import DuplicateCenterError
+from arbfscaffold.errors import ValidationError
 from arbfscaffold.mesh import CenterSet
 from arbfscaffold.rbf import DUPLICATE_TOL, Basis, InterpolationModel, _fill_basis, assemble_matrix
 
@@ -140,7 +140,7 @@ def test_duplicates_match_reference_loop(name, elems, monkeypatch):
     if dup is None:
         assemble_matrix(cs, BASES[2])
         return
-    with pytest.raises(DuplicateCenterError, match=f"centers {dup[0]} and {dup[1]} coincide"):
+    with pytest.raises(ValidationError, match=f"centers {dup[0]} and {dup[1]} coincide"):
         assemble_matrix(cs, BASES[2])
 
 

@@ -299,6 +299,35 @@ def test_malformed_mesh_is_input_error(tmp_path, capsys):
     assert "bad.off" in capsys.readouterr().err
 
 
+def test_short_volume_payload_is_input_error_at_its_dims_line(tmp_path, capsys):
+    stem = str(tmp_path / "v")
+    ax.write_volume(ax.make_grid(np.zeros(3), np.ones(3), 4), stem)
+    with open(stem + ".raw", "r+b") as fh:
+        fh.truncate(63 * 4)  # one sample short of DIMS 4 4 4
+    assert main(["iso", "--volume", stem, "--iso", "0"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{stem}.vhdr:1: " in err and "payload holds 63 samples, header says 64" in err
+
+
+def test_cells_at_the_same_coordinates_are_an_input_error(tmp_path, capsys):
+    # distinct vertex indices, so the mesh loads; its centers coincide at assembly
+    cube = samples.unit_hex_mesh()
+    path = str(tmp_path / "twin.hexmesh")
+    ax.save_mesh(ax.VolumetricMesh("hex", np.vstack([cube.vertices] * 2),
+                                   np.vstack([cube.cells, cube.cells + 8])), path)
+    assert main(["fit", "--mesh", path, "--out", str(tmp_path / "m.arbf")]) == EXIT_INPUT
+    assert "coincide" in capsys.readouterr().err
+
+
+def test_unpadded_planar_model_is_input_error(mesh_dir, tmp_path, capsys):
+    model = str(tmp_path / "m.arbf")
+    assert main(["fit", "--mesh", mesh_dir["tri1.off"], "--mode", "iso",
+                 "--out", model]) == EXIT_OK
+    rc = main(["sample", "--model", model, "--pad", "0", "--out", str(tmp_path / "v")])
+    assert rc == EXIT_INPUT
+    assert "positive, finite extent" in capsys.readouterr().err
+
+
 def test_singular_system_is_numeric_error(mesh_dir, tmp_path, capsys):
     rc = main(["fit", "--mesh", mesh_dir["hex1.hexmesh"], "--basis", "tps",
                "--out", str(tmp_path / "m.arbf")])

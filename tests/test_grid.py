@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import arbfscaffold as ax
-from arbfscaffold.errors import HeaderMismatchError, InvalidBBoxError, ParseError, ValidationError
+from arbfscaffold.errors import ParseError, ValidationError
 from arbfscaffold.grid import (
     FieldSource,
     VoxelGrid,
@@ -63,9 +63,9 @@ def test_make_grid_never_collapses_an_axis():
 
 
 def test_make_grid_validation():
-    with pytest.raises(InvalidBBoxError):
+    with pytest.raises(ValidationError, match="bbox must have hi >= lo"):
         make_grid(np.ones(3), np.zeros(3), 8)
-    with pytest.raises(InvalidBBoxError):
+    with pytest.raises(ValidationError, match="positive, finite extent"):
         make_grid(np.zeros(3), np.array([1.0, 0.0, 1.0]), 8)  # flat axis
     with pytest.raises(ValidationError):
         make_grid(np.zeros(3), np.ones(3), 1)
@@ -119,7 +119,7 @@ def test_make_grid_2d_rejects_corners_of_different_length():
 
 def test_make_grid_2d_rejects_unequal_z():
     # not a slice silently placed at the lower z
-    with pytest.raises(InvalidBBoxError, match="equal z"):
+    with pytest.raises(ValidationError, match="equal z"):
         make_grid_2d((0.0, 0.0, 0.0), (1.0, 1.0, 5.0), 8)
 
 
@@ -129,7 +129,7 @@ def test_flat_bbox_samples_once_padded():
     assert all(d >= 2 for d in g.dims)
     lo, hi = g.bbox()
     assert np.all(hi > lo) and lo[2] < 0.0 < hi[2]
-    with pytest.raises(InvalidBBoxError):
+    with pytest.raises(ValidationError, match="positive, finite extent"):
         make_grid(np.ones(3), np.ones(3), 16, pad_fraction=0.05)   # a point stays flat
 
 
@@ -298,8 +298,11 @@ def test_volume_header_mismatch(tmp_path):
     write_volume(g, stem)
     raw = open(stem + ".raw", "rb").read()
     open(stem + ".raw", "wb").write(raw[:-4])  # drop one sample
-    with pytest.raises(HeaderMismatchError):
+    # a malformed file like any other: a ParseError at the header line it contradicts
+    with pytest.raises(ParseError, match="payload") as err:
         read_volume(stem)
+    assert (err.value.path, err.value.line) == (stem + ".vhdr", 1)
+    assert str(err.value) == f"{stem}.vhdr:1: {stem}.raw: payload holds 63 samples, header says 64"
 
 
 def test_volume_rejects_empty_path():

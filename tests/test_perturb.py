@@ -5,7 +5,7 @@ import pytest
 
 import arbfscaffold as ax
 from arbfscaffold import samples
-from arbfscaffold.errors import DegenerateResultError, ValidationError
+from arbfscaffold.errors import ValidationError
 from arbfscaffold.mesh import _EDGES, cell_measures
 from arbfscaffold.perturb import PerturbSpec, perturb_mesh, shortest_incident_edge
 
@@ -159,7 +159,7 @@ def test_collapsed_cell_raises_degenerate_result():
     mesh = ax.VolumetricMesh("tri2d", verts, [(0, 1, 2), (1, 3, 2)])
     grown = perturb_mesh(mesh, PerturbSpec(magnitude=0.3, seed=3, vertex_fraction=1.0))
     assert cell_measures(grown)[0] == pytest.approx(0.6356, abs=1e-4)
-    with pytest.raises(DegenerateResultError,
+    with pytest.raises(ValidationError,
                        match=r"collapsed a cell \(seed 0, magnitude 0.3\): cell 0 is degenerate "
                              r"\(measure 3.709e-01\)"):
         perturb_mesh(mesh, PerturbSpec(magnitude=0.3, seed=0, vertex_fraction=1.0))
