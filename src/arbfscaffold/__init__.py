@@ -26,7 +26,6 @@ from .rbf import (
     Basis,
     InterpolationModel,
     assemble_matrix,
-    eval_basis,
     fit_mesh,
     fit_with_report,
     load_model,
@@ -74,7 +73,6 @@ __all__ = [
     "assemble_center_set",
     "assemble_matrix",
     "euler_characteristic",
-    "eval_basis",
     "export_obj",
     "export_pgm",
     "fit_mesh",

@@ -194,13 +194,29 @@ def sample_field(source, grid: VoxelGrid, workers: int = 1) -> VoxelGrid:
                      dims=grid.dims, values=out)
 
 
+def _iso_threshold(values: np.ndarray, iso: float):
+    """c such that values >= c, and values < c, give the exact comparisons with iso.
+
+    For float32 samples c is the least float32 >= iso: for float32 v,
+    v >= iso exactly when v >= c, so the samples need no widening.  Beyond
+    +-FLT_MAX c is +inf or -FLT_MAX, and the rule still holds for every
+    finite v.  Samples of any other dtype are compared with iso in float64.
+    """
+    if values.dtype != np.float32:
+        return np.float64(iso)
+    with np.errstate(over="ignore"):
+        c = np.float32(iso)
+        # compared as Python floats: a float32 operand would round iso first
+        return np.nextafter(c, np.float32(np.inf)) if float(c) < iso else c
+
+
 def solid_fraction(grid: VoxelGrid, iso: float) -> float:
     """Fraction of samples with value >= iso (solid-above convention).
 
-    The float32 samples are compared in float64 under any numpy promotion
-    rules, as marching_cubes does.
+    The float32 samples are compared with the least float32 >= iso, which
+    gives the exact comparison's result, as marching_cubes does.
     """
-    solid = np.greater_equal(grid.values, real(iso, "iso"), signature="dd->?")
+    solid = grid.values >= _iso_threshold(grid.values, real(iso, "iso"))
     return float(np.count_nonzero(solid)) / grid.values.size
 
 

@@ -90,14 +90,6 @@ def _fill_basis(basis: Basis, r2: np.ndarray) -> None:
             np.divide(1.0, r2, out=r2)
 
 
-def eval_basis(basis: Basis, r):
-    """Apply the basis to a scalar or array of distances."""
-    out = np.array(r, dtype=np.float64)
-    out *= out
-    _fill_basis(basis, out)
-    return float(out) if out.ndim == 0 else out
-
-
 def _first_duplicate(off: int, rows: slice, dup: np.ndarray) -> None:
     """Raise ValidationError at dup's first i < j: its rows ``rows`` of pairs from ``off``."""
     i, j = np.nonzero(dup)

@@ -21,7 +21,7 @@ from arbfscaffold import distance, samples
 from arbfscaffold.distance import distance_tiles, squared_distance_block
 from arbfscaffold.errors import ValidationError
 from arbfscaffold.mesh import CenterSet
-from arbfscaffold.rbf import Basis, assemble_matrix, eval_basis
+from arbfscaffold.rbf import Basis, assemble_matrix
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord, coord).map(np.array)
@@ -95,9 +95,9 @@ def test_segment_segment_is_endpoint_pair_minimum():
     # crossing segments: geometric gap is 1.0 but all endpoint pairs are 1.5
     a, b = np.zeros(3), np.array([1.0, 0, 0])
     c, d = np.array([0.5, -1.0, 1.0]), np.array([0.5, 1.0, 1.0])
-    assert _segment_block(a, b, c, d)[0, 1] == eval_basis(IMQ, 1.5)
+    assert _segment_block(a, b, c, d)[0, 1] == 1.0 / np.sqrt(1.5 * 1.5 + IMQ.c * IMQ.c)
     # shared endpoint gives zero
-    assert _segment_block(a, b, b, d)[0, 1] == eval_basis(IMQ, 0.0)
+    assert _segment_block(a, b, b, d)[0, 1] == 1.0 / np.sqrt(IMQ.c * IMQ.c)
 
 
 def test_brute_force_agreement(rng):

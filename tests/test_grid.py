@@ -12,6 +12,7 @@ from arbfscaffold.errors import ParseError, ValidationError
 from arbfscaffold.grid import (
     FieldSource,
     VoxelGrid,
+    _iso_threshold,
     bbox_diagonal,
     make_grid,
     make_grid_2d,
@@ -262,6 +263,60 @@ def test_solid_fraction_compares_in_float64_like_marching_cubes():
     g.values_3d()[0] = np.float32(0.7)
     assert solid_fraction(g, 0.7) == pytest.approx(18 / 27)
     assert len(ax.marching_cubes(g, 0.7).triangles) == 8
+
+
+def test_samples_of_another_dtype_are_compared_in_float64():
+    # A hand-made grid may hold float64 samples: the float32 threshold of 0.7
+    # would put the float64 sample 0.7 below it.
+    g = VoxelGrid(origin=np.zeros(3), spacing=np.ones(3), dims=(2, 2, 2),
+                  values=np.full(8, 0.7))
+    g.values[:4] = 0.0
+    assert solid_fraction(g, 0.7) == 0.5
+    assert len(ax.marching_cubes(g, 0.7).triangles) == 2
+
+
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_FLT_MAX = float(np.finfo(np.float32).max)
+
+
+def _between_float32_neighbours(x, frac):
+    """A float64 strictly between float32 x and the next float32 up, or x itself."""
+    up = float(np.nextafter(np.float32(x), np.float32(np.inf)))
+    return x + frac * (up - x) if np.isfinite(up) else x
+
+
+# Float32 values, float64 values between two float32 neighbours (the midpoint
+# and one float64 ulp off either side included), +-FLT_MAX and beyond, and
+# values among and between the float32 subnormals.
+_ISOS = st.one_of(
+    _F32,
+    st.builds(_between_float32_neighbours, _F32, st.sampled_from([0.5, 0.25, 1e-9, 1 - 1e-9])),
+    _F32.map(lambda x: float(np.nextafter(x, np.inf))),
+    _F32.map(lambda x: float(np.nextafter(x, -np.inf))),
+    st.sampled_from([_FLT_MAX, -_FLT_MAX, float(np.nextafter(_FLT_MAX, np.inf)),
+                     float(np.nextafter(-_FLT_MAX, -np.inf)), 1e300, -1e300, 1e-46, -1e-46,
+                     5e-324, -5e-324, 0.0, -0.0, 7e-46, -2.1e-45]),
+    st.builds(lambda x, sign: sign * x, st.floats(min_value=_FLT_MAX, allow_infinity=False),
+              st.sampled_from([1.0, -1.0])),
+    st.floats(-1.2e-38, 1.2e-38),
+)
+
+
+@given(st.lists(_F32, max_size=20), _ISOS)
+def test_float32_threshold_compares_as_float64(values, iso):
+    # The samples are float32; comparing them with the least float32 >= iso
+    # gives the booleans of comparing them with iso in float64.
+    c = _iso_threshold(np.zeros(0, dtype=np.float32), iso)
+    assert c.dtype == np.float32 and float(c) >= iso
+    near = np.float32(np.clip(iso, -_FLT_MAX, _FLT_MAX))
+    with np.errstate(over="ignore"):   # the neighbours of +-FLT_MAX are +-inf
+        v = np.array(values + [near, np.nextafter(near, np.float32(np.inf)),
+                               np.nextafter(near, np.float32(-np.inf))], dtype=np.float32)
+    v = v[np.isfinite(v)]
+    assert np.array_equal(v >= c, v.astype(np.float64) >= iso)
+    assert np.array_equal(v < c, v.astype(np.float64) < iso)
+    g = VoxelGrid(origin=np.zeros(3), spacing=np.ones(3), dims=(len(v), 1, 1), values=v)
+    assert solid_fraction(g, iso) == np.count_nonzero(v.astype(np.float64) >= iso) / len(v)
 
 
 def test_axes_hold_the_positions_values():

@@ -9,7 +9,9 @@ from arbfscaffold.errors import ParseError, ValidationError, index_array
 from arbfscaffold.grid import VoxelGrid, make_grid, make_grid_2d, sample_field
 from arbfscaffold.isosurface import (
     TriangleSoup,
-    _face_lines,
+    _index_dtype,
+    _index_slots,
+    _line_bytes,
     euler_characteristic,
     export_obj,
     export_pgm,
@@ -243,16 +245,20 @@ def test_obj_bytes_do_not_depend_on_the_index_dtype(tmp_path):
 
 
 def test_obj_face_indices_past_int32_do_not_wrap():
-    # 2**31 - 1 is the largest int32: its 1-based index needs int64, which
-    # _index_dtype gives from 2**31 vertices on.  export_obj passes the
-    # checked triangles, with no copy, to _face_lines.
+    # 2**31 - 1 is the largest int32, and the largest 1-based index of
+    # _index_dtype(2**31 - 1) vertices; from 2**31 vertices on the indices
+    # are int64.  export_obj passes the checked triangles, with no copy, to
+    # the gather from its table of 1-based indices, which no test can build
+    # at this size, so the table's digit routine is checked on those values.
     last = 2 ** 31 - 1
+    assert _index_dtype(last) == np.int32 and _index_dtype(last + 1) == np.int64
     for dtype in (np.int32, np.int64):
         tris = np.array([[0, 1, last]], dtype=dtype)
         assert index_array(tris, "triangles", last + 1, 3) is tris
-        assert _face_lines(tris, last + 1) == f"f 1 2 {last + 1}\n".encode()
-    big = np.array([[0, 2 ** 40, 2 ** 31]])
-    assert _face_lines(big, 2 ** 40 + 1) == f"f 1 {2 ** 40 + 1} {2 ** 31 + 1}\n".encode()
+        assert (_line_bytes(_index_slots(np.array([[1, 2, last]], dtype=dtype)), "f")
+                == f"f 1 2 {last}\n".encode())
+    big = np.array([[1, 2 ** 40 + 1, 2 ** 31 + 1]])
+    assert _line_bytes(_index_slots(big), "f") == f"f 1 {2 ** 40 + 1} {2 ** 31 + 1}\n".encode()
 
 
 def test_obj_export_rejects_indices_past_the_vertices(tmp_path):

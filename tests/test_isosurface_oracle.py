@@ -25,8 +25,10 @@ from arbfscaffold._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from arbfscaffold.errors import ValidationError
 from arbfscaffold.isosurface import (
     SNAP_T,
+    OBJ_CHUNK_ROWS,
     TriangleSoup,
-    _face_lines,
+    _index_slots,
+    _line_bytes,
     _vertex_lines,
     euler_characteristic,
     export_obj,
@@ -263,6 +265,20 @@ def test_quantized_volume_merges_and_drops_like_reference():
     assert total_dropped > 0
 
 
+def test_an_unsnapped_vertex_whose_triangles_all_collapse_goes():
+    # Sample 0 lies 1e-9 below the iso and its neighbours along x and y 1
+    # above it, so their edges snap to sample 0 (t = 1e-9); its neighbour
+    # along z lies 1e-9 above, so that edge does not (t = 0.5).  The cell's
+    # one triangle repeats sample 0, and the z edge, a grid edge no other
+    # cell has, loses its only triangle.  The next cell holds a plain quad.
+    g = ax.VoxelGrid(origin=np.zeros(3), spacing=np.ones(3), dims=(3, 2, 2),
+                     values=np.tile(np.float32([1.0, 1.0, -1.0]), 4))
+    g.values[[0, 6]] = [-1e-9, 1e-9]
+    soup, dropped = assert_same_soup(g, 0.0)
+    assert dropped == 1 and len(soup.triangles) == 2 and len(soup.vertices) == 4
+    assert np.all(soup.vertices[:, 0] == 1.5)
+
+
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5),
        st.integers(0, 2 ** 32 - 1), st.sampled_from([-1.0, 0.0, 0.5]))
 def test_small_lattice_volumes_match_reference(nx, ny, nz, seed, iso):
@@ -349,9 +365,24 @@ def test_obj_bytes_match_reference_on_edge_values(obj_dir, coords, indices):
             export_obj(soup, str(obj_dir / "refused.obj"))
         assert _vertex_lines(vertices) == reference_obj_bytes(
             TriangleSoup(vertices=vertices), obj_dir / "ref.obj")
-    if len(tris):
-        assert _face_lines(tris, int(tris.max()) + 1) == "".join(
+    if len(tris):  # the digit routine of export_obj's index table
+        assert _line_bytes(_index_slots(tris + 1), "f") == "".join(
             "f %d %d %d\n" % tuple(t) for t in (tris + 1).tolist()).encode()
+
+
+def test_face_chunks_share_one_index_table(tmp_path):
+    # More triangles than a chunk holds, so several face chunks gather from
+    # the table of 1..nv, and 1-based indices of 3 and 4 digits.
+    nv = 1500
+    rng = np.random.default_rng(11)
+    tris = rng.integers(0, nv, (2 * OBJ_CHUNK_ROWS + 123, 3), dtype=np.int32)
+    tris[:3] = [[998, 999, 0], [nv - 1, 997, 999], [0, 1, 2]]
+    soup = TriangleSoup(vertices=rng.standard_normal((nv, 3)), triangles=tris)
+    path = tmp_path / "chunks.obj"
+    export_obj(soup, str(path))
+    got = path.read_bytes()
+    assert b"\nf 999 1000 1\nf 1500 998 1000\nf 1 2 3\n" in got
+    assert got == reference_obj_bytes(soup, tmp_path / "ref.obj")
 
 
 

@@ -9,8 +9,8 @@ from arbfscaffold.errors import SingularMatrixError, ValidationError
 from arbfscaffold.mesh import CenterSet
 from arbfscaffold.rbf import (
     Basis,
+    _fill_basis,
     assemble_matrix,
-    eval_basis,
     fit_mesh,
     fit_with_report,
     load_model,
@@ -29,37 +29,43 @@ ALL_MESHES = {
 # --- basis functions ------------------------------------------------------
 
 
+def _basis_at(basis, r2):
+    """The basis values at the squared distances ``r2``, by _fill_basis."""
+    out = np.array(r2, dtype=np.float64)
+    _fill_basis(basis, out)
+    return out
+
+
 def test_basis_known_values():
-    assert eval_basis(Basis("gaussian", 2.0), 0.5) == pytest.approx(np.exp(-1.0))
-    assert eval_basis(Basis("mq", 0.1), 0.0) == pytest.approx(0.1)
-    assert eval_basis(Basis("imq", 0.1), 0.0) == pytest.approx(10.0)
-    assert eval_basis(Basis("mq", 3.0), 4.0) == pytest.approx(5.0)
-    assert eval_basis(Basis("imq", 3.0), 4.0) == pytest.approx(0.2)
+    assert _basis_at(Basis("gaussian", 2.0), 0.25) == pytest.approx(np.exp(-1.0))
+    assert _basis_at(Basis("mq", 0.1), 0.0) == pytest.approx(0.1)
+    assert _basis_at(Basis("imq", 0.1), 0.0) == pytest.approx(10.0)
+    assert _basis_at(Basis("mq", 3.0), 16.0) == pytest.approx(5.0)
+    assert _basis_at(Basis("imq", 3.0), 16.0) == pytest.approx(0.2)
     e = float(np.e)
-    assert eval_basis(Basis("tps", 0.1), e) == pytest.approx(e * e)
+    assert _basis_at(Basis("tps", 0.1), e * e) == pytest.approx(e * e)
 
 
 def test_tps_zero_by_convention():
     # r^2 log r has a removable singularity at 0; the kernel takes the limit
-    assert eval_basis(Basis("tps", 0.1), 0.0) == 0.0
-    r = np.array([0.0, 1.0, 2.0])
-    vals = eval_basis(Basis("tps", 0.1), r)
+    assert _basis_at(Basis("tps", 0.1), 0.0) == 0.0
+    vals = _basis_at(Basis("tps", 0.1), [0.0, 1.0, 4.0])
     assert vals[0] == 0.0 and vals[1] == 0.0
     assert vals[2] == pytest.approx(4.0 * np.log(2.0))
 
 
 def test_basis_array_shapes():
-    r = np.linspace(0, 3, 7).reshape(7, 1)
-    out = eval_basis(Basis("gaussian", 1.0), r)
-    assert out.shape == (7, 1)
-    assert isinstance(eval_basis(Basis("imq", 1.0), 2.0), float)
+    r2 = np.linspace(0, 9, 7).reshape(7, 1)
+    out = r2.copy()
+    _fill_basis(Basis("gaussian", 1.0), out)   # in place, in any shape
+    assert out.shape == (7, 1) and np.array_equal(out, np.exp(-r2))
 
 
 def test_basis_monotonicity():
-    r = np.linspace(0.0, 5.0, 50)
-    g = eval_basis(Basis("gaussian", 0.7), r)
-    i = eval_basis(Basis("imq", 0.7), r)
-    m = eval_basis(Basis("mq", 0.7), r)
+    r2 = np.linspace(0.0, 25.0, 50)
+    g = _basis_at(Basis("gaussian", 0.7), r2)
+    i = _basis_at(Basis("imq", 0.7), r2)
+    m = _basis_at(Basis("mq", 0.7), r2)
     assert np.all(np.diff(g) < 0) and np.all(np.diff(i) < 0)
     assert np.all(np.diff(m) > 0)
 
