@@ -20,6 +20,8 @@ from .errors import ParseError, ValidationError, index_array, integer, point_arr
 
 @dataclass(eq=False)
 class VoxelGrid:
+    """Samples of a field at origin + (i, j, k) * spacing for (i, j, k) below dims."""
+
     origin: np.ndarray
     spacing: np.ndarray
     dims: tuple[int, int, int]

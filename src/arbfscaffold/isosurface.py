@@ -19,12 +19,12 @@ scattered into a dense lookup: no corner id is sorted, and vertices come in
 grid-edge order (by low sample, then axis), each computed once.  Each
 triangle names 3 distinct edges and every crossed edge is named, so the mesh
 is complete as it stands unless a vertex snaps: when min(t, 1 - t) <= SNAP_T
-the vertex is the nearer sample instead, with that sample's id and exact
-position, so the edges that meet at a sample on the iso value share one
-vertex.  Only after a snap are the vertices renumbered, the triangles that
-repeat a vertex dropped (only a triangle with a snapped corner is tested),
-and the vertices no triangle uses removed, with one renumbering table over
-the crossed edges that the corners are gathered through once.
+the vertex is the nearer sample instead, with that sample's exact position,
+so the edges that meet at a sample on the iso value share one vertex.  Only
+after a snap is there one renumbering: each crossed edge is named 4 * lo +
+axis, or 4 * q + 3 when it snaps to sample q, the sorted names number the
+vertices (still in grid-edge order), the triangles that repeat a vertex are
+dropped, and the vertices no triangle uses are removed.
 Identities are exact integers, so closedness does not depend on where the
 grid lies or how large it is.
 
@@ -118,6 +118,7 @@ class ContourSet:
 
 
 def surface_area(soup: TriangleSoup) -> float:
+    """Total area of the soup's triangles, which are checked as export_obj checks them."""
     vertices = point_array(soup.vertices, "vertices")
     tris = index_array(soup.triangles, "triangles", len(vertices), 3)
     return float(triangle_areas(vertices, tris).sum())
@@ -185,6 +186,16 @@ def _edge_vertices(grid: VoxelGrid, lo: np.ndarray, axis: np.ndarray,
 
 
 def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
+    """Triangle soup of the surface between the samples >= iso (solid) and the rest.
+
+    The grid needs at least 2 samples per axis.  There is one vertex per
+    crossed grid edge, in grid-edge order (by low sample, then axis), except
+    that a vertex within SNAP_T of an end of its edge (in t) is that sample:
+    the edges that meet there share it, the triangles that then repeat a
+    vertex are dropped and the vertices left unused removed.  Triangles are
+    int32 below 2**31 crossed edges, int64 above, and the soup's ``_axes``
+    are ``grid.axes()``, for export_obj.
+    """
     nx, ny, nz = grid.dims
     if nx < 2 or ny < 2 or nz < 2:
         raise ValidationError("marching cubes needs at least 2 samples per axis")
@@ -243,49 +254,22 @@ def marching_cubes(grid: VoxelGrid, iso: float) -> TriangleSoup:
         return TriangleSoup(vertices=points, triangles=corner_src.reshape(-1, 3),
                             _axes=grid.axes())
 
-    # A snapped vertex is its nearer sample q.  Ids 4 * q + axis (edges) and
-    # 4 * q + 3 (sample q) keep the vertices in grid-edge order, so a
-    # sample's rank is the number of unsnapped edge ids below its id plus the
-    # samples before it, and the unsnapped edges take the ranks left over.
-    # vertex_of maps each crossed edge to its vertex's rank, and source each
-    # rank to an edge whose point is that vertex.
-    kept, snap = np.flatnonzero(~snapped), np.flatnonzero(snapped)
-    sample = lo[snap] + np.where(t[snap] > 0.5, stride[axis[snap]], 0)
-    points[snap] = grid.positions(sample)
-    sample, first, sample_of = np.unique(sample, return_index=True, return_inverse=True)
-    at = np.searchsorted(edges[kept] + lo[kept], 4 * sample + 3)   # 4 * lo + axis
-    at += np.arange(len(sample))
-    is_sample = np.zeros(len(kept) + len(sample), dtype=bool)
-    is_sample[at] = True
-    rest = np.flatnonzero(~is_sample)
-    vertex_of = np.empty(len(edges), dtype=corner_src.dtype)
-    vertex_of[kept], vertex_of[snap] = rest, at[sample_of]
-    source = np.empty(len(is_sample), dtype=np.intp)
-    source[rest], source[at] = kept, snap[first]
-
-    # Only a triangle with a snapped corner can repeat a vertex, and only a
-    # vertex of a dropped triangle can lose its last triangle: the corners
-    # that name one outside the dropped triangles keep it.  np.take gathers
-    # with the int32 ranks about twice as fast as indexing does (0.45 against
-    # 1.0 ms for 325k corners, 2-core x86-64).
-    touched = np.flatnonzero(np.take(snapped, corner_src)) // 3   # sorted
-    touched = touched[np.append(True, touched[1:] != touched[:-1])]
-    v = np.take(vertex_of, corner_src.reshape(-1, 3)[touched])
-    repeats = (v[:, 0] == v[:, 1]) | (v[:, 1] == v[:, 2]) | (v[:, 2] == v[:, 0])
-    dropped = touched[repeats]
-    if len(dropped):
-        lost = np.zeros(len(source), dtype=bool)
-        lost[v[repeats]] = True
-        keep = np.ones(len(corner_src), dtype=bool)
-        keep.reshape(-1, 3)[dropped] = False
-        corner_src = corner_src[keep]
-        named = np.flatnonzero(np.take(np.take(lost, vertex_of), corner_src))
-        lost[np.take(vertex_of, corner_src[named])] = False
-        source = source[~lost]
-        # The renumbering stays in the ranks' dtype.
-        vertex_of = np.take((np.cumsum(~lost) - 1).astype(vertex_of.dtype), vertex_of)
-    return TriangleSoup(vertices=np.take(points, source, axis=0),
-                        triangles=np.take(vertex_of, corner_src).reshape(-1, 3),
+    # A snapped vertex is its nearer sample q, named 4 * q + 3; an unsnapped
+    # one is named 4 * lo + axis by its edge.  The ids sort in grid-edge
+    # order, so their ranks number the vertices.  Then the triangles that
+    # repeat a vertex go, and so do the vertices no triangle uses.  np.take
+    # gathers with the int32 ranks about twice as fast as indexing does.
+    sample = lo + np.where(t > 0.5, stride[axis], 0)
+    ids = np.where(snapped, 4 * sample + 3, 4 * lo + axis)
+    points[snapped] = grid.positions(sample[snapped])
+    _, first, vertex_of = np.unique(ids, return_index=True, return_inverse=True)
+    tris = np.take(vertex_of.astype(corner_src.dtype), corner_src).reshape(-1, 3)
+    a, b, c = tris.T
+    tris = tris[(a != b) & (b != c) & (c != a)]
+    used = np.zeros(len(first), dtype=bool)
+    used[tris] = True
+    renumber = (np.cumsum(used) - 1).astype(tris.dtype)
+    return TriangleSoup(vertices=points[first[used]], triangles=np.take(renumber, tris),
                         _axes=grid.axes())
 
 

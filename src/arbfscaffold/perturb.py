@@ -55,6 +55,12 @@ def shortest_incident_edge(mesh: VolumetricMesh) -> np.ndarray:
 
 
 def perturb_mesh(mesh: VolumetricMesh, spec: PerturbSpec) -> VolumetricMesh:
+    """A copy of ``mesh`` with ceil(spec.vertex_fraction * nv) vertices displaced.
+
+    Each moves spec.magnitude times its shortest incident edge along a
+    seeded random unit direction; the cells are unchanged.  A collapsed cell
+    raises ValidationError naming the seed and magnitude.
+    """
     nv = len(mesh.vertices)
     count = math.ceil(spec.vertex_fraction * nv)
 

@@ -58,10 +58,13 @@ def rng():
 
 @pytest.fixture(scope="session")
 def fresh_python():
-    """Run code in a new interpreter that imports this arbfscaffold; returns its stdout."""
+    """Run code in a new interpreter that imports this arbfscaffold; returns its stdout.
+
+    Keyword arguments are extra environment variables for that interpreter.
+    """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arbfscaffold.__file__)))
 
-    def run(code: str) -> str:
-        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True).stdout
+    def run(code: str, **extra_env: str) -> str:
+        return subprocess.run([sys.executable, "-c", code], env=dict(env, **extra_env),
+                              capture_output=True, text=True, check=True).stdout
     return run

@@ -282,9 +282,14 @@ def test_an_unsnapped_vertex_whose_triangles_all_collapse_goes():
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5),
        st.integers(0, 2 ** 32 - 1), st.sampled_from([-1.0, 0.0, 0.5]))
 def test_small_lattice_volumes_match_reference(nx, ny, nz, seed, iso):
+    # Besides the lattice values, the float32 values one ulp either side of
+    # the iso and +-1e-9 around 0: snaps with t near SNAP_T, not only t = 0,
+    # and unsnapped vertices whose triangles all collapse.
+    near = np.nextafter(np.float32(iso), np.float32([-np.inf, np.inf]))
+    values = np.concatenate([[-1.0, -0.5, 0.0, 0.5, 1.0, -1e-9, 1e-9], near])
     g = ax.VoxelGrid(origin=np.array([0.1, -0.3, 2.0]), spacing=np.array([0.5, 0.25, 0.3]),
                      dims=(nx, ny, nz), values=np.zeros(nx * ny * nz, dtype=np.float32))
-    g.values[:] = np.random.default_rng(seed).choice([-1.0, -0.5, 0.0, 0.5, 1.0], g.values.size)
+    g.values[:] = np.random.default_rng(seed).choice(values, g.values.size)
     assert_same_soup(g, iso)
 
 

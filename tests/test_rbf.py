@@ -358,6 +358,29 @@ def test_condition_estimate_repeats_in_fresh_processes(fresh_python):
     assert len(runs) == 1
 
 
+_SAMPLE_MESH_MODELS = """
+import hashlib
+import arbfscaffold as ax
+from arbfscaffold import samples
+path = {path!r}
+for name, build in samples.SAMPLE_BUILDERS.items():
+    for mode in ("anisotropic", "isotropic"):
+        ax.save_model(ax.fit_mesh(build(), ax.Basis("imq", 0.1), mode)[0], path)
+        with open(path, "rb") as fh:
+            print(name, mode, hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def test_sample_mesh_models_do_not_depend_on_blas_threads(fresh_python, tmp_path):
+    # The README's claim for small fits: every sample mesh (N <= 135) gives
+    # the same .arbf bytes under 1 and 2 BLAS threads.  Larger fits, such as
+    # perturbed hex 4^3, may differ with the BLAS build, so none is pinned.
+    code = _SAMPLE_MESH_MODELS.format(path=str(tmp_path / "model.arbf"))
+    one, two = (fresh_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert len(one.splitlines()) == 2 * len(samples.SAMPLE_BUILDERS) == 12
+    assert one == two
+
+
 def test_model_bbox_covers_segment_endpoints(tet_mesh):
     model = fit_mesh(tet_mesh, Basis("imq", 0.1), "anisotropic")[0]
     lo, hi = model.bbox()
