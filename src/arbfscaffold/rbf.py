@@ -25,6 +25,10 @@ pairs, by at most 0.23 %, on the 20-tet icosahedron.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +141,37 @@ def assemble_matrix(centers: CenterSet, basis: Basis, lam: float = 0.0):
     return r2, centers.values
 
 
+@functools.cache
+def _lapack_blas():
+    """scipy's compiled LAPACK and BLAS wrappers: its ``_flapack`` and ``_fblas`` modules.
+
+    The fit calls only these, so it imports scipy itself (whose __init__ runs
+    the distributor's BLAS/LAPACK set-up, about 15 ms) and loads the two from
+    scipy's linalg directory, not the scipy.linalg package, whose import pulls
+    in numpy.testing, f2py, random, fft, ma and polynomial (0.14-0.21 s).
+    CPython registers a single-phase (f2py) extension module it loads in
+    sys.modules and hands that same object to a later load, so the fit and
+    scipy.linalg share one of each, in either order: scipy.linalg.lapack.dsytrf
+    is _flapack.dsytrf.
+    Side effect: a scipy.linalg imported after a fit lacks the attributes
+    ``_flapack`` and ``_fblas``; ``from scipy.linalg import _flapack`` works.
+    """
+    import scipy
+    linalg = [os.path.join(scipy.__path__[0], "linalg")]
+    mods = []
+    for name in ("scipy.linalg._flapack", "scipy.linalg._fblas"):
+        spec = importlib.machinery.PathFinder.find_spec(name, linalg)
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no {name} in {linalg[0]}",
+                              name=name)
+        mods.append(importlib.util.module_from_spec(spec))
+        spec.loader.exec_module(mods[-1])
+    return tuple(mods)
+
+
 def _ldl_solve(ldu, ipiv, b) -> np.ndarray:
     """A^-1 b from dsytrf's lower factors of A in the F-ordered ``ldu``."""
-    from scipy.linalg import lapack
-    return lapack.dsytrs(ldu, ipiv, b, lower=1)[0]
+    return _lapack_blas()[0].dsytrs(ldu, ipiv, b, lower=1)[0]
 
 
 def _inverse_one_norm(ldu, ipiv) -> float:
@@ -198,10 +229,9 @@ def _residual(a, diag, w, rhs) -> np.ndarray:
     A's, and the diagonal, where A's saved ``diag`` stands in for D's until
     the product is taken.
     """
-    from scipy.linalg import blas
     d = a.diagonal().copy()
     np.fill_diagonal(a, diag)
-    out = blas.dsymv(1.0, a.T, w, beta=-1.0, y=rhs, lower=0)
+    out = _lapack_blas()[1].dsymv(1.0, a.T, w, beta=-1.0, y=rhs, lower=0)
     np.fill_diagonal(a, d)
     return out
 
@@ -259,10 +289,11 @@ class FitReport:
 
     ``condition_estimate`` is ||A||_1 times Hager's estimate of ||A^-1||_1
     on the fit's LDLᵀ factors: an estimate, from below, of the 1-norm
-    condition number, the same bits on every run.  ||A||_1 is read by LAPACK
-    dlange, before the factorization overwrites A and with no |A| copy; it
-    adds each column's entries in row order, as numpy's column sums of |A|
-    do, so the bits are theirs.  ``residual_inf`` is ||A w - f||_inf after
+    condition number, the same bits on every run.  ||A||_1 is LAPACK's
+    dlange("I", A.T), called directly (the call scipy.linalg.norm makes for
+    a C-ordered A), before the factorization overwrites A and with no |A|
+    copy; it adds each column's entries in row order, as numpy's column sums
+    of |A| do, so the bits are theirs.  ``residual_inf`` is ||A w - f||_inf after
     the refinement step, with A w from BLAS dsymv.
     """
 
@@ -284,12 +315,12 @@ def fit_with_report(centers: CenterSet, basis: Basis, lam: float = 0.0):
     * (1 + ||f||_inf) raises SingularMatrixError.
     """
     a, rhs = assemble_matrix(centers, basis, lam)
-    from scipy.linalg import lapack, norm  # only fits pay its import
+    lapack = _lapack_blas()[0]
     scale = max(a.max(), -a.min())  # max|A| with no |A| copy
     if not np.isfinite(scale):
         raise SingularMatrixError("interpolation matrix is not finite; "
                                   "check the mesh scale and the shape parameter")
-    norm_1 = norm(a, 1, check_finite=False)  # dlange: no |A| copy (see FitReport)
+    norm_1 = lapack.dlange("I", a.T)  # ||A||_1 with no |A| copy (see FitReport)
     diag = a.diagonal().copy()
     n = len(a)
     # dsytrf's info > 0 names an exactly zero pivot, which the test below refuses

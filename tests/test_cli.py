@@ -157,20 +157,31 @@ def test_unwritable_stats_path_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_import_and_tpms_load_no_scipy(fresh_python, tmp_path):
-    # only a fit needs scipy.linalg; the last line shows that the check sees it
-    out = str(tmp_path / "g")
+def test_import_and_tpms_load_no_scipy(fresh_python, mesh_dir, tmp_path):
+    # tpms, sample, iso and perturb load no scipy module, and a fit loads what
+    # `import scipy` loads and scipy's two compiled wrappers, not the
+    # scipy.linalg package; the last line shows that the check sees them
+    model, vol = str(tmp_path / "m.arbf"), str(tmp_path / "vol")
+    assert main(["fit", "--mesh", mesh_dir["hex8.hexmesh"], "--out", model]) == EXIT_OK
+    runs = [["tpms", "--kind", "g", "--resolution", "8", "--out", str(tmp_path / "g")],
+            ["sample", "--model", model, "--resolution", "8", "--out", vol],
+            ["iso", "--volume", vol, "--iso=0"],
+            ["perturb", "--mesh", mesh_dir["hex8.hexmesh"], "--out", str(tmp_path / "p.hexmesh")]]
+    scipy = "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+    top = fresh_python("import sys, scipy as _\n" + scipy + "print(*scipy())\n").split()
     code = ("import sys, arbfscaffold as ax\n"
             "from arbfscaffold.cli import main\n"
-            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            + scipy +
             "print(scipy())\n"
-            f"main(['tpms', '--kind', 'g', '--resolution', '8', '--out', {out!r}])\n"
+            f"codes = [main(args) for args in {runs!r}]\n"
+            "print(codes)\n"
             "print(scipy())\n"
             "from arbfscaffold.samples import unit_tet_mesh\n"
             "ax.fit_mesh(unit_tet_mesh(), ax.Basis('imq'), 'anisotropic')\n"
-            "print('scipy.linalg' in sys.modules)\n")
-    lines = fresh_python(code).splitlines()  # main's own report comes between
-    assert [lines[0]] + lines[-2:] == ["[]", "[]", "True"]
+            "print(scipy())\n")
+    lines = fresh_python(code).splitlines()  # main's own reports come between
+    fit = sorted(top + ["scipy.linalg._fblas", "scipy.linalg._flapack"])
+    assert [lines[0]] + lines[-3:] == ["[]", str([EXIT_OK] * 4), "[]", str(fit)]
 
 
 def test_import_and_one_worker_tpms_load_no_thread_pool(fresh_python, tmp_path):

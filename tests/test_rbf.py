@@ -1,5 +1,7 @@
 """Basis evaluation, system assembly, solving, and model round-trips."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -379,6 +381,46 @@ def test_sample_mesh_models_do_not_depend_on_blas_threads(fresh_python, tmp_path
     one, two = (fresh_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
     assert len(one.splitlines()) == 2 * len(samples.SAMPLE_BUILDERS) == 12
     assert one == two
+
+
+_FIT_AND_SCIPY_LINALG = """
+import sys
+import arbfscaffold as ax
+from arbfscaffold import rbf, samples
+def fit():
+    model = ax.fit_mesh(samples.hex_block_mesh(), ax.Basis("imq", 0.1), "anisotropic")[0]
+    ax.save_model(model, {path!r})
+{steps}
+flapack, fblas = sys.modules["scipy.linalg._flapack"], sys.modules["scipy.linalg._fblas"]
+lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+print(lapack._flapack is flapack, lapack.dsytrf is flapack.dsytrf, blas._fblas is fblas,
+      rbf._lapack_blas() == (flapack, fblas))
+"""
+
+
+@pytest.mark.parametrize("steps", ["fit()\nimport scipy.linalg", "import scipy.linalg\nfit()"],
+                         ids=["fit-first", "import-first"])
+def test_fit_and_scipy_linalg_share_one_lapack_in_either_order(fresh_python, tmp_path,
+                                                               block_mesh, steps):
+    # the fit loads scipy's _flapack and _fblas alone; scipy.linalg, imported
+    # after or before it, uses the very modules the fit called, and the model
+    # has the bytes of a fit in this process
+    fresh, here = tmp_path / "fresh.arbf", tmp_path / "here.arbf"
+    code = _FIT_AND_SCIPY_LINALG.format(path=str(fresh), steps=steps)
+    assert fresh_python(code).split() == ["True"] * 4
+    save_model(fit_mesh(block_mesh, Basis("imq", 0.1), "anisotropic")[0], str(here))
+    assert fresh.read_bytes() == here.read_bytes()
+
+
+def test_missing_lapack_wrapper_is_an_import_error_naming_it(monkeypatch, tmp_path):
+    # a scipy whose linalg directory lacks _flapack fails the fit's first
+    # solve with an ImportError that names the module and scipy's version
+    import scipy
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.setattr(rbf, "_lapack_blas", functools.cache(rbf._lapack_blas.__wrapped__))
+    with pytest.raises(ImportError, match=rf"scipy {scipy.__version__} has no "
+                                          r"scipy\.linalg\._flapack in "):
+        rbf._lapack_blas()
 
 
 def test_model_bbox_covers_segment_endpoints(tet_mesh):
