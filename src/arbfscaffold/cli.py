@@ -8,7 +8,8 @@ inputs and flags produce byte-identical outputs.
 ``fit`` and ``pipeline`` warn on stderr when the fit's condition estimate
 exceeds COND_WARN.  ``--stats PATH.json`` on fit, sample, iso, tpms and
 pipeline also writes the seconds and sizes of each stage the command ran,
-and its exit code, as JSON; only the seconds differ between identical runs.
+the thread environment and its exit code, as JSON; only the seconds differ
+between identical runs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ EXIT_NUMERIC = 3
 # Above this 1-norm condition estimate (FitReport.condition_estimate) a fit
 # counts as near-singular: its weights may carry only a few correct digits.
 COND_WARN = 1e12
+
+# The BLAS thread variables --stats records: a fit's weights can depend on the thread count.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _MODE_NAMES = {"iso": "isotropic", "aniso": "anisotropic",
                "isotropic": "isotropic", "anisotropic": "anisotropic"}
@@ -310,7 +314,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
-    stats = {"command": args.command}
+    threads = {"cpu_count": os.cpu_count(), **{v: os.environ.get(v) for v in _THREAD_VARS}}
+    stats = {"command": args.command, "threads": threads}
     t0 = time.perf_counter()
     try:
         code = args.func(args, stats)

@@ -10,12 +10,10 @@ With t = (x - a)·(d / dd), the foot's parameter, and n_j = (x - a)·e_j,
 
     r² = ((t - clamp(t, 0, 1))·L)² + (n2² + n3²).
 
-So a point beyond an end measures to that endpoint.  A degenerate segment
-(dd == 0) takes the frame of [a, a + x̂] and is not clamped: its t, n2 and
-n3 are exactly x - a_x, z - a_z and a_y - y, so it measures as the point a
-bit for bit.  No tolerance enters: points and centers scaled by a power of
-two scale every r² exactly by its square, as they scale d / dd and L and
-leave e2 and e3 as they are.  Every basis is a function of r², so
+So a point beyond an end measures to that endpoint; every segment has
+length (see CenterSet).  No tolerance enters: points and centers scaled by
+a power of two scale every r² exactly by its square, as they scale d / dd
+and L and leave e2 and e3 as they are.  Every basis is a function of r², so
 ``InterpolationModel.evaluate_axes`` turns the tiles into field values, and
 ``assemble_matrix`` into matrix entries, with no square root.
 ``row_tiles`` walks the rows of an (n, 3) array: ``assemble_matrix``
@@ -94,16 +92,14 @@ def _table(c, ck, ek=None):
 
 
 def _segment_frame(a, b):
-    """Per-segment start rows (3, S), frame (3, 3, 1, 1, S), length (S,) and degenerate indices.
+    """Per-segment start rows (3, S), frame (3, 3, 1, 1, S) and length (S,).
 
     Each segment's endpoints are put in lexicographic order, so [a, b] and
     [b, a] give bit-identical frames and distances.  frame[k] holds axis
     k's component of d / dd, e2 and e3, one contiguous row each, so that a
     ufunc's inner loop over the segments has unit stride.  e2 is w / |w|
     for w = d × the unit axis of d's smallest |d_k|, exact in floats (each
-    entry is 0 or ±d_j), and e3 = (d / L) × e2.  A degenerate segment
-    (dd == 0) gets the frame of d = (1, 0, 0); its index is returned so
-    that ``_fill_block`` does not clamp its t.
+    entry is 0 or ±d_j), and e3 = (d / L) × e2.  Every segment has length.
     """
     a, b = point_array(a, "seg_a"), point_array(b, "seg_b")
     d = b - a
@@ -112,14 +108,12 @@ def _segment_frame(a, b):
     a = np.where(swap, b, a)
     d = np.where(swap, -d, d)  # exact: a - b == -(b - a)
     dd = _dot_self(d)
-    point = np.flatnonzero(dd == 0.0)
-    d[point], dd[point] = (1.0, 0.0, 0.0), 1.0
     length = np.sqrt(dd)
     w = np.cross(d, np.eye(3)[np.abs(d).argmin(axis=1)])
     e2 = w / np.sqrt(_dot_self(w))[:, None]
     e3 = np.cross(d / length[:, None], e2)
     frame = np.stack([d / dd[:, None], e2, e3]).transpose(2, 0, 1)  # (axis, row, segment)
-    return a.T.copy(), frame[:, :, None, None, :].copy(), length, point
+    return a.T.copy(), frame[:, :, None, None, :].copy(), length
 
 
 def _dot_self(v):
@@ -139,18 +133,18 @@ def _sum3(table, part, out=None):
     return np.add(table(0, part), yz, out=out)
 
 
-def _fill_block(table, block, p, length, point) -> None:
+def _fill_block(table, block, p, length) -> None:
     """Fill block[..., :p] with point and block[..., p:] with segment squared distances.
 
     ``table(k, part)`` gives axis k's table (see _table) for the points
     (part 0) or the segments (part 1); its result broadcasts to that part
     of the block (a grid chunk's x tables are (1, nx, m), its y and z
     tables (rows, 1, m)), and every entry rounds as for a single point.
-    ``length`` holds the segments' lengths and ``point`` the indices of the
-    degenerate ones.  The three segment sums t, n2 and n3 come from one _sum3 as one
-    contiguous (3, rows, cols, S) array, and every later step runs in
-    place on it: n2² + n3² into n2, clamp(t, 0, 1) into n3, then
-    ((t - clamp)·L)² into t, which is added to n2 straight into the block.
+    ``length`` holds the segments' lengths, all > 0.  The three segment
+    sums t, n2 and n3 come from one _sum3 as one contiguous (3, rows, cols,
+    S) array, and every later step runs in place on it: n2² + n3² into n2,
+    clamp(t, 0, 1) into n3, then ((t - clamp)·L)² into t, which is added to
+    n2 straight into the block.
     """
     if p:
         _sum3(table, 0, block[..., :p])
@@ -161,7 +155,6 @@ def _fill_block(table, block, p, length, point) -> None:
     terms[1:] *= terms[1:]
     n2 += n3
     np.clip(t, 0.0, 1.0, out=n3)
-    n3[..., point] = 0.0  # a degenerate segment is not clamped
     t -= n3
     t *= length
     t *= t
@@ -178,7 +171,7 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
     sized for the call's largest tile, so a caller may overwrite it in place.
     """
     points = point_array(points, "points").T.copy()  # (3, P) rows, as the segment starts'
-    a, frame, length, point = _segment_frame(seg_a, seg_b)
+    a, frame, length = _segment_frame(seg_a, seg_b)
     p, s = points.shape[1], a.shape[1]
     n = max(p + s, 1)
     n_rows, n_cols = np.broadcast_shapes(x.shape, y.shape, z.shape)
@@ -205,7 +198,7 @@ def distance_tiles(x, y, z, points, seg_a, seg_b):
                 if (k, part) in shared:
                     return shared[k, part]
                 return _table(tile[k][r0:r1], *parts[part][k])
-            _fill_block(table, block, p, length, point)
+            _fill_block(table, block, p, length)
             yield slice(r0, r1), slice(c0, c1), block
 
 

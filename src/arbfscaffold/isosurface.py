@@ -311,10 +311,11 @@ def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:
         raise ValidationError("marching squares expects a single-slice grid (nz = 1)")
     if nx < 2 or ny < 2:
         raise ValidationError("marching squares needs at least 2 samples per axis")
-    vals = grid.values_3d()[0].astype(np.float64)  # (ny, nx) -> [j, i]
+    vals = grid.values_3d()[0]  # (ny, nx) -> [j, i]
     iso = real(iso, "iso")
 
-    solid = vals >= iso
+    # v >= iso exactly when v >= c, as marching_cubes and solid_fraction compare
+    solid = vals >= _iso_threshold(vals, iso)
     case = np.zeros((ny - 1, nx - 1), dtype=np.uint8)
     for n, (di, dj) in enumerate(_MS_CORNER_OFFSETS):
         case |= solid[dj: dj + ny - 1, di: di + nx - 1].view(np.uint8) << n
@@ -322,7 +323,8 @@ def marching_squares(grid: VoxelGrid, iso: float) -> ContourSet:
     case = case.ravel()[cells]
     base = cells + cells // (nx - 1)   # sample at the cell's corner 0
     stride = np.array([1, nx])
-    cv = vals.ravel()[base[:, None] + _MS_CORNER_OFFSETS @ stride]   # (cells, 4)
+    # only the crossed cells' corners widen, exactly, for the center average
+    cv = vals.ravel()[base[:, None] + _MS_CORNER_OFFSETS @ stride].astype(np.float64)
     center = 0.25 * (cv[:, 0] + cv[:, 1] + cv[:, 2] + cv[:, 3])
     center_solid = (center >= iso).astype(np.int64)
 

@@ -34,8 +34,8 @@ from ._mc_tables import EDGE_CORNERS
 from .errors import ParseError, ValidationError, index_array, point_array
 from .grid import bbox_diagonal
 
-# Relative tolerances, both scaled by the mesh bbox diagonal: the shortest
-# face-to-cell segment (assemble_center_set) and the smallest cell measure.
+# Relative tolerances: the shortest segment center, scaled by its CenterSet's bbox
+# diagonal, and the smallest cell measure, scaled by the mesh's.
 DEGENERATE_SEGMENT_TOL = 1e-9
 DEGENERATE_MEASURE_TOL = 1e-12
 # Largest vertex coordinate magnitude: squared distances between centers stay in float64.
@@ -74,7 +74,8 @@ class CenterSet:
 
     ``points`` (p, 3) carry ``point_values`` (p,) of +1 or -1.  Segment ``k``
     runs from the face/edge center ``seg_a[k]`` to the cell/tile center
-    ``seg_b[k]``; every segment carries -1, so segments have no value array.
+    ``seg_b[k]``; every segment carries -1, so segments have no value array,
+    and has length: ends within DEGENERATE_SEGMENT_TOL x the bbox diagonal are refused.
     """
 
     points: np.ndarray
@@ -95,6 +96,10 @@ class CenterSet:
             raise ValidationError("center set is empty")
         if not np.all(np.isin(self.point_values, (1.0, -1.0))):
             raise ValidationError(f"point values must be +1 or -1, got {self.point_values}")
+        length = np.linalg.norm(self.seg_a - self.seg_b, axis=-1)
+        if len(length) and length.min() <= DEGENERATE_SEGMENT_TOL * bbox_diagonal(*self.bbox()):
+            raise ValidationError("degenerate cell: face center meets cell center "
+                                  f"(segment {length.argmin()})")
 
     def __len__(self) -> int:
         return len(self.points) + len(self.seg_a)
@@ -242,9 +247,6 @@ def assemble_center_set(mesh: VolumetricMesh, mode: str) -> CenterSet:
     else:
         outer = _corner_means(mesh, _FACES.get(mesh.kind, _TRI_EDGES))
         inner = np.broadcast_to(_corner_means(mesh, _WHOLE[mesh.kind]), outer.shape)
-        tol = DEGENERATE_SEGMENT_TOL * bbox_diagonal(*mesh.bbox())
-        if np.any(np.linalg.norm(outer - inner, axis=-1) <= tol):
-            raise ValidationError("degenerate cell: face center meets cell center")
         seg_a, seg_b = outer.reshape(-1, 3), inner.reshape(-1, 3)
     points = np.concatenate([mesh.vertices, *means])
     values = np.full(len(points), -1.0)

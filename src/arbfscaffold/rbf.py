@@ -371,7 +371,8 @@ def load_model(path: str) -> InterpolationModel:
     Center lines of each kind are gathered, with their weights, in file
     order: P lines (``P x y z value``, value +1 or -1) before S lines
     (``S ax ay az bx by bz -1``).  Every line is read by position, so a
-    blank line is an error at that line.
+    blank line is an error at that line.  Centers that fail CenterSet's
+    checks raise ParseError naming ``path``.
     """
     lines = textio.decode(path)
     if next(lines, (1, None))[1] != [_MODEL_MAGIC]:
@@ -404,6 +405,9 @@ def load_model(path: str) -> InterpolationModel:
         rows[kind].append(vals + textio.floats(w_tokens, 1, path, w_lineno))
     pts = np.array(rows["P"]).reshape(-1, 5)
     segs = np.array(rows["S"]).reshape(-1, 8)
-    centers = CenterSet(pts[:, :3], pts[:, 3], segs[:, :3], segs[:, 3:6])
+    try:
+        centers = CenterSet(pts[:, :3], pts[:, 3], segs[:, :3], segs[:, 3:6])
+    except ValidationError as exc:
+        raise ParseError(str(exc), path) from exc
     return InterpolationModel(centers=centers, basis=basis, lam=lam,
                               weights=np.concatenate([pts[:, 4], segs[:, 7]]))

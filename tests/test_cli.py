@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -135,6 +136,19 @@ def test_stats_for_each_stage_command(mesh_dir, tmp_path, argv, keys):
     with open(stats, encoding="ascii") as fh:
         record = json.load(fh)
     assert keys <= set(record) and record["command"] == argv[0]
+
+
+def test_stats_record_the_thread_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    stats = str(tmp_path / "stats.json")
+    assert main(["tpms", "--kind", "p", "--resolution", "8", "--out", str(tmp_path / "p"),
+                 "--stats", stats]) == EXIT_OK
+    with open(stats, encoding="ascii") as fh:
+        threads = json.load(fh)["threads"]
+    assert threads == {"cpu_count": os.cpu_count(), "OPENBLAS_NUM_THREADS": "1",
+                       "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
 
 
 def test_out_of_range_iso_warns_but_succeeds(mesh_dir, tmp_path, capsys):
@@ -414,12 +428,21 @@ def test_malformed_model_is_input_error(tmp_path, capsys, body, line):
     assert f"bad.arbf:{line}:" in capsys.readouterr().err
 
 
+def test_model_with_a_zero_length_segment_is_input_error(tmp_path, capsys):
+    path = tmp_path / "flat.arbf"
+    path.write_text(MODEL_HEADER + "2\nP 0 0 0 1\nS 1 1 1 1 1 1 -1\n1.5\n2.5\n")
+    with pytest.raises(ax.ParseError, match="^" + re.escape(f"{path}: degenerate cell")):
+        ax.load_model(str(path))
+    assert main(["sample", "--model", str(path), "--resolution", "4"]) == EXIT_INPUT
+    assert f"{path}: degenerate cell: face center meets cell center" in capsys.readouterr().err
+
+
 def test_interleaved_model_lines_are_gathered(mesh_dir, tmp_path):
     # P and S lines in any order load as points first, then segments,
     # each with its own weight; sampling matches the file fit wrote
     ordered = str(tmp_path / "ordered.arbf")
     assert main(["fit", "--mesh", mesh_dir["tet1.node"], "--out", ordered]) == EXIT_OK
-    lines = open(ordered, encoding="ascii").read().splitlines()
+    lines = read(ordered).decode("ascii").splitlines()
     n = int(lines[3])
     rows = list(zip(lines[4:4 + n], lines[4 + n:4 + 2 * n]))
     assert [r[0][0] for r in rows] == ["P"] * 10 + ["S"] * 4

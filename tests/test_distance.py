@@ -75,10 +75,15 @@ def test_near_segment_residual_clamp():
     assert r2_segment(p, a, b) == 1e-13 * 1e-13
 
 
-def test_degenerate_segment_is_point_distance():
-    a = np.array([1.0, 2.0, 3.0])
-    p = np.array([1.0, 2.0, 7.0])
-    assert r2_segment(p, a, a) == r2_point(p, a) == 16.0
+def has_length(seg_a, seg_b) -> bool:
+    """Whether CenterSet takes the segments [seg_a, seg_b]: the kernel measures only those."""
+    try:
+        CenterSet(NONE, [], seg_a, seg_b)
+    except ValidationError as exc:
+        if "degenerate cell" not in str(exc):
+            raise
+        return False
+    return True
 
 
 def _segment_block(a, b, c, d):
@@ -111,12 +116,14 @@ def test_brute_force_agreement(rng):
 @settings(max_examples=200, deadline=None)
 @given(p=point, a=point, b=point)
 def test_endpoint_swap_symmetry_is_bitwise(p, a, b):
+    assume(has_length(a, b))
     assert r2_segment(p, a, b) == r2_segment(p, b, a)
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=point, a=point, b=point)
 def test_bounded_by_endpoint_distances(p, a, b):
+    assume(has_length(a, b))
     r2 = r2_segment(p, a, b)
     assert r2 >= 0.0
     assert np.sqrt(r2) <= np.sqrt(min(r2_point(p, a), r2_point(p, b))) + 1e-12
@@ -128,24 +135,22 @@ def exact_r2_segment(x, a, b) -> Fraction:
     d = [bk - ak for ak, bk in zip(a, b)]
     diff = [xk - ak for xk, ak in zip(x, a)]
     dd = sum(dk * dk for dk in d)
-    t = min(max(sum(ek * dk for ek, dk in zip(diff, d)) / dd, 0), 1) if dd else 0
+    t = min(max(sum(ek * dk for ek, dk in zip(diff, d)) / dd, 0), 1)
     return sum((ek - t * dk) ** 2 for ek, dk in zip(diff, d))
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=point, b=point, degenerate=st.booleans(), u=st.floats(-0.5, 1.5),
+@given(a=point, b=point, u=st.floats(-0.5, 1.5),
        kind=st.sampled_from(["on", "near", "off"]), log_rel=st.floats(-12.0, -3.0), direction=point)
-def test_segment_distance_is_accurate(a, b, degenerate, u, kind, log_rel, direction):
+def test_segment_distance_is_accurate(a, b, u, kind, log_rel, direction):
     # r within 4 eps (|x - a| + |b - a|) of the exact distance: on a segment, near
     # it, off it and beyond its ends.  The expanded form r² = |x - a|² + dd t (t - 2s)
     # cancels near a segment and missed this bound by factors up to 6e7.
-    if degenerate:
-        b = a
     length = float(np.linalg.norm(b - a))
-    assume(length == 0.0 or length > 1e-100)  # squares of the near offsets stay normal
+    assume(length > 1e-100)  # squares of the near offsets stay normal
     norm = float(np.linalg.norm(direction))
     assume(norm > 1e-100)
-    scale = {"on": 0.0, "near": 10.0 ** log_rel * (length or 1.0) / norm, "off": 1.0}[kind]
+    scale = {"on": 0.0, "near": 10.0 ** log_rel * length / norm, "off": 1.0}[kind]
     x = _on_line(a, b, u, scale * direction)
     r = Fraction(math.sqrt(r2_segment(x, a, b)))
     tol = Fraction(4 * np.finfo(float).eps * (float(np.linalg.norm(x - a)) + length))
@@ -156,6 +161,7 @@ def test_segment_distance_is_accurate(a, b, degenerate, u, kind, log_rel, direct
 @settings(max_examples=100, deadline=None)
 @given(a=point, b=point, c=point, d=point)
 def test_segment_segment_symmetry(a, b, c, d):
+    assume(has_length([a, c], [b, d]))
     ref = _segment_block(a, b, c, d)
     if ref is None:  # [a, b] and [c, d] coincide in either orientation, so must every view
         assert _segment_block(c, d, a, b) is None and _segment_block(b, a, d, c) is None
@@ -165,13 +171,12 @@ def test_segment_segment_symmetry(a, b, c, d):
     assert _segment_block(b, a, d, c)[0, 1] == ref[0, 1]
 
 
-@given(pts=point_rows, ends=point_rows, flips=st.lists(st.booleans(), min_size=6, max_size=6))
-def test_batched_blocks_equal_scalar_kernels_bitwise(pts, ends, flips):
-    # segment j runs from ends[j] to ends[j + 1]; flipped ones are degenerate
+@given(pts=point_rows, ends=point_rows)
+def test_batched_blocks_equal_scalar_kernels_bitwise(pts, ends):
+    # segment j runs from ends[j] to ends[j + 1]
     a = ends
     b = np.roll(ends, -1, axis=0)
-    degenerate = np.array(flips[:len(a)])
-    b[degenerate] = a[degenerate]
+    assume(has_length(a, b))
     block = squared_distance_block(pts, a, a, b)
     m = len(a)
     assert block.shape == (len(pts), 2 * m)
@@ -201,10 +206,9 @@ def oracle_r2_segment(x, a, b) -> float:
 
     Every Python float operation rounds once, with no fused multiply-add, so
     this fixes the kernel's order of operations by hand.  The frame: the
-    endpoints in lexicographic order, d = b - a and dd = d·d; a degenerate
-    segment (dd == 0) takes d = (1, 0, 0) and is not clamped.  The length
-    is sqrt(dd), e2 = w / |w| for w = d × the axis of d's smallest |d_k|,
-    and e3 = (d / length) × e2.  Then t = (x - a)·(d / dd) and
+    endpoints in lexicographic order, d = b - a and dd = d·d > 0.  The
+    length is sqrt(dd), e2 = w / |w| for w = d × the axis of d's smallest
+    |d_k|, and e3 = (d / length) × e2.  Then t = (x - a)·(d / dd) and
     n_j = (x - a)·e_j, and r² = ((t - clamp(t, 0, 1))·length)² + (n2² + n3²).
     Every dot product adds its axes x + (y + z).
     """
@@ -213,9 +217,6 @@ def oracle_r2_segment(x, a, b) -> float:
         a, b = b, a
     d = [bk - ak for ak, bk in zip(a, b)]
     dd = _dot(d, d)
-    degenerate = dd == 0.0
-    if degenerate:
-        d, dd = [1.0, 0.0, 0.0], 1.0
     length = math.sqrt(dd)
     k = min(range(3), key=lambda i: abs(d[i]))
     w = _cross(d, [float(i == k) for i in range(3)])
@@ -223,7 +224,7 @@ def oracle_r2_segment(x, a, b) -> float:
     e3 = _cross([dk / length for dk in d], e2)
     diff = [xk - ak for xk, ak in zip(x, a)]
     t, n2, n3 = (_dot(diff, e) for e in ([dk / dd for dk in d], e2, e3))
-    along = (t - (0.0 if degenerate else min(max(t, 0.0), 1.0))) * length
+    along = (t - min(max(t, 0.0), 1.0)) * length
     return along * along + (n2 * n2 + n3 * n3)
 
 
@@ -268,7 +269,6 @@ def _on_line(a, b, u, offset):
 ORACLE_CASES = [
     (np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
     (np.array([0.3, -1.7, 2.2]), np.array([-0.4, 0.9, 1.1])),  # b before a: swapped
-    (np.array([1.5, 1.5, -2.0]), np.array([1.5, 1.5, -2.0])),  # degenerate
     (np.array([-3.0, 0.25, 7.0]), np.array([4.0, -1.0, 0.5])),
 ]
 ORACLE_US = (-0.75, 0.0, 0.3, 0.5, 1.0, 1.6)
@@ -281,32 +281,29 @@ def test_segment_oracle_regimes_are_covered():
         d = b - a
         for u in ORACLE_US:
             for off in ORACLE_OFFSETS:
-                x = _on_line(a, b, u, off)
-                if d @ d == 0.0:
-                    t_regimes.add("degenerate")
-                    continue
-                t = (x - a) @ d / (d @ d)
+                t = (_on_line(a, b, u, off) - a) @ d / (d @ d)
                 t_regimes.add("before" if t < 0.0 else "past" if t > 1.0 else "inside")
-    assert t_regimes == {"before", "inside", "past", "degenerate"}
+    assert t_regimes == {"before", "inside", "past"}
 
 
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
 def test_walks_equal_segment_oracle_bitwise(case):
     a, b = ORACLE_CASES[case]
     q = np.array([_on_line(a, b, u, off) for u in ORACLE_US for off in ORACLE_OFFSETS])
-    sa, sb = np.array([a, b, a]), np.array([b, a, a])  # both orientations and a degenerate one
+    sa, sb = np.array([a, b]), np.array([b, a])  # both orientations
     assert_walks_match_oracle(q, sa, sb)
 
 
 @settings(max_examples=60)
-@given(ends=st.lists(st.tuples(point, point, st.booleans()), min_size=1, max_size=3),
+@given(ends=st.lists(st.tuples(point, point), min_size=1, max_size=3),
        feet=st.lists(st.tuples(st.integers(0, 2), st.floats(-1.0, 2.0), st.sampled_from(range(3)),
                                point), min_size=1, max_size=6))
 def test_walks_equal_segment_oracle_bitwise_random(ends, feet):
-    # segment j runs from a[j] to b[j], degenerate where its flag is set; each
-    # query point lies at u along a segment, exactly or off it by some offset
+    # segment j runs from a[j] to b[j]; each query point lies at u along a
+    # segment, exactly or off it by some offset
     a = np.array([e[0] for e in ends])
-    b = np.array([e[0] if e[2] else e[1] for e in ends])
+    b = np.array([e[1] for e in ends])
+    assume(has_length(a, b))
     q = np.array([_on_line(a[j % len(a)], b[j % len(a)], u, (0.0, 1e-14, 1.0)[kind] * off)
                   for j, u, kind, off in feet])
     assert_walks_match_oracle(q, a, b)
@@ -314,12 +311,12 @@ def test_walks_equal_segment_oracle_bitwise_random(ends, feet):
 
 def test_empty_blocks_keep_their_shape():
     none, q = np.empty((0, 3)), np.ones((4, 3))
-    assert squared_distance_block(none, q, q, q).shape == (0, 8)
+    assert squared_distance_block(none, q, q, 2 * q).shape == (0, 8)
     assert squared_distance_block(q, none, none, none).shape == (4, 0)
     assert squared_distance_block(q, q[:1], none, none).shape == (4, 1)
     assert squared_distance_block(none, q, none, none).shape == (0, 4)
-    assert squared_distance_block(q, none, q, q).shape == (4, 4)
-    assert squared_distance_block(none, none, q, q).shape == (0, 4)
+    assert squared_distance_block(q, none, q, 2 * q).shape == (4, 4)
+    assert squared_distance_block(none, none, q, 2 * q).shape == (0, 4)
 
 
 # The endpoint-pair minimum exceeds the true segment distance by at most this

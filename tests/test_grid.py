@@ -351,8 +351,8 @@ def test_volume_header_mismatch(tmp_path):
     g = make_grid(np.zeros(3), np.ones(3), 4, 0.0)
     stem = str(tmp_path / "vol")
     write_volume(g, stem)
-    raw = open(stem + ".raw", "rb").read()
-    open(stem + ".raw", "wb").write(raw[:-4])  # drop one sample
+    raw = tmp_path / "vol.raw"
+    raw.write_bytes(raw.read_bytes()[:-4])  # drop one sample
     # a malformed file like any other: a ParseError at the header line it contradicts
     with pytest.raises(ParseError, match="payload") as err:
         read_volume(stem)
@@ -384,9 +384,9 @@ def test_volume_header_rejects_impossible_values(tmp_path, line, text):
     g = make_grid(np.zeros(3), np.ones(3), 4, 0.0)
     stem = str(tmp_path / "vol")
     write_volume(g, stem)
-    hdr = open(stem + ".vhdr").read().splitlines()
+    hdr = (tmp_path / "vol.vhdr").read_text().splitlines()
     hdr[line - 1] = text
-    open(stem + ".vhdr", "w").write("\n".join(hdr) + "\n")
+    (tmp_path / "vol.vhdr").write_text("\n".join(hdr) + "\n")
     with pytest.raises(ParseError) as err:
         read_volume(stem)
     assert f"vol.vhdr:{line}:" in str(err.value)

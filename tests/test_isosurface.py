@@ -227,7 +227,8 @@ def test_obj_round_trip(tmp_path):
     assert soup.triangles.dtype == back.triangles.dtype == np.int32
     assert np.array_equal(back.triangles, soup.triangles)
     assert np.allclose(back.vertices, soup.vertices, atol=1e-6)
-    first = open(path, encoding="ascii").readline().split()
+    with open(path, encoding="ascii") as fh:
+        first = fh.readline().split()
     assert first[0] == "v"
     export_obj(back, str(tmp_path / "again.obj"))
     assert (tmp_path / "again.obj").read_bytes() == (tmp_path / "s.obj").read_bytes()
@@ -328,7 +329,7 @@ def test_pgm_frozen_bytes(tmp_path):
     g.values[:] = np.array([0.0, 0.5, 0.75, 1.0], dtype=np.float32)
     path = str(tmp_path / "i.pgm")
     export_pgm(g, path, 0.0, 1.0)
-    data = open(path, "rb").read()
+    data = (tmp_path / "i.pgm").read_bytes()
     assert data == b"P5\n2 2\n255\n" + bytes([191, 255, 0, 128])
 
 
@@ -337,7 +338,7 @@ def test_pgm_clamps_out_of_range(tmp_path):
     g.values[:] = np.array([-10.0, 10.0, 0.0, 1.0], dtype=np.float32)
     path = str(tmp_path / "c.pgm")
     export_pgm(g, path, 0.0, 1.0)
-    payload = open(path, "rb").read()[-4:]
+    payload = (tmp_path / "c.pgm").read_bytes()[-4:]
     assert payload == bytes([0, 255, 0, 255])
 
 

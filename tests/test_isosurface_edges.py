@@ -34,6 +34,25 @@ def test_iso_is_compared_with_the_samples_in_float64():
     assert np.array_equal(soup.vertices, g.origin + t * np.diag(g.spacing))
 
 
+@given(st.integers(2, 6), st.integers(2, 6), st.floats(-2.0 ** 100, 2.0 ** 100, width=32),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.data())
+def test_marching_squares_compares_float32_samples_exactly(nx, ny, below, frac, data):
+    # iso lies strictly between two adjacent float32 values, and every sample is
+    # one of the two: rounding iso to float32 would put it on a sample.  The
+    # float32 slice and the same slice stored as float64, whose samples
+    # _iso_threshold compares with iso in float64, give the same bits.
+    below = np.float32(below)
+    above = np.nextafter(below, np.float32(np.inf))
+    iso = float(below) + frac * (float(above) - float(below))
+    assume(float(below) < iso < float(above))
+    picks = data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
+    g32 = lattice((nx, ny, 1), np.where(picks, above, below))
+    g64 = VoxelGrid(g32.origin, g32.spacing, g32.dims, g32.values.astype(np.float64))
+    got, ref = (marching_squares(g, iso).polylines for g in (g32, g64))
+    assert len(got) == len(ref) and bool(got) == (0 < sum(picks) < nx * ny)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
 def crossed_grid_edges(g, iso):
     """Grid edges with one end below iso and one not, by a loop over samples."""
     nx, ny, nz = g.dims

@@ -9,6 +9,7 @@ import arbfscaffold as ax
 from arbfscaffold import samples
 from arbfscaffold.errors import ParseError, ValidationError
 from arbfscaffold.mesh import (
+    DEGENERATE_SEGMENT_TOL,
     CenterSet,
     VolumetricMesh,
     cell_measures,
@@ -128,6 +129,24 @@ def test_anisotropic_set_rejects_face_center_on_cell_center():
     assert cell_measures(mesh) == pytest.approx([1.0 / 3.0])
     with pytest.raises(ValidationError, match="degenerate cell: face center meets cell center"):
         ax.assemble_center_set(mesh, "anisotropic")
+
+
+def test_center_set_refuses_a_segment_whose_ends_meet():
+    # the set's bbox diagonal is 1, so the tolerance is DEGENERATE_SEGMENT_TOL
+    pts, vals = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1.0, -1.0]
+    a = np.array([0.5, 0.0, 0.0])
+
+    def make(start, end):  # segment 0 has length; segment 1 runs from start to end
+        return CenterSet(pts, vals, [[0.25, 0, 0], start], [[0.75, 0, 0], end])
+    for gap, refused in ((0.0, True), (0.99, True), (1.01, False)):
+        b = a + [gap * DEGENERATE_SEGMENT_TOL, 0.0, 0.0]
+        for start, end in ((a, b), (b, a)):
+            if refused:
+                with pytest.raises(ValidationError, match=r"^degenerate cell: face center "
+                                   r"meets cell center \(segment 1\)$"):
+                    make(start, end)
+            else:
+                assert len(make(start, end)) == 4
 
 
 def test_unknown_mode_format_and_kind_are_rejected(tmp_path, tet_mesh):

@@ -450,7 +450,7 @@ def test_model_file_is_ascii_with_magic(tmp_path, tet_mesh):
     model = fit_mesh(tet_mesh, Basis("imq", 0.1), "anisotropic")[0]
     path = str(tmp_path / "m.arbf")
     save_model(model, path)
-    lines = open(path, encoding="ascii").read().splitlines()
+    lines = (tmp_path / "m.arbf").read_text(encoding="ascii").splitlines()
     assert lines[0] == "ARBF1"
     assert lines[1].startswith("basis imq")
     assert lines[2].startswith("lambda ")
